@@ -59,8 +59,8 @@ type pendingReq struct {
 	sent     sim.Time    // scheduled first transmission (latency is measured from here)
 	dst      netsim.Addr // destination server (retransmissions reuse it)
 	deadline sim.Time    // absolute completion deadline (zero = none)
-	got      uint64   // bitmask of distinct response segments received
-	need     int      // segments expected (learned from the first segment)
+	got      uint64      // bitmask of distinct response segments received
+	need     int         // segments expected (learned from the first segment)
 	retries  int
 	timer    *sim.Timer
 	// payload and respHint override the client's defaults for replayed

@@ -124,6 +124,10 @@ type Cluster struct {
 	outboxes []*netsim.Outbox
 	shards   *shardSet
 	linkSeq  uint64
+
+	// links holds every link in construction order; their serialization
+	// completions count toward Result.Events (see firedEvents).
+	links []*netsim.Link
 }
 
 // chipState adapts the chip for core.DecisionEngine (chip-wide DVFS).

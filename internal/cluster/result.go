@@ -110,7 +110,11 @@ type Result struct {
 	Switches   []SwitchStats `json:",omitempty"`
 	Unroutable int64         `json:",omitempty"`
 
-	// Events is the simulator event count (progress metric).
+	// Events is the simulator event count (progress metric): the events
+	// the engines fired plus one per frame serialization a link completed
+	// (the dequeue events links once scheduled, now folded into records).
+	// Audit epoch ticks and, under intended-send accounting, client
+	// pacing fires are excluded.
 	Events uint64
 }
 

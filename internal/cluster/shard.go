@@ -323,6 +323,7 @@ func (c *Cluster) shardEng(sh int) *sim.Engine {
 func (c *Cluster) bridge(l *netsim.Link, from, to int) *netsim.Link {
 	id := c.linkSeq
 	c.linkSeq++
+	c.links = append(c.links, l)
 	if c.shards == nil || from == to {
 		return l
 	}
@@ -341,17 +342,24 @@ func (c *Cluster) advance(until sim.Time) {
 	c.shards.Advance(until)
 }
 
-// firedEvents sums executed events across every engine. Cross-shard
-// delivery replaces the sender-side delivery event with one injected
-// event on the receiver, one for one, so the total matches the serial
-// run's exactly.
+// firedEvents sums executed events across every engine, plus every
+// link's serialization completions: a link retires those without an
+// engine event, but each stands for the dequeue event it once fired, so
+// the count — and every stored Result — is unchanged by the folding.
+// Cross-shard delivery replaces the sender-side delivery event with one
+// injected event on the receiver, one for one, so the total matches the
+// serial run's exactly.
 func (c *Cluster) firedEvents() uint64 {
-	if c.shards == nil {
-		return c.eng.Fired()
-	}
 	var n uint64
-	for _, e := range c.engs {
-		n += e.Fired()
+	if c.shards == nil {
+		n = c.eng.Fired()
+	} else {
+		for _, e := range c.engs {
+			n += e.Fired()
+		}
+	}
+	for _, l := range c.links {
+		n += l.Completions()
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ncap/internal/app"
+	"ncap/internal/audit"
 	"ncap/internal/sim"
 	"ncap/internal/telemetry"
 	"ncap/internal/topology"
@@ -83,14 +84,20 @@ func shardFleetConfig(spec *topology.Spec, perServer float64) Config {
 
 // A sharded run must actually shard: partitions constructed, boundary
 // links bridged, rounds synchronized, frames injected — and a serial run
-// must report exactly one shard with zeroed counters.
+// must report exactly one shard with zeroed counters. The audit build
+// clamps every run to serial (see effectiveShards), so there the sharded
+// run must report the clamp instead.
 func TestShardStats(t *testing.T) {
 	cfg := shardFleetConfig(topology.Rack(8, 4), 1500)
 	cfg.Shards = 4
 	cl := New(cfg)
 	cl.Run()
 	st := cl.ShardStats()
-	if st.Shards != 4 || st.Bridged == 0 || st.Rounds == 0 || st.Injected == 0 {
+	if audit.Strict {
+		if st.Shards != 1 || st.Rounds != 0 || st.Injected != 0 {
+			t.Fatalf("strict audit build did not clamp to serial: %+v", st)
+		}
+	} else if st.Shards != 4 || st.Bridged == 0 || st.Rounds == 0 || st.Injected == 0 {
 		t.Fatalf("sharded run did not coordinate: %+v", st)
 	}
 
@@ -105,13 +112,20 @@ func TestShardStats(t *testing.T) {
 // Single-observer execution modes — telemetry, audit, time-series
 // tracing, trace recording — clamp back to serial, as does a zero link
 // latency (no lookahead to synchronize with). The shard count also
-// clamps to the number of partitionable units.
+// clamps to the number of partitionable units. The audit build clamps
+// every run to serial, so there every count below is 1.
 func TestEffectiveShardClamps(t *testing.T) {
+	unclamped := func(n int) int {
+		if audit.Strict {
+			return 1
+		}
+		return n
+	}
 	base := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
 	base.Shards = 4
 
-	if got := base.effectiveShards(); got != 4 {
-		t.Fatalf("base effectiveShards = %d, want 4", got)
+	if got, want := base.effectiveShards(), unclamped(4); got != want {
+		t.Fatalf("base effectiveShards = %d, want %d", got, want)
 	}
 
 	cases := map[string]func(*Config){
@@ -131,8 +145,8 @@ func TestEffectiveShardClamps(t *testing.T) {
 
 	cfg := base
 	cfg.Shards = 64 // star has 1 server + 3 clients
-	if got := cfg.effectiveShards(); got != 4 {
-		t.Errorf("unit clamp: effectiveShards = %d, want 4", got)
+	if got, want := cfg.effectiveShards(), unclamped(4); got != want {
+		t.Errorf("unit clamp: effectiveShards = %d, want %d", got, want)
 	}
 	cfg.Shards = 0
 	if got := cfg.effectiveShards(); got != 1 {

@@ -20,7 +20,7 @@ type Chip struct {
 	domains []*Domain
 	table   *power.Table
 	model   *power.Model
-	cinfos  map[power.CState]power.CStateInfo
+	cstates []power.CStateInfo // built once; shared by CStates callers
 
 	meter    *power.EnergyMeter
 	onPState []func(power.PState)
@@ -68,14 +68,11 @@ func build(eng *sim.Engine, nCores, nDomains int, table *power.Table, model *pow
 		panic("cpu: domains must be chip-wide (1) or per-core")
 	}
 	c := &Chip{
-		eng:    eng,
-		table:  table,
-		model:  model,
-		cinfos: map[power.CState]power.CStateInfo{},
-		meter:  power.NewEnergyMeter(eng.Now()),
-	}
-	for _, info := range power.DefaultCStates() {
-		c.cinfos[info.State] = info
+		eng:     eng,
+		table:   table,
+		model:   model,
+		cstates: power.DefaultCStates(),
+		meter:   power.NewEnergyMeter(eng.Now()),
 	}
 	for i := 0; i < nDomains; i++ {
 		c.domains = append(c.domains, &Domain{
@@ -162,18 +159,20 @@ func (c *Chip) OnPStateChange(fn func(power.PState)) {
 	c.onPState = append(c.onPState, fn)
 }
 
-// CStates returns the chip's supported sleep states (beyond C0).
-func (c *Chip) CStates() []power.CStateInfo { return power.DefaultCStates() }
+// CStates returns the chip's supported sleep states (beyond C0), shallow
+// to deep. The slice is the chip's own table: callers must not modify it.
+func (c *Chip) CStates() []power.CStateInfo { return c.cstates }
 
 func (c *Chip) exitLatency(s power.CState) sim.Duration {
 	if s == power.C0 {
 		return 0
 	}
-	info, ok := c.cinfos[s]
-	if !ok {
-		panic(fmt.Sprintf("cpu: unknown C-state %v", s))
+	for _, info := range c.cstates {
+		if info.State == s {
+			return info.ExitLatency
+		}
 	}
-	return info.ExitLatency
+	panic(fmt.Sprintf("cpu: unknown C-state %v", s))
 }
 
 // ID returns the domain's index.
@@ -248,10 +247,12 @@ func (d *Domain) finishTransition() {
 	d.transitioning = false
 	d.Transitions.Inc()
 	d.pstateMeter.Transition(now, d.cur.Index)
-	d.chip.trace.Emit(telemetry.Event{
-		T: now, Comp: "cpu", Kind: "pstate.set", Core: d.id,
-		V: float64(d.cur.MHz), Detail: d.cur.String(),
-	})
+	if d.chip.trace != nil { // PState.String formats; skip it when untraced
+		d.chip.trace.Emit(telemetry.Event{
+			T: now, Comp: "cpu", Kind: "pstate.set", Core: d.id,
+			V: float64(d.cur.MHz), Detail: d.cur.String(),
+		})
+	}
 	// Every running core was stalled for the relock, so resuming them here
 	// naturally restarts their slices at the new frequency.
 	for _, core := range d.cores {

@@ -154,10 +154,12 @@ func (c *Core) beginWake() {
 	c.cMeter.Transition(now, int(power.C0))
 	c.chip.powerChanged()
 	c.Wakes.Inc()
-	c.chip.trace.Emit(telemetry.Event{
-		T: now, Comp: "cpu", Kind: "cstate.exit", Core: c.id,
-		V: float64(slept), Detail: prev.String(),
-	})
+	if c.chip.trace != nil {
+		c.chip.trace.Emit(telemetry.Event{
+			T: now, Comp: "cpu", Kind: "cstate.exit", Core: c.id,
+			V: float64(slept), Detail: prev.String(),
+		})
+	}
 	c.lastSlept = slept
 	c.wakeEv = c.chip.eng.ScheduleArg(exit+power.MwaitWakeOverhead, coreFinishWake, c)
 }
@@ -267,10 +269,12 @@ func (c *Core) enterIdle() {
 	c.entryMV = c.dom.cur.MilliVolts
 	c.cMeter.Transition(now, int(target))
 	c.chip.powerChanged()
-	c.chip.trace.Emit(telemetry.Event{
-		T: now, Comp: "cpu", Kind: "cstate.enter", Core: c.id,
-		V: float64(target), Detail: target.String(),
-	})
+	if c.chip.trace != nil {
+		c.chip.trace.Emit(telemetry.Event{
+			T: now, Comp: "cpu", Kind: "cstate.enter", Core: c.id,
+			V: float64(target), Detail: target.String(),
+		})
+	}
 }
 
 // beginStall pauses execution for a PLL relock (chip-wide P transition).

@@ -566,3 +566,24 @@ func TestBusyConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// With no trace attached, a P-state change formats no telemetry string:
+// the change, through its voltage ramp and PLL relock, allocates nothing.
+func TestUntracedPStateChangeDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	tab := power.DefaultTable()
+	chip := New(eng, 1, tab, power.DefaultModel(), tab.Max())
+	up := false
+	allocs := testing.AllocsPerRun(100, func() {
+		if up = !up; up {
+			chip.SetPState(tab.Min())
+		} else {
+			chip.SetPState(tab.Max())
+		}
+		for eng.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced P-state change allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,8 +1,6 @@
 package governor
 
 import (
-	"sort"
-
 	"ncap/internal/cpu"
 	"ncap/internal/power"
 	"ncap/internal/sim"
@@ -151,11 +149,18 @@ func (m *Menu) predict(coreID int) sim.Duration {
 		}
 		return sim.Second // no information: assume long idle
 	}
-	vals := make([]sim.Duration, s.n)
-	copy(vals, s.recent[:s.n])
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	// Insertion-sort the history into a stack array: at most menuHistory
+	// values, and no allocation on this per-idle path.
+	var vals [menuHistory]sim.Duration
+	for i, v := range s.recent[:s.n] {
+		j := i
+		for ; j > 0 && vals[j-1] > v; j-- {
+			vals[j] = vals[j-1]
+		}
+		vals[j] = v
+	}
 	shorts := 0
-	for _, v := range vals {
+	for _, v := range vals[:s.n] {
 		if v < shortIdle {
 			shorts++
 		}

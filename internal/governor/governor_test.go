@@ -1,6 +1,7 @@
 package governor
 
 import (
+	"sort"
 	"testing"
 
 	"ncap/internal/cpu"
@@ -368,4 +369,77 @@ func TestMenuPerCoreDisable(t *testing.T) {
 	if got := m.SelectIdleState(c0); got != power.C6 {
 		t.Fatalf("re-enabled core selected %v, want C6", got)
 	}
+}
+
+// The menu's prediction sorts its history in place on the stack: an idle
+// decision allocates nothing.
+func TestMenuSelectDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	chip := newChip(eng)
+	m := NewMenu(chip, nil)
+	c := chip.Core(2)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		m.SelectIdleState(c)
+		m.OnWake(c, sim.Duration(i%7+1)*100*sim.Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("SelectIdleState+OnWake allocate %.1f times per decision, want 0", allocs)
+	}
+}
+
+// predict must equal the sort-based median/minimum rule it replaced for
+// every partial or full history, duplicates and the timer bound included.
+func TestMenuPredictMatchesSortedHistory(t *testing.T) {
+	rng := sim.NewRand(1, "menu-predict")
+	eng := sim.NewEngine()
+	chip := newChip(eng)
+	for trial := 0; trial < 2000; trial++ {
+		bound := sim.Duration(-1)
+		if rng.Bool(0.3) {
+			bound = sim.Duration(rng.Intn(2000)) * sim.Microsecond
+		}
+		m := NewMenu(chip, func(int) sim.Duration { return bound })
+		c := chip.Core(0)
+		var hist []sim.Duration
+		for n := rng.Intn(2 * menuHistory); n > 0; n-- {
+			// A few coarse values, so equal entries are common.
+			v := sim.Duration(rng.Intn(8)) * 150 * sim.Microsecond
+			m.OnWake(c, v)
+			hist = append(hist, v)
+		}
+		if len(hist) > menuHistory {
+			hist = hist[len(hist)-menuHistory:]
+		}
+		if got, want := m.predict(0), refPredict(hist, bound); got != want {
+			t.Fatalf("trial %d: predict(%v, bound %v) = %v, want %v", trial, hist, bound, got, want)
+		}
+	}
+}
+
+// refPredict is the prediction rule written with a heap-allocated sort.
+func refPredict(hist []sim.Duration, bound sim.Duration) sim.Duration {
+	if len(hist) == 0 {
+		if bound >= 0 {
+			return bound
+		}
+		return sim.Second
+	}
+	vals := append([]sim.Duration(nil), hist...)
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	shorts := 0
+	for _, v := range vals {
+		if v < shortIdle {
+			shorts++
+		}
+	}
+	pred := vals[len(vals)/2]
+	if 2*shorts >= len(vals) {
+		pred = vals[0]
+	}
+	if bound >= 0 && bound < pred {
+		pred = bound
+	}
+	return pred
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"sync"
+
 	"ncap/internal/audit"
 	"ncap/internal/fault"
 	"ncap/internal/sim"
@@ -36,12 +38,13 @@ type Link struct {
 	queued  int // bytes committed to the egress buffer but not yet on the wire
 	peak    int // high-water mark of queued over the whole run
 
-	// deq is a FIFO of wire sizes awaiting their dequeue events (one per
-	// committed frame, in serialization order). Keeping sizes here instead
-	// of capturing the packet in a dequeue closure lets frames be released
-	// to the pool the moment they are dropped or delivered.
-	deq     []int
-	deqHead int
+	// The completion FIFO: one record per committed frame, in
+	// serialization order, from head[headIdx] to tail[tailIdx-1]. A record
+	// leaves (freeing its bytes from queued) once the engine has passed
+	// its key; see drain. completed counts records retired over the run.
+	head, tail       *completionChunk
+	headIdx, tailIdx int
+	completed        uint64
 
 	// Bytes counts payload+header bytes successfully transmitted; Drops
 	// counts frames lost to a full egress buffer.
@@ -104,16 +107,72 @@ func (l *Link) SetInjector(inj *fault.Injector) { l.inj = inj }
 // Injector returns the attached fault injector (nil on a perfect link).
 func (l *Link) Injector() *fault.Injector { return l.inj }
 
-// linkDequeue frees the head frame's egress-buffer reservation when its
-// serialization completes (arg is the *Link).
-func linkDequeue(arg any) {
-	l := arg.(*Link)
-	l.queued -= l.deq[l.deqHead]
-	l.deqHead++
-	if l.deqHead == len(l.deq) {
-		l.deq = l.deq[:0]
-		l.deqHead = 0
+// A completion is a committed frame's end of serialization: the engine key
+// a dequeue event scheduled at Send would have carried, and the bytes the
+// frame holds in the egress buffer until then. Keeping completions as
+// records instead of events halves the engine events per frame hop; the
+// key keeps them exact (see drain).
+type completion struct {
+	key sim.Key
+	ws  int
+}
+
+// completionChunk is one fixed-size block of a link's completion FIFO.
+// Blocks beyond a link's first come from chunkPool and return to it once
+// drained, so the memory a burst needs is shared across links instead of
+// each link keeping its own peak.
+type completionChunk struct {
+	recs [32]completion
+	next *completionChunk
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(completionChunk) }}
+
+// pushCompletion appends a record to the completion FIFO.
+func (l *Link) pushCompletion(key sim.Key, ws int) {
+	switch {
+	case l.tail == nil:
+		l.head = chunkPool.Get().(*completionChunk)
+		l.tail = l.head
+	case l.tailIdx == len(l.tail.recs):
+		c := chunkPool.Get().(*completionChunk)
+		l.tail.next = c
+		l.tail, l.tailIdx = c, 0
 	}
+	l.tail.recs[l.tailIdx] = completion{key, ws}
+	l.tailIdx++
+}
+
+// drain retires every completion the engine has passed, freeing its bytes
+// from queued. It runs wherever queued is read, and gives exactly the
+// value the per-frame dequeue events would have left: a record is retired
+// iff its dequeue event would have fired before the current one.
+func (l *Link) drain() {
+	for l.queued > 0 { // every record holds bytes, so queued > 0 iff any remain
+		if l.headIdx == len(l.head.recs) {
+			c := l.head
+			l.head, l.headIdx = c.next, 0
+			c.next = nil
+			chunkPool.Put(c)
+		}
+		r := &l.head.recs[l.headIdx]
+		if !l.eng.Passed(r.key) {
+			return
+		}
+		l.queued -= r.ws
+		l.completed++
+		l.headIdx++
+	}
+	// Empty: head == tail; keep that chunk and refill it from the start.
+	l.headIdx, l.tailIdx = 0, 0
+}
+
+// Completions returns the number of frames that have finished serializing
+// over the whole run: the dequeue events a per-frame scheduler would have
+// fired by now.
+func (l *Link) Completions() uint64 {
+	l.drain()
+	return l.completed
 }
 
 // linkDeliver hands an arrived frame to the link's receiver (a0 is the
@@ -145,17 +204,6 @@ func (l *Link) AuditConservation(a *audit.Auditor) {
 		l.audSent-l.audFaultDrops+l.audDups, l.audDelivered)
 }
 
-// pushDeq appends a wire size to the dequeue FIFO, compacting the
-// consumed prefix once it dominates the slice.
-func (l *Link) pushDeq(ws int) {
-	if l.deqHead > 32 && l.deqHead*2 >= len(l.deq) {
-		n := copy(l.deq, l.deq[l.deqHead:])
-		l.deq = l.deq[:n]
-		l.deqHead = 0
-	}
-	l.deq = append(l.deq, ws)
-}
-
 // Send enqueues a frame for transmission, taking ownership of it: dropped
 // frames (egress overflow or fault loss) are released to the pool here,
 // delivered frames become the receiver's to release. It returns false if
@@ -168,6 +216,7 @@ func (l *Link) Send(p *Packet) bool {
 	if l.busyTil < now {
 		l.busyTil = now
 	}
+	l.drain()
 	ws := p.WireSize()
 	if l.queued+ws > l.cfg.QueueBytes && l.queued > 0 {
 		l.Drops.Inc()
@@ -185,8 +234,7 @@ func (l *Link) Send(p *Packet) bool {
 	l.busyTil += txTime
 	arrival := l.busyTil + l.cfg.Latency
 	l.Bytes.Add(int64(ws))
-	l.pushDeq(ws)
-	l.eng.AtArg(l.busyTil, linkDequeue, l)
+	l.pushCompletion(l.eng.Reserve(l.busyTil), ws)
 	if l.inj != nil {
 		if !l.sendFaulty(p, arrival) {
 			return true // serialized, then lost on the medium
@@ -262,7 +310,10 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 func (l *Link) Busy() bool { return l.busyTil > l.eng.Now() }
 
 // QueuedBytes returns the bytes waiting in (or entering) the egress buffer.
-func (l *Link) QueuedBytes() int { return l.queued }
+func (l *Link) QueuedBytes() int {
+	l.drain()
+	return l.queued
+}
 
 // PeakQueuedBytes returns the egress buffer's high-water mark over the
 // whole run. It is never reset — not at the measurement boundary, not

@@ -45,7 +45,7 @@ func (f Frame) Less(g Frame) bool {
 }
 
 // Aux is the frame's tie-break key in the destination engine's queue
-// (sim.Event.aux): nonzero, so injected deliveries order after local
+// (sim.Key.aux): nonzero, so injected deliveries order after local
 // events at equal (when, sat), and unique per (link, frame), so equal
 // (when, sat) injections order identically at any shard count.
 func (f Frame) Aux() uint64 { return (f.LinkID+1)<<32 | (f.Index & (1<<32 - 1)) }
@@ -78,8 +78,8 @@ func (o *Outbox) DrainInto(dst []Frame) []Frame {
 // SetShardPort turns the link into a shard boundary: deliveries are
 // staged into out (with identity id) instead of scheduled on the sending
 // engine, and injected on dst — the destination component's shard engine
-// — at the next barrier. Dequeue events, which free the sender's egress
-// buffer, stay local. Call before any traffic flows.
+// — at the next barrier. Egress-buffer accounting stays on the sending
+// engine. Call before any traffic flows.
 func (l *Link) SetShardPort(out *Outbox, id uint64, dst *sim.Engine) {
 	l.port = out
 	l.linkID = id

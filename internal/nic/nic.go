@@ -432,10 +432,12 @@ func (q *Queue) post(cause uint32, urgent bool) {
 	if q.dec != nil {
 		q.dec.NoteInterrupt(q.n.eng.Now())
 	}
-	q.n.trace.Emit(telemetry.Event{
-		T: q.n.eng.Now(), Comp: "nic", Kind: "irq", Core: q.id,
-		V: float64(cause), Detail: causeString(cause),
-	})
+	if q.n.trace != nil { // causeString allocates; skip it when untraced
+		q.n.trace.Emit(telemetry.Event{
+			T: q.n.eng.Now(), Comp: "nic", Kind: "irq", Core: q.id,
+			V: float64(cause), Detail: causeString(cause),
+		})
+	}
 	q.irq()
 }
 

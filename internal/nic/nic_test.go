@@ -344,3 +344,25 @@ func TestDMASerializesTransfers(t *testing.T) {
 		t.Fatalf("pending after 25µs = %d, want 2", n.RxPending())
 	}
 }
+
+// With no trace attached, raising an interrupt does not render its cause
+// bits: a frame's DMA, moderation and IRQ allocate nothing.
+func TestUntracedInterruptDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	n := testNIC(eng)
+	n.SetIRQ(func() {})
+	payload := []byte("GET /")
+	allocs := testing.AllocsPerRun(100, func() {
+		n.Receive(netsim.NewRequest(2, 1, 1, payload))
+		for eng.Step() {
+		}
+		batch := n.Poll(64)
+		for _, p := range batch {
+			p.Release()
+		}
+		n.Queue(0).Recycle(batch)
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced receive and interrupt allocate %.1f times, want 0", allocs)
+	}
+}

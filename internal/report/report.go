@@ -232,11 +232,11 @@ func fromSummary(s stats.Summary) Latency {
 // FromResult wraps one cluster.Result as a report Run.
 func FromResult(tag string, r cluster.Result) Run {
 	run := Run{
-		Tag:      tag,
-		Policy:   string(r.Policy),
-		Workload: r.Workload,
-		LoadRPS:  r.LoadRPS,
-		Latency:  fromSummary(r.Latency),
+		Tag:                 tag,
+		Policy:              string(r.Policy),
+		Workload:            r.Workload,
+		LoadRPS:             r.LoadRPS,
+		Latency:             fromSummary(r.Latency),
 		EnergyJ:             r.EnergyJ,
 		AvgPowerW:           r.AvgPowerW,
 		ServedRPS:           r.ServedRPS,

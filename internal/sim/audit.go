@@ -128,7 +128,7 @@ func (e *Engine) auditHeap(a *audit.Auditor, name string, h eventHeap, where uin
 				fmt.Sprintf("%s heap index %d", name, i), fmt.Sprintf("%d", ev.index))
 		}
 		if i > 0 {
-			if parent := h[(i-1)/2]; ev.less(parent) {
+			if parent := h[(i-1)/2]; ev.less(&parent.Key) {
 				a.Report(comp, "heap-order", now,
 					fmt.Sprintf("%s heap parent (when=%d seq=%d) <= child", name, parent.when, parent.seq),
 					fmt.Sprintf("child (when=%d seq=%d) earlier", ev.when, ev.seq))

@@ -84,12 +84,10 @@ const (
 	inOverflow
 )
 
-// Event is a scheduled callback, owned by the engine's free-list pool.
-// The scheduling methods return *Event for transient cancellation only:
-// once the event has fired or been canceled the pointer may be recycled
-// for an unrelated callback, so callers that retain a reference across
-// fires must hold a Handle (see Schedule*/At* Handle variants) instead.
-type Event struct {
+// Key is an event's position in the engine's fire order: events fire in
+// increasing (when, sat, aux, seq). Keys are unique, because every event
+// and every reservation (see Reserve) takes its own sequence number.
+type Key struct {
 	when Time
 	// sat is the simulated time the event was scheduled. For locally
 	// scheduled events it equals the engine's now at the Schedule*/At*
@@ -106,6 +104,31 @@ type Event struct {
 	// run was partitioned.
 	aux uint64
 	seq uint64 // tie-breaker: preserves scheduling order at equal times
+}
+
+// When returns the simulated time the event will fire (or fired).
+func (k Key) When() Time { return k.when }
+
+func (k *Key) less(b *Key) bool {
+	if k.when != b.when {
+		return k.when < b.when
+	}
+	if k.sat != b.sat {
+		return k.sat < b.sat
+	}
+	if k.aux != b.aux {
+		return k.aux < b.aux
+	}
+	return k.seq < b.seq
+}
+
+// Event is a scheduled callback, owned by the engine's free-list pool.
+// The scheduling methods return *Event for transient cancellation only:
+// once the event has fired or been canceled the pointer may be recycled
+// for an unrelated callback, so callers that retain a reference across
+// fires must hold a Handle (see Schedule*/At* Handle variants) instead.
+type Event struct {
+	Key
 	gen uint64 // incremented on recycle; validates Handles
 
 	// Container linkage: heap index for inNear/inOverflow, intrusive
@@ -126,9 +149,6 @@ type Event struct {
 
 	eng *Engine
 }
-
-// When returns the simulated time the event will fire (or fired).
-func (e *Event) When() Time { return e.when }
 
 // Cancel prevents the event from firing, unlinks it from the queue
 // immediately, and recycles it. Canceling an already-fired or
@@ -215,6 +235,12 @@ type Engine struct {
 	running bool
 	stopped bool
 
+	// front is the engine's frontier in the fire order: the key of the
+	// event firing (or last fired), or, once Run(until) returns without
+	// Stop, a key just past every event at or before until. Passed
+	// compares reserved keys against it.
+	front Key
+
 	// cur is the wheel cursor: a lower bound on every event reachable via
 	// the near heap or wheel (the overflow heap also takes events behind
 	// it). It can run ahead of now when a bounded Run stops before the
@@ -238,7 +264,8 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	return &Engine{}
+	// A frontier before time 0 orders before every key: nothing has fired.
+	return &Engine{front: Key{when: -1}}
 }
 
 // Now returns the current simulated time.
@@ -263,13 +290,33 @@ func (e *Engine) alloc(t Time) *Event {
 	} else {
 		ev = &Event{eng: e}
 	}
-	ev.when = t
-	ev.sat = e.now
-	ev.aux = 0
-	ev.seq = e.seq
-	e.seq++
+	ev.Key = e.Reserve(t)
 	return ev
 }
+
+// Reserve claims the key an event scheduled now for time t (clamped at
+// the current time) would carry, without scheduling anything: the
+// sequence number is consumed exactly as At would consume it, so every
+// real event keeps the key it would have had. A component that only
+// needs to know when such an event would have fired — and not to run a
+// callback then — keeps the key and asks Passed.
+func (e *Engine) Reserve(t Time) Key {
+	if t < e.now {
+		t = e.now
+	}
+	k := Key{when: t, sat: e.now, seq: e.seq}
+	e.seq++
+	return k
+}
+
+// Passed reports whether an event with key k (from Reserve) would already
+// have fired. Inside a callback that means k orders before the firing
+// event; after Run(until) returns normally, k.When() ≤ until and k was
+// reserved before Run returned; after Stop, k orders before the last
+// event fired. The answer is exact because the engine's fire order never
+// goes backward: every event scheduled or reserved orders after the
+// frontier it was created at, and InjectAt refuses keys that would not.
+func (e *Engine) Passed(k Key) bool { return k.less(&e.front) }
 
 // recycle returns a no-longer-queued event to the free list, invalidating
 // outstanding Handles and dropping callback references.
@@ -369,7 +416,7 @@ func (e *Engine) cascade(lvl, slot int) {
 func (e *Engine) popMin(limit Time) *Event {
 	for {
 		best := e.near.min()
-		if o := e.overflow.min(); o != nil && (best == nil || o.less(best)) {
+		if o := e.overflow.min(); o != nil && (best == nil || o.less(&best.Key)) {
 			best = o
 		}
 
@@ -525,14 +572,18 @@ func (e *Engine) Run(until Time) uint64 {
 			break
 		}
 		e.now = ev.when
+		e.front = ev.Key
 		if e.wdLimit != 0 {
 			e.watchdog(ev.when)
 		}
 		e.fire(ev)
 		fired++
 	}
-	if e.now < until && !e.stopped {
+	if !e.stopped && until >= e.now {
+		// Everything at or before until has fired, including keys
+		// reserved for until; anything reserved from here on has not.
 		e.now = until
+		e.front = Key{when: until, sat: until, seq: e.seq}
 	}
 	e.stopped = false
 	return fired
@@ -546,6 +597,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.when
+	e.front = ev.Key
 	e.fire(ev)
 	return true
 }
@@ -596,18 +648,21 @@ func (e *Engine) NextEventBound() Time {
 // primitive: a frame leaving one shard's engine arrives on another's with
 // the sender's schedule time and a partition-invariant identity, so the
 // receiving queue orders it exactly as the single-engine run would have
-// (see Event.sat/aux). when must not be in the past and sat must not be
-// after when; both would break the conservative-sync contract, so they
-// panic rather than clamp.
+// (see Key.sat/aux). The event must order after the engine's frontier
+// (see Passed) — after every event already fired, and after everything at
+// or before until once Run(until) has returned — and sat must be before
+// when: a frame is sent strictly before it arrives. Both are the
+// conservative-sync contract, so violations panic rather than clamp.
 func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(any, any), a0, a1 any) {
 	if fn == nil {
 		panic("sim: InjectAt called with nil fn")
 	}
-	if when < e.now {
-		panic(fmt.Sprintf("sim: InjectAt at %v before now %v", when, e.now))
+	if sat >= when {
+		panic(fmt.Sprintf("sim: InjectAt sat %v not before when %v", sat, when))
 	}
-	if sat > when {
-		panic(fmt.Sprintf("sim: InjectAt sat %v after when %v", sat, when))
+	k := Key{when: when, sat: sat, aux: aux, seq: e.seq}
+	if !e.front.less(&k) {
+		panic(fmt.Sprintf("sim: InjectAt at %v orders before the frontier at %v", when, e.front.when))
 	}
 	ev := e.alloc(when)
 	ev.sat = sat
@@ -622,19 +677,6 @@ func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(any, any), a0, a1 
 // eventHeap is a binary min-heap of events ordered by (when, seq), with
 // index maintenance for O(log n) removal by position.
 type eventHeap []*Event
-
-func (a *Event) less(b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	if a.sat != b.sat {
-		return a.sat < b.sat
-	}
-	if a.aux != b.aux {
-		return a.aux < b.aux
-	}
-	return a.seq < b.seq
-}
 
 // min returns the earliest event without removing it, or nil.
 func (h eventHeap) min() *Event {
@@ -672,7 +714,7 @@ func (h eventHeap) siftUp(i int) {
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.less(h[parent]) {
+		if !ev.less(&h[parent].Key) {
 			break
 		}
 		h[i] = h[parent]
@@ -693,10 +735,10 @@ func (h eventHeap) siftDown(i int) bool {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && h[r].less(h[child]) {
+		if r := child + 1; r < n && h[r].less(&h[child].Key) {
 			child = r
 		}
-		if !h[child].less(ev) {
+		if !h[child].less(&ev.Key) {
 			break
 		}
 		h[i] = h[child]

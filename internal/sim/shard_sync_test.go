@@ -114,6 +114,10 @@ func TestInjectAtPanics(t *testing.T) {
 		"nil-fn":    func(e *Engine) { e.InjectAt(Microsecond, 0, 0, nil, nil, nil) },
 		"past":      func(e *Engine) { e.Run(Millisecond); e.InjectAt(Microsecond, 0, 0, fn, nil, nil) },
 		"sat-after": func(e *Engine) { e.InjectAt(Microsecond, 2*Microsecond, 0, fn, nil, nil) },
+		"sat-equal": func(e *Engine) { e.InjectAt(Microsecond, Microsecond, 0, fn, nil, nil) },
+		// Run(until) fired everything at until: an arrival there would
+		// order before the frontier.
+		"at-frontier": func(e *Engine) { e.Run(Millisecond); e.InjectAt(Millisecond, 0, 1, fn, nil, nil) },
 	} {
 		func() {
 			defer func() {
