@@ -20,8 +20,11 @@ import (
 	"ncap/internal/cluster"
 	"ncap/internal/core"
 	"ncap/internal/cpu"
+	"ncap/internal/driver"
 	"ncap/internal/experiments"
 	"ncap/internal/netsim"
+	"ncap/internal/nic"
+	"ncap/internal/oskernel"
 	"ncap/internal/power"
 	"ncap/internal/runner"
 	"ncap/internal/sim"
@@ -505,6 +508,88 @@ func BenchmarkLinkSaturation(b *testing.B) {
 	}
 	if s.n == 0 {
 		b.Fatal("no deliveries")
+	}
+}
+
+// Request-path layer benchmarks: the server's side of one request, a NAPI
+// poll, and one softirq run, each on a bare server node. The CI allocs
+// gate holds all three at zero allocs/op.
+
+// releaseSink is the far end of a link: it returns every frame to the pool.
+type releaseSink struct{}
+
+func (releaseSink) Receive(p *netsim.Packet) { p.Release() }
+
+// benchNode is one server node with the default driver and a 4-core chip
+// at P0; its NIC transmits into a releaseSink and deliver is the socket
+// layer.
+func benchNode(deliver driver.Deliver) (*sim.Engine, *oskernel.Kernel, *nic.NIC, *driver.Driver) {
+	eng := sim.NewEngine()
+	tab := power.DefaultTable()
+	k := oskernel.New(cpu.New(eng, 4, tab, power.DefaultModel(), tab.Max()))
+	dev := nic.New(eng, 1, nic.DefaultConfig())
+	dev.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), releaseSink{}))
+	return eng, k, dev, driver.New(k, dev, driver.DefaultConfig(), driver.PowerHooks{}, deliver)
+}
+
+// BenchmarkLayerAppServerRequest is one Apache request through the server:
+// HandleDelivered, the application task (and, for a page-cache miss, the
+// disk read), finish, and the NET_TX softirq transmitting the response.
+func BenchmarkLayerAppServerRequest(b *testing.B) {
+	b.ReportAllocs()
+	var srv *app.Server
+	eng, k, _, drv := benchNode(func(p *netsim.Packet, core int) { srv.HandleDelivered(p, core) })
+	srv = app.NewServer(k, drv, app.ApacheProfile(), sim.NewRand(1, "bench"), 1)
+	payload := []byte("GET /index.html HTTP/1.1")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.HandleDelivered(netsim.NewRequest(2, 1, uint64(i), payload), 0)
+		for eng.Step() {
+		}
+	}
+	if srv.Served.Value() != int64(b.N) {
+		b.Fatalf("served %d of %d requests", srv.Served.Value(), b.N)
+	}
+}
+
+// BenchmarkLayerDriverNAPIPoll is one NAPI poll of a 64-frame batch: the
+// frames' DMA and interrupt moderation, the hard IRQ, the NET_RX softirq,
+// and 64 per-frame stack runs delivering to the socket layer.
+func BenchmarkLayerDriverNAPIPoll(b *testing.B) {
+	b.ReportAllocs()
+	eng, _, dev, drv := benchNode(func(p *netsim.Packet, _ int) { p.Release() })
+	payload := []byte("GET /index.html HTTP/1.1")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			dev.Receive(netsim.NewRequest(2, 1, uint64(j), payload))
+		}
+		for eng.Step() {
+		}
+	}
+	if drv.Polls.Value() != int64(b.N) || drv.Delivered.Value() != 64*int64(b.N) {
+		b.Fatalf("%d polls delivered %d frames, want %d and %d",
+			drv.Polls.Value(), drv.Delivered.Value(), b.N, 64*b.N)
+	}
+}
+
+// BenchmarkLayerSoftIRQRun is one caller-owned Work run in softirq context
+// on an idle core and completed.
+func BenchmarkLayerSoftIRQRun(b *testing.B) {
+	b.ReportAllocs()
+	eng, k, _, _ := benchNode(func(p *netsim.Packet, _ int) { p.Release() })
+	s := k.NewSoftIRQ("net_rx", 1, 3100, func() {})
+	runs := 0
+	w := &cpu.Work{OnDone: func() { runs++ }}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Cycles = 6200
+		s.Run(w)
+		for eng.Step() {
+		}
+	}
+	if runs != b.N {
+		b.Fatalf("ran %d of %d", runs, b.N)
 	}
 }
 

@@ -103,23 +103,9 @@ func (s *Server) pump() {
 // queue when the request completes.
 func (s *Server) dispatch(p *netsim.Packet, pollCore int) {
 	s.Inflight++
-	start := s.now()
-	cycles := s.profile.ParseCycles + s.serviceCycles()
-	resume := func(coreID int) {
-		if s.disk != nil && s.rng.Bool(s.profile.DiskProb) {
-			s.DiskReads.Inc()
-			s.disk.Read(func() { s.finishAdmitted(p, coreID, start) })
-			return
-		}
-		s.finishAdmitted(p, coreID, start)
-	}
-	if s.Affine {
-		s.k.SubmitTaskOn(pollCore, s.profile.Name, cycles, func() { resume(pollCore) })
-		return
-	}
-	var coreID int
-	core := s.k.SubmitTask(s.profile.Name, cycles, func() { resume(coreID) })
-	coreID = core.ID()
+	j := s.newJob(s.profile.ParseCycles + s.serviceCycles())
+	j.p, j.admitted, j.start = p, true, s.now()
+	s.submit(j, pollCore)
 }
 
 func (s *Server) finishAdmitted(req *netsim.Packet, coreID int, start sim.Time) {

@@ -81,13 +81,18 @@ func TestRequestPayload(t *testing.T) {
 	}
 }
 
+// readDone adapts a function to a DiskReader.
+type readDone func()
+
+func (f readDone) ReadDone() { f() }
+
 func TestDiskConcurrencyAndQueueing(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRand(1, "disk")
 	d := NewDisk(eng, rng, sim.Millisecond, 2)
 	done := 0
 	for i := 0; i < 6; i++ {
-		d.Read(func() { done++ })
+		d.Read(readDone(func() { done++ }))
 	}
 	if d.Inflight() != 2 || d.Queued() != 4 {
 		t.Fatalf("inflight=%d queued=%d, want 2/4", d.Inflight(), d.Queued())
@@ -114,14 +119,14 @@ func TestDiskMeanServiceTime(t *testing.T) {
 	remaining := n
 	var issue func()
 	issue = func() {
-		d.Read(func() {
+		d.Read(readDone(func() {
 			total += eng.Now() - last
 			last = eng.Now()
 			remaining--
 			if remaining > 0 {
 				issue()
 			}
-		})
+		}))
 	}
 	issue()
 	eng.Run(time100s())

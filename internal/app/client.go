@@ -54,21 +54,33 @@ func DefaultClientConfig() ClientConfig {
 	}
 }
 
-// pendingReq tracks one outstanding request.
+// pendingReq tracks one outstanding request. The client pools them: its
+// RTO timer is embedded and bound to the request once, when the pendingReq
+// is first built, and the pendingReq returns to the free list when the
+// request completes or fails (its timer stopped or just fired).
 type pendingReq struct {
+	c     *Client
+	timer sim.Timer // RTO and deadline timer; fires pr.expire
+	reqState
+}
+
+// reqState is the part of a pendingReq that is reset for every request.
+type reqState struct {
+	id       uint64
 	sent     sim.Time    // scheduled first transmission (latency is measured from here)
 	dst      netsim.Addr // destination server (retransmissions reuse it)
 	deadline sim.Time    // absolute completion deadline (zero = none)
 	got      uint64      // bitmask of distinct response segments received
 	need     int         // segments expected (learned from the first segment)
 	retries  int
-	timer    *sim.Timer
 	// payload and respHint override the client's defaults for replayed
 	// requests (per-record sizes); retransmissions reuse them so a
 	// resend is byte-identical to the original.
 	payload  []byte
 	respHint int
 }
+
+func (pr *pendingReq) expire() { pr.c.timeout(pr) }
 
 // Client is an open-loop load generator: it emits bursts on schedule
 // regardless of response progress (no client-side queueing bias, Sec. 5)
@@ -85,6 +97,7 @@ type Client struct {
 
 	nextSeq     uint64
 	pending     map[uint64]*pendingReq
+	free        []*pendingReq // retired pendingReqs for reuse
 	lat         *stats.LatencyRecorder
 	latHist     *telemetry.Histogram // live RTT distribution (nil when telemetry off)
 	measureFrom sim.Time
@@ -258,15 +271,36 @@ func (c *Client) sendNew() {
 	}
 	seq := c.nextSeq
 	c.nextSeq++
-	id := uint64(c.addr)<<40 | seq
-	pr := &pendingReq{sent: c.eng.Now(), dst: c.dest(seq)}
+	pr := c.newPending(reqState{sent: c.eng.Now(), dst: c.dest(seq)}, seq)
+	c.Sent.Inc()
+	c.Budget.Earn()
+	c.transmit(pr)
+}
+
+// newPending registers request seq as outstanding with the given state,
+// its id and deadline filled in.
+func (c *Client) newPending(st reqState, seq uint64) *pendingReq {
+	var pr *pendingReq
+	if n := len(c.free); n > 0 {
+		pr, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		pr = &pendingReq{c: c}
+		pr.timer.Init(c.eng, pr.expire)
+	}
+	pr.reqState = st
+	pr.id = uint64(c.addr)<<40 | seq
 	if c.cfg.Deadline > 0 {
 		pr.deadline = c.eng.Now() + c.cfg.Deadline
 	}
-	c.pending[id] = pr
-	c.Sent.Inc()
-	c.Budget.Earn()
-	c.transmit(id, pr)
+	c.pending[pr.id] = pr
+	return pr
+}
+
+// retire forgets a completed or failed request and recycles its state.
+// The timer must not be pending.
+func (c *Client) retire(pr *pendingReq) {
+	delete(c.pending, pr.id)
+	c.free = append(c.free, pr)
 }
 
 // dest returns the seq-th request's destination: the fixed server, or
@@ -316,18 +350,14 @@ func (c *Client) replaySend(it *ReplayItem) {
 	}
 	seq := c.nextSeq
 	c.nextSeq++
-	id := uint64(c.addr)<<40 | seq
-	pr := &pendingReq{sent: it.Sched, dst: c.dest(seq), respHint: it.RespHint}
-	if c.cfg.Deadline > 0 {
-		pr.deadline = c.eng.Now() + c.cfg.Deadline
-	}
+	st := reqState{sent: it.Sched, dst: c.dest(seq), respHint: it.RespHint}
 	if it.ReqBytes != len(c.payload) {
-		pr.payload = c.sizedPayload(&c.reqPayloads, it.ReqBytes, "")
+		st.payload = c.sizedPayload(&c.reqPayloads, it.ReqBytes, "")
 	}
-	c.pending[id] = pr
+	pr := c.newPending(st, seq)
 	c.Sent.Inc()
 	c.Budget.Earn()
-	c.transmit(id, pr)
+	c.transmit(pr)
 }
 
 // sizedPayload returns a shared payload of the given size from the
@@ -353,12 +383,12 @@ func (c *Client) sizedPayload(cache *map[int][]byte, n int, prefix string) []byt
 	return b
 }
 
-func (c *Client) transmit(id uint64, pr *pendingReq) {
+func (c *Client) transmit(pr *pendingReq) {
 	payload := pr.payload
 	if payload == nil {
 		payload = c.payload
 	}
-	pkt := netsim.NewRequest(c.addr, pr.dst, id, payload)
+	pkt := netsim.NewRequest(c.addr, pr.dst, pr.id, payload)
 	pkt.RespHint = pr.respHint
 	pkt.Deadline = pr.deadline
 	c.uplink.Send(pkt)
@@ -383,9 +413,6 @@ func (c *Client) transmit(id uint64, pr *pendingReq) {
 	if to <= 0 {
 		return
 	}
-	if pr.timer == nil {
-		pr.timer = sim.NewTimer(c.eng, func() { c.timeout(id) })
-	}
 	pr.timer.Arm(to)
 }
 
@@ -409,44 +436,42 @@ func (c *Client) rto(retries int) sim.Duration {
 	return rto
 }
 
-func (c *Client) timeout(id uint64) {
-	pr, ok := c.pending[id]
-	if !ok {
-		return
-	}
+// timeout handles an RTO or deadline expiry of an outstanding request (a
+// retired request's timer is always stopped, so it never fires).
+func (c *Client) timeout(pr *pendingReq) {
 	if pr.deadline > 0 && c.eng.Now() >= pr.deadline {
 		// The end-to-end deadline passed: terminal, no more retries.
 		c.DeadlineExceeded.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	if pr.retries >= c.cfg.MaxRetries {
 		// Give up; record the time wasted so the tail reflects the loss.
 		c.Abandoned.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	if !c.Budget.TryRetry() {
 		// The retry budget is spent: amplifying load won't help, convert
 		// the retry into a terminal failure instead.
 		c.BudgetDenied.Inc()
-		c.fail(id, pr)
+		c.fail(pr)
 		return
 	}
 	pr.retries++
 	c.Retransmits.Inc()
-	c.transmit(id, pr)
+	c.transmit(pr)
 }
 
 // fail terminates an outstanding request, recording its give-up latency
 // (so the tail reflects the loss) and feeding the circuit breaker.
-func (c *Client) fail(id uint64, pr *pendingReq) {
+func (c *Client) fail(pr *pendingReq) {
 	if pr.sent >= c.measureFrom {
 		c.lat.Record(c.eng.Now() - pr.sent)
 		c.latHist.Record(c.eng.Now() - pr.sent)
 	}
 	c.Breaker.Failure(c.eng.Now())
-	delete(c.pending, id)
+	c.retire(pr)
 }
 
 // Receive implements netsim.Receiver for response segments. Corrupt
@@ -479,9 +504,7 @@ func (c *Client) Receive(p *netsim.Packet) {
 	if countBits(pr.got) < min64(pr.need, 64) {
 		return
 	}
-	if pr.timer != nil {
-		pr.timer.Stop()
-	}
+	pr.timer.Stop()
 	if pr.deadline > 0 && c.eng.Now() > pr.deadline {
 		// The full response arrived, but past the deadline: the caller has
 		// already moved on, so this is a failure, not goodput.
@@ -495,7 +518,7 @@ func (c *Client) Receive(p *netsim.Packet) {
 		c.lat.Record(c.eng.Now() - pr.sent)
 		c.latHist.Record(c.eng.Now() - pr.sent)
 	}
-	delete(c.pending, p.ReqID)
+	c.retire(pr)
 }
 
 func countBits(v uint64) int {

@@ -16,12 +16,18 @@ type Disk struct {
 	mean        sim.Duration
 	concurrency int
 	inflight    int
-	queue       []func()
+	queue       []DiskReader
 
 	// Reads counts completed accesses; MaxQueue tracks the deepest
 	// backlog observed.
 	Reads    stats.Counter
 	MaxQueue int
+}
+
+// DiskReader is the owner of one access, told when it completes. The disk
+// holds it only while the access is queued or in service.
+type DiskReader interface {
+	ReadDone()
 }
 
 // NewDisk builds a disk with the given mean access time and concurrency.
@@ -35,13 +41,13 @@ func NewDisk(eng *sim.Engine, rng *sim.Rand, mean sim.Duration, concurrency int)
 	return &Disk{eng: eng, rng: rng, mean: mean, concurrency: concurrency}
 }
 
-// Read performs an access and calls done on completion.
-func (d *Disk) Read(done func()) {
+// Read performs an access and calls r.ReadDone on completion.
+func (d *Disk) Read(r DiskReader) {
 	if d.inflight < d.concurrency {
-		d.begin(done)
+		d.begin(r)
 		return
 	}
-	d.queue = append(d.queue, done)
+	d.queue = append(d.queue, r)
 	if len(d.queue) > d.MaxQueue {
 		d.MaxQueue = len(d.queue)
 	}
@@ -53,17 +59,22 @@ func (d *Disk) Inflight() int { return d.inflight }
 // Queued returns the number of accesses waiting for a service slot.
 func (d *Disk) Queued() int { return len(d.queue) }
 
-func (d *Disk) begin(done func()) {
+func (d *Disk) begin(r DiskReader) {
 	d.inflight++
-	d.eng.Schedule(d.rng.Exp(d.mean), func() {
-		d.inflight--
-		d.Reads.Inc()
-		done()
-		if len(d.queue) > 0 {
-			next := d.queue[0]
-			copy(d.queue, d.queue[1:])
-			d.queue = d.queue[:len(d.queue)-1]
-			d.begin(next)
-		}
-	})
+	d.eng.ScheduleArg2(d.rng.Exp(d.mean), diskComplete, d, r)
+}
+
+// diskComplete ends one access (a0 is the *Disk, a1 its DiskReader) and
+// starts the oldest queued one.
+func diskComplete(a0, a1 any) {
+	d := a0.(*Disk)
+	d.inflight--
+	d.Reads.Inc()
+	a1.(DiskReader).ReadDone()
+	if len(d.queue) > 0 {
+		next := d.queue[0]
+		copy(d.queue, d.queue[1:])
+		d.queue = d.queue[:len(d.queue)-1]
+		d.begin(next)
+	}
 }

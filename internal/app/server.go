@@ -3,6 +3,7 @@ package app
 import (
 	"math"
 
+	"ncap/internal/cpu"
 	"ncap/internal/driver"
 	"ncap/internal/netsim"
 	"ncap/internal/oskernel"
@@ -26,6 +27,9 @@ type Server struct {
 	rng     *sim.Rand
 	disk    *Disk // nil for memory-resident profiles
 	addr    netsim.Addr
+
+	jobFree []*reqJob        // idle request jobs
+	segs    []*netsim.Packet // response segmentation scratch
 
 	// Affine pins each request's application task to the core that polled
 	// it — the flow-affinity of a multi-queue NIC deployment (Sec. 7).
@@ -104,6 +108,91 @@ func (s *Server) Profile() Profile { return s.profile }
 // Disk returns the storage model (nil for memory-resident profiles).
 func (s *Server) Disk() *Disk { return s.disk }
 
+// reqJob carries one request through the server: the application task
+// (its embedded Work, placed on a core that is known only once the task is
+// submitted), the optional disk read, and the hand-off of the response to
+// the driver. A duplicate's stored-response resend is a job with no
+// packet. Jobs are built lazily with their callbacks bound once, and go
+// back to the server's free list as soon as their response is handed off.
+type reqJob struct {
+	work cpu.Work // OnDone is j.taskDone
+	s    *Server
+	jobState
+}
+
+// jobState is the part of a reqJob that is reset for every request.
+type jobState struct {
+	p        *netsim.Packet // the request; nil for a resend
+	coreID   int            // the core the task runs on
+	admitted bool           // dispatched through the admission queue
+	start    sim.Time       // admission dispatch time
+
+	// A resend's stored response.
+	src   netsim.Addr
+	reqID uint64
+	body  int
+}
+
+// newJob returns a reset job whose task costs cycles.
+func (s *Server) newJob(cycles int64) *reqJob {
+	var j *reqJob
+	if n := len(s.jobFree); n > 0 {
+		j, s.jobFree = s.jobFree[n-1], s.jobFree[:n-1]
+		j.jobState = jobState{}
+	} else {
+		j = &reqJob{s: s}
+		j.work = cpu.Work{Name: s.profile.Name, OnDone: j.taskDone}
+	}
+	j.work.Cycles = cycles
+	return j
+}
+
+// submit runs j's task on pollCore when Affine, otherwise on the
+// least-loaded core.
+func (s *Server) submit(j *reqJob, pollCore int) {
+	if s.Affine {
+		j.coreID = pollCore
+		s.k.SubmitTaskOn(pollCore, &j.work)
+		return
+	}
+	j.coreID = s.k.SubmitTask(&j.work).ID()
+}
+
+// taskDone runs when the job's task completes: a resend transmits its
+// stored response; a request either misses the page cache and waits for
+// the disk, or responds at once.
+func (j *reqJob) taskDone() {
+	s := j.s
+	if j.p == nil {
+		s.segs = netsim.SegmentResponse(s.segs[:0], s.addr, j.src, j.reqID, j.body)
+		coreID := j.coreID
+		s.jobFree = append(s.jobFree, j)
+		s.drv.Send(coreID, s.segs)
+		return
+	}
+	if s.disk != nil && s.rng.Bool(s.profile.DiskProb) {
+		s.DiskReads.Inc()
+		s.disk.Read(j)
+		return
+	}
+	j.respond()
+}
+
+// ReadDone implements DiskReader: the cache miss has been served.
+func (j *reqJob) ReadDone() { j.respond() }
+
+// respond retires the job and finishes its request.
+func (j *reqJob) respond() {
+	s := j.s
+	p, coreID, admitted, start := j.p, j.coreID, j.admitted, j.start
+	s.jobFree = append(s.jobFree, j)
+	if admitted {
+		s.finishAdmitted(p, coreID, start)
+		return
+	}
+	s.finish(p, coreID)
+}
+
 // HandleDelivered is the driver's deliver callback: the socket layer.
 // Each request becomes an application task; cache misses release the core
 // while the storage access is in flight, then the response transmits from
@@ -123,22 +212,9 @@ func (s *Server) HandleDelivered(p *netsim.Packet, pollCore int) {
 		return
 	}
 	s.Inflight++
-	cycles := s.profile.ParseCycles + s.serviceCycles()
-	resume := func(coreID int) {
-		if s.disk != nil && s.rng.Bool(s.profile.DiskProb) {
-			s.DiskReads.Inc()
-			s.disk.Read(func() { s.finish(p, coreID) })
-			return
-		}
-		s.finish(p, coreID)
-	}
-	if s.Affine {
-		s.k.SubmitTaskOn(pollCore, s.profile.Name, cycles, func() { resume(pollCore) })
-		return
-	}
-	var coreID int // assigned below, read only when the task completes
-	core := s.k.SubmitTask(s.profile.Name, cycles, func() { resume(coreID) })
-	coreID = core.ID()
+	j := s.newJob(s.profile.ParseCycles + s.serviceCycles())
+	j.p = p
+	s.submit(j, pollCore)
 }
 
 func (s *Server) finish(req *netsim.Packet, coreID int) {
@@ -154,9 +230,9 @@ func (s *Server) finish(req *netsim.Packet, coreID int) {
 	if s.Dedup {
 		s.rememberServed(req.ReqID, body)
 	}
-	segs := netsim.SegmentResponse(s.addr, req.Src, req.ReqID, body)
+	s.segs = netsim.SegmentResponse(s.segs[:0], s.addr, req.Src, req.ReqID, body)
 	req.Release()
-	s.drv.Send(coreID, segs)
+	s.drv.Send(coreID, s.segs)
 }
 
 // absorbDuplicate handles a retransmitted request. A duplicate of an
@@ -178,20 +254,10 @@ func (s *Server) absorbDuplicate(p *netsim.Packet, pollCore int) bool {
 		s.DupResent.Inc()
 		// Copy the routing fields out: the packet is released now, before
 		// the deferred resend task runs.
-		src, reqID := p.Src, p.ReqID
+		j := s.newJob(s.profile.ParseCycles)
+		j.src, j.reqID, j.body = p.Src, p.ReqID, body
 		p.Release()
-		resend := func(coreID int) {
-			segs := netsim.SegmentResponse(s.addr, src, reqID, body)
-			s.drv.Send(coreID, segs)
-		}
-		if s.Affine {
-			s.k.SubmitTaskOn(pollCore, s.profile.Name, s.profile.ParseCycles,
-				func() { resend(pollCore) })
-			return true
-		}
-		var coreID int
-		core := s.k.SubmitTask(s.profile.Name, s.profile.ParseCycles, func() { resend(coreID) })
-		coreID = core.ID()
+		s.submit(j, pollCore)
 		return true
 	}
 	s.dupInflight[p.ReqID] = true

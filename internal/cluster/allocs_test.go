@@ -1,0 +1,67 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+
+	"ncap/internal/app"
+	"ncap/internal/audit"
+	"ncap/internal/fault"
+	"ncap/internal/sim"
+	"ncap/internal/topology"
+)
+
+// maxAllocsPerRequest bounds heap allocations per completed request over
+// a whole run. Every owner on the request path pools its per-request state
+// (see DESIGN.md, "Per-request state ownership"), so what remains is
+// amortized growth: free lists, maps and recorders filling up.
+const maxAllocsPerRequest = 3
+
+// TestRequestPathAllocs keeps the request path allocation-free: a client
+// send, the server NIC, driver, kernel, CPU and application, and the
+// response back. It counts mallocs across Run only, after New has built
+// the cluster.
+func TestRequestPathAllocs(t *testing.T) {
+	if audit.Strict {
+		t.Skip("the audit build's packet tracker allocates by design")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	faulted := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+	faulted.Fault = fault.Spec{ // E11's shape: a lossy server link, a flapping client link, a slow client
+		Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(2)), ExtraDelay: 200 * sim.Microsecond}},
+		Links: []fault.LinkFault{
+			{Node: uint32(ClientAddr(1)), Dir: fault.ToNode, Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}},
+			{Node: uint32(ServerAddr), Dir: fault.Both, Loss: fault.LossBernoulli, P: 0.01},
+		},
+	}
+	rack := shortConfig(NcapCons, app.ApacheProfile(), 16*1500)
+	rack.Topology = topology.Rack(16, 8)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"star", shortConfig(NcapCons, app.ApacheProfile(), 24_000)},
+		{"faulted", faulted},
+		{"rack16", rack},
+	} {
+		c := New(tc.cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := c.Run()
+		runtime.ReadMemStats(&after)
+		if tc.name == "faulted" && (res.FaultDrops == 0 || res.DupResent+res.DupSuppressed+res.Retransmits == 0) {
+			t.Fatalf("%s: the fault spec did not exercise loss recovery: %+v", tc.name, res)
+		}
+		if res.Completed == 0 {
+			t.Fatalf("%s: no request completed", tc.name)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(res.Completed)
+		t.Logf("%s: %d mallocs over %d completed requests (%.2f per request)",
+			tc.name, after.Mallocs-before.Mallocs, res.Completed, per)
+		if per > maxAllocsPerRequest {
+			t.Errorf("%s: %.2f allocations per request, want <= %d", tc.name, per, maxAllocsPerRequest)
+		}
+	}
+}

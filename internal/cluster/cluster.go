@@ -322,8 +322,18 @@ func (c *Cluster) addServerNode(eng *sim.Engine, group, label string, rack int, 
 
 	// Governors.
 	if cfg.Policy.UsesOndemand() {
+		// One Work serves every invocation: the 10 ms period is far longer
+		// than an invocation's run, so the previous one has always
+		// finished. Should it ever still be queued, a fresh Work keeps
+		// that tick's run rather than coalescing it.
+		work := &cpu.Work{Name: "ondemand", Prio: cpu.PrioIRQ}
 		invoke := func(cycles int64, fn func()) {
-			n.Chip.Core(0).Submit(&cpu.Work{Name: "ondemand", Cycles: cycles, Prio: cpu.PrioIRQ, OnDone: fn})
+			w := work
+			if w.Pending() {
+				w = &cpu.Work{Name: "ondemand", Prio: cpu.PrioIRQ}
+			}
+			w.Cycles, w.OnDone = cycles, fn
+			n.Chip.Core(0).Submit(w)
 		}
 		n.Ond = governor.NewOndemand(n.Chip, cfg.OndemandPeriod, invoke)
 	}

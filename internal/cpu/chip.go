@@ -308,24 +308,18 @@ func (c *Chip) ResetStats() {
 	}
 }
 
-// Utilization returns each core's busy fraction over the window since the
-// given per-core busy snapshots, plus fresh snapshots (the ondemand
-// sampling primitive).
-func (c *Chip) Utilization(prev []sim.Duration, window sim.Duration) (util []float64, next []sim.Duration) {
-	util = make([]float64, len(c.cores))
-	next = make([]sim.Duration, len(c.cores))
+// Utilization fills util with each core's busy fraction over the window
+// since the busy-time snapshots in snaps, and replaces snaps with fresh
+// snapshots (the ondemand sampling primitive). Both buffers are the
+// caller's and need one entry per core; a non-positive window only takes
+// the snapshots and zeroes util.
+func (c *Chip) Utilization(util []float64, snaps []sim.Duration, window sim.Duration) {
 	for i, core := range c.cores {
 		b := core.BusyTime()
-		next[i] = b
-		if window > 0 && prev != nil {
-			util[i] = float64(b-prev[i]) / float64(window)
-			if util[i] > 1 {
-				util[i] = 1
-			}
-			if util[i] < 0 {
-				util[i] = 0
-			}
+		util[i] = 0
+		if window > 0 {
+			util[i] = min(max(float64(b-snaps[i])/float64(window), 0), 1)
 		}
+		snaps[i] = b
 	}
-	return util, next
 }

@@ -28,7 +28,7 @@ type Core struct {
 	dom  *Domain
 	id   int
 
-	queues  [numPrios][]*Work
+	queues  [numPrios]workRing
 	running *Work
 	runFrom sim.Time // when the current execution slice started
 
@@ -83,7 +83,7 @@ func (c *Core) Sleeping() bool { return c.cstate != power.C0 }
 
 // QueueLen returns the number of pending work items at a priority
 // (excluding the running item).
-func (c *Core) QueueLen(p Priority) int { return len(c.queues[p]) }
+func (c *Core) QueueLen(p Priority) int { return c.queues[p].n }
 
 // BusyTime returns total execution time including the in-flight slice —
 // the utilization numerator the ondemand governor samples.
@@ -116,15 +116,20 @@ func (c *Core) ResetStats() {
 }
 
 // Submit queues work on the core, waking it or preempting lower-priority
-// execution as needed.
+// execution as needed. It panics if w is already queued or running on any
+// core.
 func (c *Core) Submit(w *Work) {
 	if w == nil || w.Prio < 0 || w.Prio >= numPrios {
 		panic(fmt.Sprintf("cpu: bad work submission %+v", w))
 	}
+	if w.held {
+		panic(fmt.Sprintf("cpu: work %q submitted while already queued or running", w.Name))
+	}
+	w.held = true
 	if w.Cycles <= 0 {
 		w.Cycles = 1
 	}
-	c.queues[w.Prio] = append(c.queues[w.Prio], w)
+	c.queues[w.Prio].pushBack(w)
 
 	switch {
 	case c.Sleeping():
@@ -132,7 +137,7 @@ func (c *Core) Submit(w *Work) {
 	case c.waking || c.stalled:
 		// Will dispatch when the wake or stall completes.
 	case c.running != nil && w.Prio < c.running.Prio:
-		c.pauseRunning(true)
+		c.pauseRunning()
 		c.dispatch()
 	case c.running == nil:
 		c.dispatch()
@@ -194,11 +199,8 @@ func (c *Core) dispatch() {
 		return
 	}
 	for p := Priority(0); p < numPrios; p++ {
-		if len(c.queues[p]) > 0 {
-			w := c.queues[p][0]
-			copy(c.queues[p], c.queues[p][1:])
-			c.queues[p] = c.queues[p][:len(c.queues[p])-1]
-			c.start(w)
+		if c.queues[p].n > 0 {
+			c.start(c.queues[p].popFront())
 			return
 		}
 	}
@@ -224,6 +226,7 @@ func (c *Core) complete() {
 	c.running = nil
 	c.doneEv = sim.Handle{}
 	c.chip.powerChanged()
+	w.held = false // the owner may resubmit or recycle w from OnDone on
 	if w.OnDone != nil {
 		w.OnDone()
 	}
@@ -231,8 +234,8 @@ func (c *Core) complete() {
 }
 
 // pauseRunning charges the elapsed slice, recomputes the remaining budget,
-// and (optionally) requeues the item at the front of its priority class.
-func (c *Core) pauseRunning(requeue bool) {
+// and requeues the item at the front of its priority class.
+func (c *Core) pauseRunning() {
 	if c.running == nil {
 		return
 	}
@@ -247,10 +250,8 @@ func (c *Core) pauseRunning(requeue bool) {
 	c.doneEv.Cancel()
 	c.doneEv = sim.Handle{}
 	c.running = nil
-	if requeue {
-		c.queues[w.Prio] = append([]*Work{w}, c.queues[w.Prio]...)
-		c.Preempts.Inc()
-	}
+	c.queues[w.Prio].pushFront(w)
+	c.Preempts.Inc()
 	c.chip.powerChanged()
 }
 
@@ -283,7 +284,7 @@ func (c *Core) beginStall() {
 		return
 	}
 	c.stalled = true
-	c.pauseRunning(true)
+	c.pauseRunning()
 }
 
 // endStall resumes execution after the PLL relock.

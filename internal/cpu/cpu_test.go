@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -246,9 +247,11 @@ func TestBusyTimeAndUtilization(t *testing.T) {
 	core := chip.Core(0)
 	// 2 ms of work on core 0.
 	core.Submit(&Work{Cycles: 6_200_000, Prio: PrioTask})
-	_, snap := chip.Utilization(nil, 0)
+	util := make([]float64, 4)
+	snap := make([]sim.Duration, 4)
+	chip.Utilization(util, snap, 0)
 	eng.Run(10 * sim.Millisecond)
-	util, _ := chip.Utilization(snap, 10*sim.Millisecond)
+	chip.Utilization(util, snap, 10*sim.Millisecond)
 	if util[0] < 0.19 || util[0] > 0.21 {
 		t.Fatalf("core0 util = %v, want ~0.2", util[0])
 	}
@@ -585,5 +588,103 @@ func TestUntracedPStateChangeDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced P-state change allocates %.1f times, want 0", allocs)
+	}
+}
+
+// A Work may be resubmitted from its own OnDone: the Core lets go of it
+// before the callback runs.
+func TestResubmitFromOnDone(t *testing.T) {
+	eng := sim.NewEngine()
+	core := newChip(eng).Core(0)
+	runs := 0
+	w := &Work{Name: "again", Cycles: 3100, Prio: PrioSoftIRQ}
+	w.OnDone = func() {
+		if runs++; runs < 3 {
+			w.Cycles = 3100
+			core.Submit(w)
+		}
+	}
+	core.Submit(w)
+	eng.Run(sim.Second)
+	if runs != 3 || w.Pending() {
+		t.Fatalf("runs = %d, pending = %v; want 3 runs and released", runs, w.Pending())
+	}
+}
+
+// Submitting a Work that is already queued, or already running, panics
+// with its name rather than corrupting the run queue.
+func TestDoubleSubmitPanics(t *testing.T) {
+	for _, queued := range []bool{true, false} {
+		eng := sim.NewEngine()
+		chip := newChip(eng)
+		if queued {
+			chip.Core(0).Submit(&Work{Name: "ahead", Cycles: 31_000, Prio: PrioTask})
+		}
+		w := &Work{Name: "dup", Cycles: 31_000, Prio: PrioTask}
+		chip.Core(0).Submit(w)
+		if got := chip.Core(0).QueueLen(PrioTask) == 1; got != queued {
+			t.Fatalf("queued = %v, want %v", got, queued)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, `"dup"`) {
+					t.Fatalf("queued=%v: recovered %v, want a panic naming the work", queued, r)
+				}
+			}()
+			chip.Core(1).Submit(w)
+		}()
+	}
+}
+
+// The per-priority run queue is a FIFO with a front push for preempted
+// work; compare it with a slice model through growth and wrap-around.
+func TestWorkRingMatchesSliceModel(t *testing.T) {
+	var r workRing
+	var model []*Work
+	works := make([]Work, 64)
+	rng := sim.NewRand(7, "ring")
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(3); {
+		case op == 0 && len(model) < len(works):
+			w := &works[rng.Intn(len(works))]
+			r.pushBack(w)
+			model = append(model, w)
+		case op == 1 && len(model) < len(works):
+			w := &works[rng.Intn(len(works))]
+			r.pushFront(w)
+			model = append([]*Work{w}, model...)
+		case len(model) > 0:
+			if got := r.popFront(); got != model[0] {
+				t.Fatalf("step %d: popped %p, want %p", step, got, model[0])
+			}
+			model = model[1:]
+		}
+		if r.n != len(model) {
+			t.Fatalf("step %d: ring holds %d, model %d", step, r.n, len(model))
+		}
+	}
+}
+
+// Once the run queues have grown, submitting, preempting and completing
+// work allocates nothing.
+func TestDispatchAndPreemptDoNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	core := newChip(eng).Core(0)
+	task := &Work{Name: "task", Prio: PrioTask}
+	irq := &Work{Name: "irq", Prio: PrioIRQ}
+	preempt := func(any) { irq.Cycles = 3100; core.Submit(irq) }
+	allocs := testing.AllocsPerRun(100, func() {
+		task.Cycles = 31_000
+		core.Submit(task)
+		eng.ScheduleArg(sim.Microsecond, preempt, nil)
+		for eng.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("dispatch with preemption allocates %.1f times, want 0", allocs)
+	}
+	if core.Preempts.Value() == 0 {
+		t.Fatal("the IRQ never preempted the task")
 	}
 }

@@ -38,7 +38,10 @@ func (p Priority) String() string {
 }
 
 // Work is a unit of execution: a cycle budget plus a completion callback.
-// The same Work value must not be submitted twice concurrently.
+// A Work is owned by whoever submits it, never by the Core: the Core holds
+// it only while it is queued or running and drops it before OnDone runs,
+// so OnDone may resubmit it and owners may embed or pool their Works.
+// Submitting a Work that is already queued or running panics.
 type Work struct {
 	// Name labels the work for debugging and tracing.
 	Name string
@@ -50,4 +53,51 @@ type Work struct {
 	// OnDone runs (in event context) when the budget is exhausted. It may
 	// submit new work. May be nil.
 	OnDone func()
+
+	// held is set from Submit until the Core clears it just before OnDone.
+	held bool
+}
+
+// Pending reports whether w is queued or running on a core.
+func (w *Work) Pending() bool { return w.held }
+
+// workRing is a FIFO of queued Works with a cheap push at the front — a
+// preempted item resumes before its class's other queued work. Its buffer
+// grows lazily to a power of two and is reused from then on.
+type workRing struct {
+	buf  []*Work
+	head int
+	n    int
+}
+
+func (r *workRing) grow() {
+	if r.n < len(r.buf) {
+		return
+	}
+	buf := make([]*Work, max(4, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
+func (r *workRing) pushBack(w *Work) {
+	r.grow()
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = w
+	r.n++
+}
+
+func (r *workRing) pushFront(w *Work) {
+	r.grow()
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = w
+	r.n++
+}
+
+func (r *workRing) popFront() *Work {
+	w := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return w
 }

@@ -12,6 +12,7 @@ package driver
 
 import (
 	"ncap/internal/core"
+	"ncap/internal/cpu"
 	"ncap/internal/netsim"
 	"ncap/internal/nic"
 	"ncap/internal/oskernel"
@@ -104,7 +105,27 @@ type queueCtx struct {
 	coreID int
 	irq    *oskernel.IRQ
 	napi   *oskernel.SoftIRQ
-	menu   bool // this queue holds a menu-disable reference
+	menu   bool       // this queue holds a menu-disable reference
+	rxFree []*rxBatch // idle batch cursors
+}
+
+// rxBatch is the cursor of one polled batch being processed: it runs each
+// frame's stack cost as softirq work and delivers the frame when that work
+// completes. A queue keeps one cursor per batch in flight, because an
+// urgent NCAP wake can start a second poll chain mid-batch.
+type rxBatch struct {
+	work cpu.Work // OnDone is b.deliverNext
+	c    *queueCtx
+	pkts []*netsim.Packet
+	i    int // next frame to deliver
+}
+
+// txBatch is one response's NET_TX softirq run: the segments it transmits
+// when its stack cost has been paid.
+type txBatch struct {
+	work cpu.Work // OnDone is b.transmit
+	d    *Driver
+	pkts []*netsim.Packet
 }
 
 // Driver binds a NIC to a kernel.
@@ -115,6 +136,7 @@ type Driver struct {
 	hooks   PowerHooks
 	ctxs    []*queueCtx
 	deliver Deliver
+	txFree  []*txBatch // idle transmit batches
 
 	// menuRefs counts menu-disable holders per core (several queues can
 	// share a core): the governor is disabled at 0→1 and re-enabled at
@@ -280,13 +302,26 @@ func (c *queueCtx) poll() {
 		return
 	}
 	c.d.Polls.Inc()
-	c.processFrom(pkts, 0)
+	var b *rxBatch
+	if n := len(c.rxFree); n > 0 {
+		b, c.rxFree = c.rxFree[n-1], c.rxFree[:n-1]
+	} else {
+		b = &rxBatch{c: c}
+		b.work.OnDone = b.deliverNext
+	}
+	b.pkts, b.i = pkts, 0
+	b.runNext()
 }
 
-func (c *queueCtx) processFrom(pkts []*netsim.Packet, i int) {
+// runNext submits the next frame's stack cost, or retires the batch: the
+// slice goes back to the NIC queue, the cursor to the free list, and NAPI
+// either polls again or re-enables the rx interrupt.
+func (b *rxBatch) runNext() {
+	c := b.c
 	d := c.d
-	if i == len(pkts) {
-		c.q.Recycle(pkts)
+	if b.i == len(b.pkts) {
+		c.q.Recycle(b.pkts)
+		c.rxFree = append(c.rxFree, b)
 		if c.q.RxPending() > 0 {
 			c.napi.Raise()
 		} else {
@@ -294,40 +329,58 @@ func (c *queueCtx) processFrom(pkts []*netsim.Packet, i int) {
 		}
 		return
 	}
-	cycles := d.cfg.rxCycles()
+	b.work.Cycles = d.cfg.rxCycles()
 	if d.swMon != nil {
-		cycles += d.cfg.SWInspectCycles
+		b.work.Cycles += d.cfg.SWInspectCycles
 	}
-	c.napi.Run(cycles, func() {
-		p := pkts[i]
-		if d.swMon != nil {
-			d.swMon.Inspect(p.Payload)
-		}
-		d.Delivered.Inc()
-		d.deliver(p, c.coreID)
-		c.processFrom(pkts, i+1)
-	})
+	c.napi.Run(&b.work)
+}
+
+func (b *rxBatch) deliverNext() {
+	c := b.c
+	d := c.d
+	p := b.pkts[b.i]
+	b.i++
+	if d.swMon != nil {
+		d.swMon.Inspect(p.Payload)
+	}
+	d.Delivered.Inc()
+	d.deliver(p, c.coreID)
+	b.runNext()
 }
 
 // Send transmits response packets on the given core. The tx stack cost
 // runs in NET_TX softirq context: it preempts queued application tasks
 // (responses leave as soon as their request completes, they do not wait
-// behind the rest of the run queue) but yields to hard interrupts.
+// behind the rest of the run queue) but yields to hard interrupts. Send
+// copies pkts, so the caller may reuse the slice once it returns.
 func (d *Driver) Send(coreID int, pkts []*netsim.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
-	cycles := int64(len(pkts)) * d.cfg.txCycles()
-	d.k.SubmitSoftIRQOn(coreID, "net_tx", cycles, func() {
-		for _, p := range pkts {
-			// Transmit hands the packet to the link, which owns (and may
-			// release) it from then on — read the size first.
-			ws := p.WireSize()
-			if d.dev.Transmit(p) && d.swTxc != nil {
-				d.swTxc.Add(ws)
-			}
+	var b *txBatch
+	if n := len(d.txFree); n > 0 {
+		b, d.txFree = d.txFree[n-1], d.txFree[:n-1]
+	} else {
+		b = &txBatch{d: d}
+		b.work = cpu.Work{Name: "net_tx", OnDone: b.transmit}
+	}
+	b.pkts = append(b.pkts[:0], pkts...)
+	b.work.Cycles = int64(len(pkts)) * d.cfg.txCycles()
+	d.k.SubmitSoftIRQOn(coreID, &b.work)
+}
+
+func (b *txBatch) transmit() {
+	d := b.d
+	for _, p := range b.pkts {
+		// Transmit hands the packet to the link, which owns (and may
+		// release) it from then on — read the size first.
+		ws := p.WireSize()
+		if d.dev.Transmit(p) && d.swTxc != nil {
+			d.swTxc.Add(ws)
 		}
-	})
+	}
+	d.txFree = append(d.txFree, b)
 }
 
 // swTick is ncap.sw's 1 ms DecisionEngine evaluation (kernel timer).

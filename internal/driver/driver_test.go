@@ -157,7 +157,7 @@ func TestTxPathTransmitsAndCharges(t *testing.T) {
 	r := newRig(PowerHooks{})
 	sink := &txSink{}
 	r.dev.SetLink(netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(1, 2, 9, 5000)
+	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 5000)
 	r.drv.Send(2, pkts)
 	r.eng.Run(sim.Millisecond)
 	if len(sink.got) != len(pkts) {
@@ -357,5 +357,65 @@ func TestMenuDisableRefcountAcrossQueuesSharingCore(t *testing.T) {
 	c0.actLow()
 	if disabled[0] {
 		t.Fatal("menu not re-enabled after the last holder released")
+	}
+}
+
+// An urgent NCAP wake (a CIT-gap request match) interrupts while a poll
+// batch is still being processed, and the NET_RX softirq starts a second
+// poll chain mid-batch. Each batch keeps its own cursor: every frame of
+// both batches is delivered exactly once and in arrival order.
+func TestUrgentWakeStartsSecondPollChainMidBatch(t *testing.T) {
+	r := newRig(PowerHooks{})
+	cfg := core.DefaultConfig()
+	cfg.CIT = 10 * sim.Microsecond
+	r.dev.EnableNCAP(cfg, chipState{r.chip})
+	r.dev.Monitor().ProgramStrings("GET")
+	// Batch one: 40 frames NCAP does not classify as latency-critical,
+	// ~80 µs of stack processing once moderation fires.
+	for i := 0; i < 40; i++ {
+		r.dev.Receive(netsim.NewRequest(2, 1, uint64(i), []byte("PUT /")))
+	}
+	var midBatch int
+	r.eng.At(60*sim.Microsecond, func() {
+		midBatch = len(r.rx)
+		for i := 100; i < 103; i++ {
+			r.dev.Receive(netsim.NewRequest(2, 1, uint64(i), []byte("GET /")))
+		}
+	})
+	r.eng.Run(sim.Millisecond)
+
+	if midBatch == 0 || midBatch >= 40 {
+		t.Fatalf("%d frames delivered when the wake arrived; want it mid-batch", midBatch)
+	}
+	if r.drv.Polls.Value() < 2 {
+		t.Fatalf("polls = %d, want a second poll chain", r.drv.Polls.Value())
+	}
+	if len(r.rx) != 43 {
+		t.Fatalf("delivered %d frames, want 43", len(r.rx))
+	}
+	var put, get []uint64
+	firstGet := -1
+	for i, p := range r.rx {
+		if p.ReqID >= 100 {
+			get = append(get, p.ReqID)
+			if firstGet < 0 {
+				firstGet = i
+			}
+		} else {
+			put = append(put, p.ReqID)
+		}
+	}
+	for i, id := range put {
+		if id != uint64(i) {
+			t.Fatalf("batch one delivered out of order: %v", put)
+		}
+	}
+	for i, id := range get {
+		if id != uint64(100+i) {
+			t.Fatalf("batch two delivered out of order: %v", get)
+		}
+	}
+	if firstGet >= 40 {
+		t.Fatal("batch two started only after batch one finished")
 	}
 }

@@ -38,6 +38,8 @@ type Ondemand struct {
 	upThreshold float64
 	invoke      Invoker
 	ticker      *sim.Ticker
+	run         func() // o.sample, bound once
+	util        []float64
 	snapshots   []sim.Duration
 	lastSample  sim.Time
 	inhibitTil  sim.Time
@@ -60,7 +62,10 @@ func NewOndemand(chip *cpu.Chip, period sim.Duration, invoke Invoker) *Ondemand 
 		period:      period,
 		upThreshold: DefaultUpThreshold,
 		invoke:      invoke,
+		util:        make([]float64, len(chip.Cores())),
+		snapshots:   make([]sim.Duration, len(chip.Cores())),
 	}
+	o.run = o.sample
 	o.ticker = sim.NewTicker(chip.Engine(), period, o.tick)
 	return o
 }
@@ -70,7 +75,7 @@ func (o *Ondemand) Period() sim.Duration { return o.period }
 
 // Start begins periodic sampling.
 func (o *Ondemand) Start() {
-	_, o.snapshots = o.chip.Utilization(nil, 0)
+	o.chip.Utilization(o.util, o.snapshots, 0)
 	o.lastSample = o.chip.Engine().Now()
 	o.ticker.Start()
 }
@@ -86,38 +91,39 @@ func (o *Ondemand) Inhibit() {
 }
 
 func (o *Ondemand) tick() {
-	run := func() {
-		now := o.chip.Engine().Now()
-		window := now - o.lastSample
-		util, snaps := o.chip.Utilization(o.snapshots, window)
-		o.snapshots = snaps
-		o.lastSample = now
-		o.Invocations.Inc()
-		if now < o.inhibitTil {
-			return
-		}
-		if o.chip.PerCoreDVFS() {
-			// Per-core DVFS domains (the multi-queue extension): each
-			// core's domain is steered by its own utilization.
-			for i, core := range o.chip.Cores() {
-				o.decide(core.Domain(), util[i])
-			}
-			return
-		}
-		// Chip-wide: the busiest core sets the shared frequency.
-		max := 0.0
-		for _, u := range util {
-			if u > max {
-				max = u
-			}
-		}
-		o.decide(o.chip.Domains()[0], max)
-	}
 	if o.invoke != nil {
-		o.invoke(OndemandInvokeCycles, run)
+		o.invoke(OndemandInvokeCycles, o.run)
 	} else {
-		run()
+		o.sample()
 	}
+}
+
+// sample is one invocation: measure each core's utilization over the
+// window since the last one and steer the DVFS domains.
+func (o *Ondemand) sample() {
+	now := o.chip.Engine().Now()
+	o.chip.Utilization(o.util, o.snapshots, now-o.lastSample)
+	o.lastSample = now
+	o.Invocations.Inc()
+	if now < o.inhibitTil {
+		return
+	}
+	if o.chip.PerCoreDVFS() {
+		// Per-core DVFS domains (the multi-queue extension): each
+		// core's domain is steered by its own utilization.
+		for i, core := range o.chip.Cores() {
+			o.decide(core.Domain(), o.util[i])
+		}
+		return
+	}
+	// Chip-wide: the busiest core sets the shared frequency.
+	max := 0.0
+	for _, u := range o.util {
+		if u > max {
+			max = u
+		}
+	}
+	o.decide(o.chip.Domains()[0], max)
 }
 
 // decide applies the ondemand rule to one DVFS domain: jump to the

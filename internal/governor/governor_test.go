@@ -443,3 +443,22 @@ func refPredict(hist []sim.Duration, bound sim.Duration) sim.Duration {
 	}
 	return pred
 }
+
+// An ondemand invocation samples into buffers and through a callback
+// built once with the governor: the periodic tick allocates nothing.
+func TestOndemandTickDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	chip := newChip(eng)
+	invoked := 0
+	o := NewOndemand(chip, 0, func(_ int64, fn func()) { invoked++; fn() })
+	o.Start()
+	allocs := testing.AllocsPerRun(100, func() {
+		eng.Run(eng.Now() + o.Period())
+	})
+	if allocs != 0 {
+		t.Fatalf("an ondemand tick allocates %.1f times, want 0", allocs)
+	}
+	if invoked < 100 || o.Invocations.Value() != int64(invoked) {
+		t.Fatalf("%d invocations through %d invoker calls", o.Invocations.Value(), invoked)
+	}
+}

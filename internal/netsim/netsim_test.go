@@ -41,7 +41,7 @@ func TestHeaderConstantsMatchPaper(t *testing.T) {
 }
 
 func TestSegmentResponse(t *testing.T) {
-	pkts := SegmentResponse(1, 2, 7, 3000)
+	pkts := SegmentResponse(nil, 1, 2, 7, 3000)
 	if len(pkts) != 3 { // 1448+1448+104
 		t.Fatalf("segments = %d, want 3", len(pkts))
 	}
@@ -61,11 +61,25 @@ func TestSegmentResponse(t *testing.T) {
 }
 
 func TestSegmentResponseSmallAndZero(t *testing.T) {
-	if got := SegmentResponse(1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
+	if got := SegmentResponse(nil, 1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
 		t.Fatalf("small response: %+v", got)
 	}
-	if got := SegmentResponse(1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
+	if got := SegmentResponse(nil, 1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
 		t.Fatalf("zero-byte response must still emit one frame: %+v", got)
+	}
+}
+
+// SegmentResponse appends after what the buffer holds and reuses its
+// backing array once it is large enough.
+func TestSegmentResponseAppendsToBuffer(t *testing.T) {
+	first := NewRequest(1, 2, 1, []byte("GET"))
+	buf := SegmentResponse([]*Packet{first}, 1, 2, 3, 2000)
+	if len(buf) != 3 || buf[0] != first || buf[1].Seg != 0 || buf[2].Seg != 1 || buf[2].SegCount != 2 {
+		t.Fatalf("appended segments wrong: %+v", buf)
+	}
+	backing := &buf[:cap(buf)][0]
+	if again := SegmentResponse(buf[:0], 1, 2, 4, 100); &again[0] != backing {
+		t.Fatal("a large enough buffer was not reused")
 	}
 }
 
@@ -73,7 +87,7 @@ func TestSegmentResponseSmallAndZero(t *testing.T) {
 func TestSegmentationProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		body := int(raw%10_000_000) + 1
-		pkts := SegmentResponse(1, 2, 1, body)
+		pkts := SegmentResponse(nil, 1, 2, 1, body)
 		total := 0
 		for _, p := range pkts {
 			if p.PayloadLen <= 0 || p.PayloadLen > MSS {

@@ -134,13 +134,14 @@ func NewRequest(src, dst Addr, reqID uint64, payload []byte) *Packet {
 }
 
 // SegmentResponse splits a response body of the given size into MSS-sized
-// segments addressed from src to dst. The packets come from the pool.
-func SegmentResponse(src, dst Addr, reqID uint64, bodyBytes int) []*Packet {
+// segments addressed from src to dst and appends them to buf, returning
+// the extended slice; passing a caller-owned buf[:0] makes segmentation
+// allocation-free once buf has grown. The packets come from the pool.
+func SegmentResponse(buf []*Packet, src, dst Addr, reqID uint64, bodyBytes int) []*Packet {
 	if bodyBytes <= 0 {
 		bodyBytes = 1
 	}
 	n := (bodyBytes + MSS - 1) / MSS
-	pkts := make([]*Packet, n)
 	remaining := bodyBytes
 	for i := 0; i < n; i++ {
 		seg := MSS
@@ -152,9 +153,9 @@ func SegmentResponse(src, dst Addr, reqID uint64, bodyBytes int) []*Packet {
 		p.Src, p.Dst, p.Kind = src, dst, KindResponse
 		p.PayloadLen = seg
 		p.ReqID, p.Seg, p.SegCount = reqID, i, n
-		pkts[i] = p
+		buf = append(buf, p)
 	}
-	return pkts
+	return buf
 }
 
 // Receiver is anything that can accept a delivered packet (a NIC port or

@@ -277,7 +277,7 @@ func TestTransmitCountsAndNCAPTxCnt(t *testing.T) {
 	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
 	sink := &recvSink{}
 	n.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(1, 2, 9, 4000)
+	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 4000)
 	for _, p := range pkts {
 		if !n.Transmit(p) {
 			t.Fatal("transmit failed")

@@ -43,14 +43,15 @@ func (k *Kernel) IRQCore() int { return k.irqCore }
 // IRQ is a registered hardware interrupt line. Asserting it queues the
 // handler on its affinity core; further assertions while the handler is
 // queued are coalesced, matching level-triggered ICR semantics — the
-// handler reads all accumulated causes in one go.
+// handler reads all accumulated causes in one go. Coalescing means at
+// most one handler run is in flight, so the line embeds its one Work.
 type IRQ struct {
 	k       *Kernel
-	name    string
 	coreID  int
 	cycles  int64
 	handler func()
 	pending bool
+	work    cpu.Work
 }
 
 // NewIRQ registers an interrupt line with default affinity (core 0).
@@ -69,7 +70,9 @@ func (k *Kernel) NewIRQOn(coreID int, name string, cycles int64, handler func())
 	if coreID < 0 || coreID >= len(k.chip.Cores()) {
 		panic(fmt.Sprintf("oskernel: IRQ affinity core %d out of range", coreID))
 	}
-	return &IRQ{k: k, name: name, coreID: coreID, cycles: cycles, handler: handler}
+	i := &IRQ{k: k, coreID: coreID, cycles: cycles, handler: handler}
+	i.work = cpu.Work{Name: name, Prio: cpu.PrioIRQ, OnDone: i.run}
+	return i
 }
 
 // Core returns the IRQ's affinity core.
@@ -82,19 +85,18 @@ func (i *IRQ) Assert() {
 	}
 	i.pending = true
 	i.k.HardIRQs.Inc()
-	i.k.chip.Core(i.coreID).Submit(&cpu.Work{
-		Name:   i.name,
-		Cycles: i.cycles,
-		Prio:   cpu.PrioIRQ,
-		OnDone: func() {
-			i.pending = false
-			i.handler()
-		},
-	})
+	i.work.Cycles = i.cycles
+	i.k.chip.Core(i.coreID).Submit(&i.work)
+}
+
+func (i *IRQ) run() {
+	i.pending = false
+	i.handler()
 }
 
 // SoftIRQ is a deferred-work vector (NET_RX-style). Raising it queues the
-// handler at softirq priority on its core; raises while queued coalesce.
+// handler at softirq priority on its core; raises while queued coalesce,
+// so the vector embeds the one Work a raise can have in flight.
 type SoftIRQ struct {
 	k      *Kernel
 	name   string
@@ -102,6 +104,7 @@ type SoftIRQ struct {
 	cycles int64
 	fn     func()
 	raised bool
+	work   cpu.Work
 }
 
 // NewSoftIRQ registers a softirq vector on the given core. cycles is the
@@ -110,7 +113,9 @@ func (k *Kernel) NewSoftIRQ(name string, coreID int, cycles int64, fn func()) *S
 	if fn == nil {
 		panic("oskernel: NewSoftIRQ with nil fn")
 	}
-	return &SoftIRQ{k: k, name: name, coreID: coreID, cycles: cycles, fn: fn}
+	s := &SoftIRQ{k: k, name: name, coreID: coreID, cycles: cycles, fn: fn}
+	s.work = cpu.Work{Name: name, Prio: cpu.PrioSoftIRQ, OnDone: s.run}
+	return s
 }
 
 // Raise schedules the softirq.
@@ -120,31 +125,31 @@ func (s *SoftIRQ) Raise() {
 	}
 	s.raised = true
 	s.k.SoftIRQs.Inc()
-	s.k.chip.Core(s.coreID).Submit(&cpu.Work{
-		Name:   s.name,
-		Cycles: s.cycles,
-		Prio:   cpu.PrioSoftIRQ,
-		OnDone: func() {
-			s.raised = false
-			s.fn()
-		},
-	})
+	s.work.Cycles = s.cycles
+	s.k.chip.Core(s.coreID).Submit(&s.work)
 }
 
-// Run executes fn as softirq-context work of the given cycle cost on the
-// vector's core, without coalescing — the per-packet portion of a poll.
-func (s *SoftIRQ) Run(cycles int64, fn func()) {
-	s.k.chip.Core(s.coreID).Submit(&cpu.Work{
-		Name:   s.name,
-		Cycles: cycles,
-		Prio:   cpu.PrioSoftIRQ,
-		OnDone: fn,
-	})
+func (s *SoftIRQ) run() {
+	s.raised = false
+	s.fn()
+}
+
+// Run executes the caller-owned w (its Cycles and OnDone set by the
+// caller) as softirq-context work on the vector's core, without
+// coalescing — the per-packet portion of a poll. Run stamps w's Name and
+// Prio.
+func (s *SoftIRQ) Run(w *cpu.Work) {
+	w.Name, w.Prio = s.name, cpu.PrioSoftIRQ
+	s.k.chip.Core(s.coreID).Submit(w)
 }
 
 // Timer is a high-resolution kernel timer pinned to a core. Expiry runs
 // the callback as IRQ-priority work (the timer interrupt), waking the core
 // if needed. Its deadline is visible to the menu governor via TimerHint.
+//
+// Expiries are not coalesced: a periodic timer whose handler is still
+// queued when the next period elapses queues a second run. Each expiry
+// therefore takes its own Work from the timer's free list.
 type Timer struct {
 	k      *Kernel
 	name   string
@@ -153,6 +158,19 @@ type Timer struct {
 	fn     func()
 	inner  *sim.Timer
 	period sim.Duration // 0 for one-shot
+	free   []*timerExpiry
+}
+
+// timerExpiry is one queued run of a Timer's callback.
+type timerExpiry struct {
+	work cpu.Work
+	t    *Timer
+}
+
+// run returns the expiry to its timer's free list, then runs the callback.
+func (e *timerExpiry) run() {
+	e.t.free = append(e.t.free, e)
+	e.t.fn()
 }
 
 // NewTimer creates a stopped timer on the given core. cycles is the timer
@@ -192,12 +210,15 @@ func (t *Timer) expire() {
 	if t.period > 0 {
 		t.inner.Arm(t.period)
 	}
-	t.k.chip.Core(t.coreID).Submit(&cpu.Work{
-		Name:   t.name,
-		Cycles: t.cycles,
-		Prio:   cpu.PrioIRQ,
-		OnDone: t.fn,
-	})
+	var e *timerExpiry
+	if n := len(t.free); n > 0 {
+		e, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		e = &timerExpiry{t: t}
+		e.work = cpu.Work{Name: t.name, Prio: cpu.PrioIRQ, OnDone: e.run}
+	}
+	e.work.Cycles = t.cycles
+	t.k.chip.Core(t.coreID).Submit(&e.work)
 }
 
 // NextTimerDelay returns the delay until the earliest armed timer on the
@@ -225,10 +246,11 @@ func (k *Kernel) TimerHint() func(coreID int) sim.Duration {
 	return k.NextTimerDelay
 }
 
-// SubmitTask places application work on the least-loaded core: an idle
-// core if one exists, otherwise the shortest task queue — a simplified
-// CFS placement.
-func (k *Kernel) SubmitTask(name string, cycles int64, onDone func()) *cpu.Core {
+// SubmitTask places the caller-owned application work w on the
+// least-loaded core — an idle core if one exists, otherwise the shortest
+// task queue, a simplified CFS placement — and returns that core. It
+// stamps w's Prio; the caller sets Name, Cycles and OnDone.
+func (k *Kernel) SubmitTask(w *cpu.Work) *cpu.Core {
 	cores := k.chip.Cores()
 	best := cores[0]
 	bestScore := placementScore(best)
@@ -237,21 +259,25 @@ func (k *Kernel) SubmitTask(name string, cycles int64, onDone func()) *cpu.Core 
 			best, bestScore = c, s
 		}
 	}
-	best.Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioTask, OnDone: onDone})
+	w.Prio = cpu.PrioTask
+	best.Submit(w)
 	return best
 }
 
-// SubmitTaskOn pins application work to a specific core.
-func (k *Kernel) SubmitTaskOn(coreID int, name string, cycles int64, onDone func()) {
-	k.chip.Core(coreID).Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioTask, OnDone: onDone})
+// SubmitTaskOn pins the caller-owned application work w to a specific
+// core, stamping its Prio.
+func (k *Kernel) SubmitTaskOn(coreID int, w *cpu.Work) {
+	w.Prio = cpu.PrioTask
+	k.chip.Core(coreID).Submit(w)
 }
 
-// SubmitSoftIRQOn runs work at softirq priority on a specific core —
-// deferred kernel work (NET_TX transmission) that preempts application
-// tasks but yields to hard interrupts.
-func (k *Kernel) SubmitSoftIRQOn(coreID int, name string, cycles int64, onDone func()) {
+// SubmitSoftIRQOn runs the caller-owned w at softirq priority on a
+// specific core — deferred kernel work (NET_TX transmission) that preempts
+// application tasks but yields to hard interrupts. It stamps w's Prio.
+func (k *Kernel) SubmitSoftIRQOn(coreID int, w *cpu.Work) {
 	k.SoftIRQs.Inc()
-	k.chip.Core(coreID).Submit(&cpu.Work{Name: name, Cycles: cycles, Prio: cpu.PrioSoftIRQ, OnDone: onDone})
+	w.Prio = cpu.PrioSoftIRQ
+	k.chip.Core(coreID).Submit(w)
 }
 
 func placementScore(c *cpu.Core) int {

@@ -14,6 +14,11 @@ func newKernel(eng *sim.Engine) *Kernel {
 	return New(chip)
 }
 
+// work builds a caller-owned Work for the submission APIs.
+func work(name string, cycles int64, fn func()) *cpu.Work {
+	return &cpu.Work{Name: name, Cycles: cycles, OnDone: fn}
+}
+
 func TestIRQRunsOnCore0(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
@@ -56,7 +61,7 @@ func TestIRQPreemptsRunningTask(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
 	var irqDone, taskDone sim.Time
-	k.SubmitTaskOn(0, "task", 31_000_000, func() { taskDone = eng.Now() }) // 10 ms
+	k.SubmitTaskOn(0, work("task", 31_000_000, func() { taskDone = eng.Now() })) // 10 ms
 	irq := k.NewIRQ("nic", 3100, func() { irqDone = eng.Now() })
 	eng.At(sim.Millisecond, func() { irq.Assert() })
 	eng.Run(sim.Second)
@@ -81,8 +86,8 @@ func TestSoftIRQCoalescingAndRun(t *testing.T) {
 	}
 	// Run executes without coalescing.
 	extra := 0
-	s.Run(3100, func() { extra++ })
-	s.Run(3100, func() { extra++ })
+	s.Run(work("", 3100, func() { extra++ }))
+	s.Run(work("", 3100, func() { extra++ }))
 	eng.Run(2 * sim.Millisecond)
 	if extra != 2 {
 		t.Fatalf("Run executed %d, want 2", extra)
@@ -193,10 +198,10 @@ func TestSubmitTaskPrefersIdleCore(t *testing.T) {
 	eng := sim.NewEngine()
 	k := newKernel(eng)
 	// Saturate cores 0 and 1.
-	k.SubmitTaskOn(0, "busy0", 1<<40, nil)
-	k.SubmitTaskOn(1, "busy1", 1<<40, nil)
+	k.SubmitTaskOn(0, work("busy0", 1<<40, nil))
+	k.SubmitTaskOn(1, work("busy1", 1<<40, nil))
 	eng.Run(sim.Microsecond)
-	got := k.SubmitTask("t", 3100, nil)
+	got := k.SubmitTask(work("t", 3100, nil))
 	if got.ID() == 0 || got.ID() == 1 {
 		t.Fatalf("task placed on busy core %d", got.ID())
 	}
@@ -207,7 +212,7 @@ func TestSubmitTaskBalancesQueues(t *testing.T) {
 	k := newKernel(eng)
 	counts := map[int]int{}
 	for i := 0; i < 100; i++ {
-		c := k.SubmitTask("t", 1<<40, nil)
+		c := k.SubmitTask(work("t", 1<<40, nil))
 		counts[c.ID()]++
 	}
 	for id, n := range counts {
@@ -262,15 +267,87 @@ func TestSubmitSoftIRQOnPreemptsTasks(t *testing.T) {
 	k := newKernel(eng)
 	var order []string
 	// A long task queue, then softirq work submitted behind it.
-	k.SubmitTaskOn(1, "t1", 3_100_000, func() { order = append(order, "t1") })
-	k.SubmitTaskOn(1, "t2", 3_100_000, func() { order = append(order, "t2") })
+	k.SubmitTaskOn(1, work("t1", 3_100_000, func() { order = append(order, "t1") }))
+	k.SubmitTaskOn(1, work("t2", 3_100_000, func() { order = append(order, "t2") }))
 	eng.Schedule(100*sim.Microsecond, func() {
-		k.SubmitSoftIRQOn(1, "net_tx", 3100, func() { order = append(order, "tx") })
+		k.SubmitSoftIRQOn(1, work("net_tx", 3100, func() { order = append(order, "tx") }))
 	})
 	eng.Run(sim.Second)
 	// net_tx preempts t1's remainder? No: softirq preempts only QUEUED
 	// tasks; the running slice t1 is lower priority so it IS preempted.
 	if len(order) != 3 || order[0] != "tx" {
 		t.Fatalf("order = %v, want tx first", order)
+	}
+}
+
+// An IRQ or softirq handler may re-raise its own line: the Core releases
+// the embedded Work before OnDone runs, so the resubmission is legal.
+func TestHandlerResubmitsOwnWork(t *testing.T) {
+	eng := sim.NewEngine()
+	k := newKernel(eng)
+	var irq *IRQ
+	var s *SoftIRQ
+	irqRuns, softRuns := 0, 0
+	irq = k.NewIRQ("nic", 3100, func() {
+		if irqRuns++; irqRuns < 5 {
+			irq.Assert()
+		}
+	})
+	s = k.NewSoftIRQ("net_rx", 0, 3100, func() {
+		if softRuns++; softRuns < 5 {
+			s.Raise()
+		}
+	})
+	irq.Assert()
+	s.Raise()
+	eng.Run(sim.Second)
+	if irqRuns != 5 || softRuns != 5 {
+		t.Fatalf("irq ran %d, softirq ran %d; want 5 each", irqRuns, softRuns)
+	}
+	if got := k.HardIRQs.Value(); got != 5 {
+		t.Fatalf("HardIRQs = %d, want 5", got)
+	}
+}
+
+// Submitting a caller-owned Work that is still queued is a bug the Core
+// refuses loudly instead of silently running it once.
+func TestDoubleSubmitPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	k := newKernel(eng)
+	s := k.NewSoftIRQ("net_rx", 0, 3100, func() {})
+	w := work("", 3100, nil)
+	s.Run(w)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("second Run of a queued Work did not panic")
+		}
+	}()
+	s.Run(w)
+}
+
+// A periodic timer whose handler outlasts its period queues one run per
+// expiry: kernel timer expiries are never coalesced, so every expiry takes
+// its own Work.
+func TestPeriodicTimerQueuesEveryExpiry(t *testing.T) {
+	eng := sim.NewEngine()
+	k := newKernel(eng)
+	runs := 0
+	// 9.3 M cycles is 3 ms at 3.1 GHz: three periods per handler run.
+	tm := k.NewTimer("slow", 1, 9_300_000, func() { runs++ })
+	tm.ArmPeriodic(sim.Millisecond)
+	peak := 0
+	for i := 1; i <= 5; i++ {
+		eng.Run(sim.Time(i)*sim.Millisecond + sim.Microsecond)
+		if n := k.chip.Core(1).QueueLen(cpu.PrioIRQ); n > peak {
+			peak = n
+		}
+	}
+	tm.Stop()
+	eng.Run(sim.Second)
+	if runs != 5 {
+		t.Fatalf("handler ran %d times for 5 expiries", runs)
+	}
+	if peak < 2 {
+		t.Fatalf("peak IRQ queue %d: expiries never overlapped", peak)
 	}
 }

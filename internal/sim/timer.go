@@ -2,7 +2,7 @@ package sim
 
 // Timer is a restartable one-shot timer bound to an engine, analogous to a
 // hardware countdown timer or a kernel hrtimer. The zero value is not
-// usable; create timers with NewTimer.
+// usable: create timers with NewTimer, or Init one embedded in an owner.
 //
 // Timers hold a Handle, not an *Event: the engine pools events, so a
 // retained pointer could outlive its scheduling and alias an unrelated
@@ -16,10 +16,18 @@ type Timer struct {
 
 // NewTimer returns a stopped timer that will run fn when it expires.
 func NewTimer(eng *Engine, fn func()) *Timer {
+	t := new(Timer)
+	t.Init(eng, fn)
+	return t
+}
+
+// Init binds a zero Timer embedded in its owner's struct to eng and fn,
+// leaving it stopped — NewTimer without the separate allocation.
+func (t *Timer) Init(eng *Engine, fn func()) {
 	if fn == nil {
-		panic("sim: NewTimer called with nil fn")
+		panic("sim: Timer.Init called with nil fn")
 	}
-	return &Timer{eng: eng, fn: fn}
+	*t = Timer{eng: eng, fn: fn}
 }
 
 // timerExpire is the shared expiry trampoline (arg is the *Timer).
