@@ -11,7 +11,6 @@ package ncap_test
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -626,51 +625,21 @@ func BenchmarkFullSystemSimSecond(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedFleet measures in-run parallelism: the 64-server,
-// 4-rack/2-spine E14 fleet executed as 1, 2, 4 and 8 conservative-sync
-// engine partitions (see internal/cluster's sharded execution). On a
-// many-core box the 4-shard variant approaches 4× lower wall time; the
-// reported speedup metric is serial-ns/sharded-ns from the measured
-// averages. Every shard count must produce a Result deeply equal to the
-// serial one — the benchmark doubles as an equality check at full E14
-// scale.
-func BenchmarkShardedFleet(b *testing.B) {
-	fleetCfg := func(shards int) cluster.Config {
-		cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 1500*64)
-		cfg.Warmup = 20 * sim.Millisecond
-		cfg.Measure = 60 * sim.Millisecond
-		cfg.Drain = 20 * sim.Millisecond
-		cfg.Topology = topology.Fleet(4, 2, 16, 8)
-		cfg.Shards = shards
-		return cfg
+// BenchmarkFleetE14 is the fleet end-to-end row: one 96-node E14 run
+// (64 servers and 32 clients across 4 racks and 2 spines, NcapCons).
+func BenchmarkFleetE14(b *testing.B) {
+	b.ReportAllocs()
+	cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 1500*64)
+	cfg.Warmup = 20 * sim.Millisecond
+	cfg.Measure = 60 * sim.Millisecond
+	cfg.Drain = 20 * sim.Millisecond
+	cfg.Topology = topology.Fleet(4, 2, 16, 8)
+	var res cluster.Result
+	for i := 0; i < b.N; i++ {
+		res = cluster.New(cfg).Run()
 	}
-
-	results := map[int]cluster.Result{}
-	perShard := map[int]float64{} // shards → ns/op
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var res cluster.Result
-			for i := 0; i < b.N; i++ {
-				res = cluster.New(fleetCfg(shards)).Run()
-			}
-			if res.Completed == 0 {
-				b.Fatal("fleet served nothing")
-			}
-			results[shards] = res
-			perShard[shards] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-	}
-	for _, shards := range []int{2, 4, 8} {
-		if !reflect.DeepEqual(results[1], results[shards]) {
-			b.Fatalf("shards=%d diverged from serial", shards)
-		}
-	}
-	if s, p := perShard[1], perShard[4]; s > 0 && p > 0 {
-		printOnce("sharded-fleet", func() {
-			fmt.Printf("\n# Sharded fleet — 96-node E14 run: serial %.2fs vs 4 shards %.2fs (%.2fx on %d CPUs)\n",
-				s/1e9, p/1e9, s/p, runtime.GOMAXPROCS(0))
-		})
+	if res.Completed == 0 {
+		b.Fatal("fleet served nothing")
 	}
 }
 

@@ -49,10 +49,8 @@ func main() {
 		resil      cliflags.Resilience
 		traffic    cliflags.Traffic
 		topo       cliflags.Topology
-		shards     cliflags.Shards
 		out        cliflags.Output
 	)
-	shards.Register()
 	faults.Register()
 	resil.Register()
 	traffic.Register()
@@ -84,7 +82,6 @@ func main() {
 	resil.Validate(tool)
 	traffic.Validate(tool)
 	topo.Validate(tool)
-	shards.Validate(tool)
 	rps := *load
 	if rps == 0 {
 		rps = ncap.LoadRPS(prof.Name, cliflags.Level(tool, *level))
@@ -111,7 +108,7 @@ func main() {
 	}
 
 	pool := runner.New(runner.Options{
-		Jobs: 1, CacheDir: *cacheDir, Timeout: *timeout, Shards: shards.Count(),
+		Jobs: 1, CacheDir: *cacheDir, Timeout: *timeout,
 		Audit: *auditOn, Checkpoint: *checkpoint, Resume: *resume,
 	})
 	cliflags.HandleSignals(tool, pool)
@@ -157,14 +154,6 @@ func main() {
 		fmt.Printf("simulator: %d events in %v (%.1f Mevents/s)\n",
 			res.Events, wall.Round(time.Millisecond), float64(res.Events)/wall.Seconds()/1e6)
 	}
-	// Shard-coordination accounting is execution metadata (it varies with
-	// -shards and the host), so it goes to stderr: stdout and -json stay
-	// byte-identical at any shard count.
-	if st := outc.Shards; st.Shards > 1 {
-		fmt.Fprintf(os.Stderr, "ncapsim: sharding: %d shards, %d boundary links, %d sync rounds (%d stalls), %d frames crossed\n",
-			st.Shards, st.Bridged, st.Rounds, st.Stalls, st.Injected)
-	}
-
 	if traffic.RecordTrace != "" {
 		if err := traffic.WriteRecorded(res.Recorded); err != nil {
 			fmt.Fprintln(os.Stderr, "ncapsim:", err)

@@ -65,17 +65,14 @@ func main() {
 		rn       cliflags.Runner
 		res      cliflags.Resilience
 		topo     cliflags.Topology
-		shards   cliflags.Shards
 		out      cliflags.Output
 	)
 	rn.Register(runtime.GOMAXPROCS(0))
-	shards.Register()
 	res.Register()
 	topo.Register()
 	out.Register(false)
 	flag.Parse()
 	rn.Validate(tool)
-	shards.Validate(tool)
 	res.Validate(tool)
 	topo.Validate(tool)
 	stopProf := out.StartPprof(tool)
@@ -92,7 +89,6 @@ func main() {
 	// -audit forces outcome recording even without -json: the violation
 	// summary below needs every outcome, not just the batch counters.
 	popts := rn.Options(out.JSON != "" || rn.Audit)
-	popts.Shards = shards.Count()
 	pool := runner.New(popts)
 	o.Runner = pool
 	cliflags.HandleSignals(tool, pool)

@@ -48,10 +48,8 @@ func main() {
 		resume     = flag.String("resume", "", "replay completed jobs from this checkpoint file instead of re-running them (requires -checkpoint)")
 		res        cliflags.Resilience
 		topo       cliflags.Topology
-		shards     cliflags.Shards
 		output     cliflags.Output
 	)
-	shards.Register()
 	res.Register()
 	topo.Register()
 	output.Register(false)
@@ -63,7 +61,6 @@ func main() {
 	}
 	res.Validate(tool)
 	topo.Validate(tool)
-	shards.Validate(tool)
 	if *resume != "" && *checkpoint == "" {
 		cliflags.Fatalf(tool, "-resume requires -checkpoint (point both at the same file to continue it)")
 	}
@@ -78,7 +75,7 @@ func main() {
 	// cache never serves them, and -checkpoint/-resume are accepted for
 	// flag uniformity but likewise never replay a traced run).
 	pool := runner.New(runner.Options{
-		Jobs: *jobsN, Shards: shards.Count(),
+		Jobs:  *jobsN,
 		Audit: *auditOn, Checkpoint: *checkpoint, Resume: *resume,
 		Record: *auditOn,
 	})

@@ -181,11 +181,6 @@ func NewClient(eng *sim.Engine, addr, server netsim.Addr, uplink *netsim.Link, p
 // Addr returns the client's network address.
 func (c *Client) Addr() netsim.Addr { return c.addr }
 
-// Engine returns the engine the client schedules on — its own shard's
-// in a sharded run (see internal/cluster), so pre-scheduled work aimed
-// at this client (trace replay) must land here, not on the primary.
-func (c *Client) Engine() *sim.Engine { return c.eng }
-
 // Latency returns the client's RTT recorder.
 func (c *Client) Latency() *stats.LatencyRecorder { return c.lat }
 

@@ -144,39 +144,6 @@ func (r *Runner) Options(record bool) runner.Options {
 	}
 }
 
-// Shards bundles the in-run parallelism flag, spelled identically across
-// all three tools: how many engine partitions one simulation runs on
-// (see internal/cluster's sharded execution). Orthogonal to -jobs, which
-// parallelizes across independent simulations — -shards parallelizes
-// inside each one. Sharded runs produce Results identical to serial
-// runs, so the flag is an execution knob, never an experiment parameter.
-type Shards struct {
-	N int
-}
-
-// Register installs the -shards flag.
-func (s *Shards) Register() {
-	flag.IntVar(&s.N, "shards", 1,
-		"engine partitions per simulation (1 = serial, 0 = one per CPU); results are identical at any count")
-}
-
-// Validate rejects a negative shard count with exit code 2.
-func (s *Shards) Validate(tool string) {
-	if s.N < 0 {
-		Fatalf(tool, "-shards %d: must be non-negative (0 selects one shard per CPU)", s.N)
-	}
-}
-
-// Count resolves the flag into a concrete shard count: 0 means one shard
-// per CPU. The cluster still clamps the count to what the run can use
-// (partitionable units, serial-only execution modes).
-func (s *Shards) Count() int {
-	if s.N == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.N
-}
-
 // InterruptExitCode is the conventional "terminated by SIGINT" status
 // (128 + signal 2) the tools exit with after a graceful drain.
 const InterruptExitCode = 130

@@ -80,25 +80,12 @@ func TestRunnerOptions(t *testing.T) {
 	}
 }
 
-func TestShardsCount(t *testing.T) {
-	if got := (&Shards{N: 4}).Count(); got != 4 {
-		t.Errorf("Count() = %d, want 4", got)
-	}
-	if got := (&Shards{N: 1}).Count(); got != 1 {
-		t.Errorf("Count() = %d, want 1", got)
-	}
-	// 0 = auto: one shard per CPU, never zero or negative.
-	if got := (&Shards{}).Count(); got < 1 {
-		t.Errorf("auto Count() = %d, want >= 1", got)
-	}
-}
-
 // Every tool rejects bad flag values the same way: exit code 2. The
 // validators terminate the process, so each case runs in a re-executed
 // copy of the test binary.
 func TestValidationExitCode(t *testing.T) {
 	for _, tc := range []string{
-		"jobs", "timeout", "retries", "shards", "loss", "reorder-max",
+		"jobs", "timeout", "retries", "loss", "reorder-max",
 		"workload", "policy", "level",
 		"deadline", "queue-cap", "retry-budget", "breaker", "admit",
 	} {
@@ -131,8 +118,6 @@ func TestValidationHelper(t *testing.T) {
 		(&Runner{Jobs: 1, Timeout: 0}).Validate("t")
 	case "retries":
 		(&Runner{Jobs: 1, Timeout: time.Minute, Retries: -1}).Validate("t")
-	case "shards":
-		(&Shards{N: -1}).Validate("t")
 	case "loss":
 		(&Faults{Loss: 1.5, ReorderMax: time.Millisecond}).Validate("t")
 	case "reorder-max":

@@ -18,6 +18,17 @@ func auditQuickCfg(policy Policy, load float64) Config {
 	return cfg
 }
 
+// fleetTestConfig shapes a fleet run small enough for the unit suite
+// (the full 64-server E14 windows live in the benchmark and CI smoke).
+func fleetTestConfig(spec *topology.Spec, perServer float64) Config {
+	cfg := shortConfig(NcapCons, app.ApacheProfile(), perServer*float64(spec.Servers()))
+	cfg.Warmup = 20 * sim.Millisecond
+	cfg.Measure = 60 * sim.Millisecond
+	cfg.Drain = 20 * sim.Millisecond
+	cfg.Topology = spec
+	return cfg
+}
+
 // TestAuditResultByteIdentical: auditing is pure observation — the same
 // config produces a byte-identical Result (Events included) with the
 // auditor on or off, for every policy family.
@@ -42,7 +53,7 @@ func TestAuditResultByteIdentical(t *testing.T) {
 // to an unaudited one — the audit's post-collection grace window cannot
 // leak into the snapshot.
 func TestAuditFleetPeaksByteIdentical(t *testing.T) {
-	cfg := shardFleetConfig(topology.Rack(8, 4), 1500)
+	cfg := fleetTestConfig(topology.Rack(8, 4), 1500)
 	plain := New(cfg).Run()
 	var peak int
 	for _, sw := range plain.Switches {

@@ -69,9 +69,10 @@ type Cluster struct {
 	eng *sim.Engine
 	sw  *netsim.Switch
 
-	// faultLinks are every link an injector may be attached to; their
-	// fault counters aggregate into the Result. faultLinkNames holds the
-	// matching "dir/nodeN" labels for telemetry registration.
+	// faultLinks are every link an injector may be attached to: every
+	// link but the trunks. Their fault counters aggregate into the
+	// Result. faultLinkNames holds the matching "dir/nodeN" labels for
+	// telemetry registration.
 	faultLinks     []*netsim.Link
 	faultLinkNames []string
 
@@ -113,21 +114,6 @@ type Cluster struct {
 	// aud is the runtime invariant auditor (nil unless Config.Audit or
 	// the audit build tag enabled it).
 	aud *auditState
-
-	// Sharded execution (see shard.go): the engine partitions (engs[0]
-	// aliases eng) with their cross-shard outboxes, and the conservative
-	// time-sync coordinator. shards == nil is the serial path — the only
-	// path when Config.Shards ≤ 1 or a clamp applies. linkSeq numbers
-	// every link in construction order, giving boundary links their
-	// partition-invariant frame-ordering identity.
-	engs     []*sim.Engine
-	outboxes []*netsim.Outbox
-	shards   *shardSet
-	linkSeq  uint64
-
-	// links holds every link in construction order; their serialization
-	// completions count toward Result.Events (see firedEvents).
-	links []*netsim.Link
 }
 
 // chipState adapts the chip for core.DecisionEngine (chip-wide DVFS).
@@ -171,9 +157,6 @@ func New(cfg Config) *Cluster {
 	}
 	eng := sim.NewEngine()
 	c := &Cluster{cfg: cfg, eng: eng}
-	if n := cfg.effectiveShards(); n > 1 {
-		c.initShards(n)
-	}
 	if cfg.Topology != nil {
 		c.compile()
 	} else {
@@ -199,9 +182,6 @@ func New(cfg Config) *Cluster {
 
 // buildStar is the legacy construction path: one server, Config.Clients
 // burst clients and an optional bulk sender behind a single switch.
-// Sharded, the switch and server keep the primary engine and the clients
-// round-robin across the partitions; serially every shard helper is an
-// identity and this is byte-for-byte the historical construction.
 func (c *Cluster) buildStar() {
 	cfg := c.cfg
 	eng := c.eng
@@ -216,12 +196,11 @@ func (c *Cluster) buildStar() {
 	}
 
 	// Server node: processor, kernel, NIC, governors, driver, application
-	// and the policy's NCAP embodiment (Table 1). Server 0 and the switch
-	// share shard 0 by construction (shardOf(0) == 0).
-	n := c.addServerNode(eng, "", serverLabel(0), 0, ServerAddr, cfg.Cores, nicCfg, cfg.Driver)
+	// and the policy's NCAP embodiment (Table 1).
+	n := c.addServerNode("", serverLabel(0), 0, ServerAddr, cfg.Cores, nicCfg, cfg.Driver)
 	c.adoptPrimary(n)
-	c.NIC.SetLink(c.bridge(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), ServerAddr, fault.FromNode), 0, 0))
-	c.bridge(c.faulted(c.sw.Attach(ServerAddr, cfg.Link, c.NIC), ServerAddr, fault.ToNode), 0, 0)
+	c.NIC.SetLink(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), ServerAddr, fault.FromNode))
+	c.faulted(c.sw.Attach(ServerAddr, cfg.Link, c.NIC), ServerAddr, fault.ToNode)
 
 	// Traffic source: resolve a replayed schedule (explicit trace or
 	// generated scenario) before the clients are built so they come up
@@ -233,11 +212,9 @@ func (c *Cluster) buildStar() {
 	payload := cfg.Workload.RequestPayload()
 	for i := 0; i < cfg.Clients; i++ {
 		addr := firstClientAddr + netsim.Addr(i)
-		sh := c.shardOf(i)
-		ceng := c.shardEng(sh)
 		ccfg := c.clientConfig(period, i, cfg.Clients)
-		cl := app.NewClient(ceng, addr, ServerAddr,
-			c.bridge(c.faulted(netsim.NewLink(ceng, cfg.Link, c.sw), addr, fault.FromNode), sh, 0),
+		cl := app.NewClient(eng, addr, ServerAddr,
+			c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), addr, fault.FromNode),
 			payload, ccfg,
 			sim.NewRand(cfg.Seed, "client"+string(rune('0'+i))))
 		cl.Replay = c.replayTrace != nil
@@ -245,15 +222,15 @@ func (c *Cluster) buildStar() {
 			cl.Budget = cfg.Overload.NewBudget()
 			cl.Breaker = cfg.Overload.NewBreaker()
 		}
-		c.bridge(c.faulted(c.sw.Attach(addr, cfg.Link, cl), addr, fault.ToNode), 0, sh)
+		c.faulted(c.sw.Attach(addr, cfg.Link, cl), addr, fault.ToNode)
 		c.Clients = append(c.Clients, cl)
 	}
 	c.installTraffic()
 
-	// Optional background bulk traffic (rides shard 0 with the switch).
+	// Optional background bulk traffic.
 	if cfg.BulkBps > 0 {
 		c.Bulk = app.NewBulkSender(eng, bulkAddr, ServerAddr,
-			c.bridge(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), bulkAddr, fault.FromNode), 0, 0),
+			c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), bulkAddr, fault.FromNode),
 			cfg.BulkBps, 1400)
 	}
 }
@@ -297,12 +274,11 @@ func (c *Cluster) clientConfig(period sim.Duration, i, total int) app.ClientConf
 }
 
 // addServerNode builds one fully modeled server — chip, kernel, NIC,
-// governors, driver, application, NCAP embodiment — on the given shard
-// engine, and appends it to the node list. The caller wires its NIC to
-// the fabric.
-func (c *Cluster) addServerNode(eng *sim.Engine, group, label string, rack int, addr netsim.Addr,
+// governors, driver, application, NCAP embodiment — and appends it to the
+// node list. The caller wires its NIC to the fabric.
+func (c *Cluster) addServerNode(group, label string, rack int, addr netsim.Addr,
 	cores int, nicCfg nic.Config, drvCfg driver.Config) *serverNode {
-	cfg := c.cfg
+	cfg, eng := c.cfg, c.eng
 	n := &serverNode{addr: addr, group: group, label: label, rack: rack}
 
 	// Processor and kernel (Table 1).

@@ -25,16 +25,15 @@ func (c *Cluster) compile() {
 		fwDelay = topology.DefaultFwDelay
 	}
 
-	// Switch tiers, round-robin across the shard partitions (serial runs
-	// put everything on the primary engine). Switches() exposes them
-	// ToRs-first; trunkOwner below indexes into that order.
+	// Switch tiers. Switches() exposes them ToRs-first; trunkOwner below
+	// indexes into that order.
 	for r := 0; r < spec.Racks; r++ {
-		sw := netsim.NewSwitch(c.shardEng(c.shardOf(r)), fwDelay)
+		sw := netsim.NewSwitch(c.eng, fwDelay)
 		sw.SetName("tor" + strconv.Itoa(r))
 		c.tors = append(c.tors, sw)
 	}
 	for s := 0; s < spec.Spines; s++ {
-		sw := netsim.NewSwitch(c.shardEng(c.shardOf(s)), fwDelay)
+		sw := netsim.NewSwitch(c.eng, fwDelay)
 		sw.SetName("spine" + strconv.Itoa(s))
 		c.spines = append(c.spines, sw)
 	}
@@ -61,15 +60,14 @@ func (c *Cluster) compile() {
 	for s, sp := range c.spines {
 		downTo[s] = make([]*netsim.Link, spec.Racks)
 		for r, tor := range c.tors {
-			down := c.bridge(sp.Connect(uplink, tor), c.shardOf(s), c.shardOf(r))
-			downTo[s][r] = down
-			c.addTrunk(down, "down/"+sp.Name()+"-"+tor.Name(), len(c.tors)+s)
+			downTo[s][r] = sp.Connect(uplink, tor)
+			c.addTrunk(downTo[s][r], "down/"+sp.Name()+"-"+tor.Name(), len(c.tors)+s)
 		}
 	}
 	for r, tor := range c.tors {
 		ups := make([]*netsim.Link, 0, spec.Spines)
-		for s, sp := range c.spines {
-			up := c.bridge(tor.Connect(uplink, sp), c.shardOf(r), c.shardOf(s))
+		for _, sp := range c.spines {
+			up := tor.Connect(uplink, sp)
 			ups = append(ups, up)
 			c.addTrunk(up, "up/"+tor.Name()+"-"+sp.Name(), r)
 		}
@@ -114,13 +112,12 @@ func (c *Cluster) compile() {
 		return cfg.Link
 	}
 
-	// attach wires a node endpoint on shard sh to its rack's ToR (both
-	// directions, fault-injectable) and binds its address on every spine.
-	attach := func(pl placement, link netsim.LinkConfig, node netsim.Receiver, sh int) *netsim.Link {
+	// attach wires a node endpoint to its rack's ToR (both directions,
+	// fault-injectable) and binds its address on every spine.
+	attach := func(pl placement, link netsim.LinkConfig, node netsim.Receiver) *netsim.Link {
 		tor := c.tors[pl.rack]
-		torSh := c.shardOf(pl.rack)
-		up := c.bridge(c.faulted(netsim.NewLink(c.shardEng(sh), link, tor), pl.addr, fault.FromNode), sh, torSh)
-		c.bridge(c.faulted(tor.Attach(pl.addr, link, node), pl.addr, fault.ToNode), torSh, sh)
+		up := c.faulted(netsim.NewLink(c.eng, link, tor), pl.addr, fault.FromNode)
+		c.faulted(tor.Attach(pl.addr, link, node), pl.addr, fault.ToNode)
 		for s := range c.spines {
 			c.spines[s].AddRoute(pl.addr, downTo[s][pl.rack])
 		}
@@ -153,9 +150,8 @@ func (c *Cluster) compile() {
 			if g.Driver != nil {
 				drvCfg = *g.Driver
 			}
-			sh := c.shardOf(si)
-			n := c.addServerNode(c.shardEng(sh), g.Name, serverLabel(si), pl.rack, pl.addr, cores, nicCfg, drvCfg)
-			n.NIC.SetLink(attach(pl, link, n.NIC, sh))
+			n := c.addServerNode(g.Name, serverLabel(si), pl.rack, pl.addr, cores, nicCfg, drvCfg)
+			n.NIC.SetLink(attach(pl, link, n.NIC))
 			c.groups[gi].servers = append(c.groups[gi].servers, len(c.nodes)-1)
 			serversByGroup[g.Name] = append(serversByGroup[g.Name], n)
 			allServers = append(allServers, n)
@@ -196,11 +192,8 @@ func (c *Cluster) compile() {
 			srv := targets[ci%len(targets)]
 			ccfg := c.clientConfig(period, ci, total)
 			tor := c.tors[pl.rack]
-			sh := c.shardOf(ci)
-			ceng := c.shardEng(sh)
-			torSh := c.shardOf(pl.rack)
-			cl := app.NewClient(ceng, pl.addr, srv.addr,
-				c.bridge(c.faulted(netsim.NewLink(ceng, link, tor), pl.addr, fault.FromNode), sh, torSh),
+			cl := app.NewClient(c.eng, pl.addr, srv.addr,
+				c.faulted(netsim.NewLink(c.eng, link, tor), pl.addr, fault.FromNode),
 				payload, ccfg,
 				sim.NewRand(cfg.Seed, clientLabel(ci)))
 			if len(targets) > 1 {
@@ -211,7 +204,7 @@ func (c *Cluster) compile() {
 				cl.Budget = cfg.Overload.NewBudget()
 				cl.Breaker = cfg.Overload.NewBreaker()
 			}
-			c.bridge(c.faulted(tor.Attach(pl.addr, link, cl), pl.addr, fault.ToNode), torSh, sh)
+			c.faulted(tor.Attach(pl.addr, link, cl), pl.addr, fault.ToNode)
 			for s := range c.spines {
 				c.spines[s].AddRoute(pl.addr, downTo[s][pl.rack])
 			}

@@ -111,15 +111,6 @@ type Config struct {
 	// byte-identical either way — so, like Telemetry, it is excluded from
 	// the cache identity and audited jobs are never cached.
 	Audit bool `json:"-"`
-	// Shards splits a single run's compiled graph across that many
-	// engines on their own goroutines, synchronized conservatively with
-	// the link propagation latency as lookahead (see shard.go). 0 and 1
-	// both mean serial. Like -jobs, sharding is an execution strategy,
-	// not an experiment parameter: the Result is the same (deep-equality
-	// is test-asserted), so it is excluded from the runner's
-	// content-keyed cache identity. Runs that need a single observer —
-	// telemetry, audit, tracing, recording — clamp back to serial.
-	Shards int `json:"-"`
 }
 
 // DefaultBurstSize returns the per-client burst size that keeps the burst
@@ -191,8 +182,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: burst size must be positive")
 	case c.Warmup < 0 || c.Measure <= 0 || c.Drain < 0:
 		return fmt.Errorf("cluster: bad warmup/measure/drain windows")
-	case c.Shards < 0:
-		return fmt.Errorf("cluster: shards must be >= 0 (0 = serial)")
 	case c.Queues > 1 && c.Policy.UsesNCAPHardware() && !c.PerCoreDVFS:
 		// Sec. 7 pairs multi-queue NCAP with per-core power management:
 		// with a shared chip-wide frequency, an idle queue's IT_LOW

@@ -111,7 +111,7 @@ type Result struct {
 	Unroutable int64         `json:",omitempty"`
 
 	// Events is the simulator event count (progress metric): the events
-	// the engines fired plus one per frame serialization a link completed
+	// the engine fired plus one per frame serialization a link completed
 	// (the dequeue events links once scheduled, now folded into records).
 	// Audit epoch ticks and, under intended-send accounting, client
 	// pacing fires are excluded.
@@ -165,14 +165,8 @@ func (c *Cluster) Run() Result {
 		c.Bulk.Start()
 	}
 
-	// Warmup. Sharded runs advance through the coordinator's round loop
-	// (see shard.go): every phase boundary is a global barrier with all
-	// clocks aligned and nothing at or before it unfired, so the
-	// boundary work below reads exactly the state a serial run would.
-	if c.shards != nil {
-		defer c.shards.stop()
-	}
-	c.advance(cfg.Warmup)
+	// Warmup.
+	c.eng.Run(cfg.Warmup)
 
 	// Measurement boundary: zero all accounting.
 	for _, n := range c.nodes {
@@ -200,7 +194,7 @@ func (c *Cluster) Run() Result {
 	// Measured window: all machine-side accounting (energy, residencies,
 	// action counters) is snapshotted at its end.
 	measureEnd := cfg.Warmup + cfg.Measure
-	c.advance(measureEnd)
+	c.eng.Run(measureEnd)
 	var nodeEnergy []float64
 	if cfg.Topology != nil {
 		// Per-node snapshots for the group rollups, taken at the same
@@ -223,7 +217,7 @@ func (c *Cluster) Run() Result {
 	if c.Sampler != nil {
 		c.Sampler.Stop()
 	}
-	c.advance(measureEnd + cfg.Drain)
+	c.eng.Run(measureEnd + cfg.Drain)
 	c.mergeClientStats(&res)
 	if cfg.Overload != nil {
 		c.collectOverload(&res, measureEnd)
@@ -364,13 +358,27 @@ func (c *Cluster) totalEnergyJ() float64 {
 	return e
 }
 
+// firedEvents counts executed engine events plus every link's
+// serialization completions: a link retires those without an engine
+// event, but each stands for the dequeue event it once fired, so the
+// count — and every stored Result — is unchanged by the folding. The
+// access links (faultLinks) and the trunks are every link in the fabric.
+func (c *Cluster) firedEvents() uint64 {
+	n := c.eng.Fired()
+	for _, l := range c.faultLinks {
+		n += l.Completions()
+	}
+	for _, l := range c.trunks {
+		n += l.Completions()
+	}
+	return n
+}
+
 func (c *Cluster) collect(energyJ float64) Result {
 	cfg := c.cfg
 	// The audit epoch ticker fires as ordinary engine events; subtracting
 	// them keeps Events — and with it the whole Result — byte-identical
 	// between audited and unaudited runs (the ticks are pure observation).
-	// Sharded runs sum over every partition: cross-shard delivery swaps a
-	// sender-side event for one injected on the receiver, one for one.
 	events := c.firedEvents()
 	if c.aud != nil {
 		events -= c.aud.ticks

@@ -22,15 +22,6 @@ func (c *Cluster) registerTelemetry() {
 		return
 	}
 	reg, tr := tel.Registry(), tel.Trace()
-	// Sharded-execution counters (read lazily, so an export after Run sees
-	// the final sync totals). A telemetry run clamps to serial execution —
-	// the sink is a single-engine observer — so today these record the
-	// clamp itself: one shard, zero sync rounds. The names are registered
-	// anyway for schema stability; a shard-safe sink inherits them.
-	reg.Counter("sim.shards.count", func() int64 { return int64(c.ShardStats().Shards) })
-	reg.Counter("sim.shards.rounds", func() int64 { return int64(c.ShardStats().Rounds) })
-	reg.Counter("sim.shards.stalls", func() int64 { return int64(c.ShardStats().Stalls) })
-	reg.Counter("sim.shards.injected", func() int64 { return int64(c.ShardStats().Injected) })
 	// Per-node prefixes come from the node label: "server" on the legacy
 	// star (node 0 keeps the historical names), "serverN" beyond it.
 	for _, n := range c.nodes {

@@ -89,11 +89,7 @@ func (c *Cluster) scheduleReplay() {
 	}
 	sort.SliceStable(items, func(i, j int) bool { return items[i].At < items[j].At })
 	for i := range items {
-		// Each fire is scheduled on its own client's engine, which in a
-		// sharded run is the client's shard. Serially every client
-		// reports the primary engine, preserving the historical global
-		// FIFO order exactly.
-		items[i].C.Engine().AtArg(items[i].At, app.ReplayFire, &items[i])
+		c.eng.AtArg(items[i].At, app.ReplayFire, &items[i])
 	}
 }
 

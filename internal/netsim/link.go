@@ -65,16 +65,6 @@ type Link struct {
 	trace *telemetry.EventTrace
 	name  string
 
-	// Shard-boundary state (see shard.go; nil port = ordinary link).
-	// Deliveries on a boundary link are staged into port instead of
-	// scheduled on the sending engine and later injected on dstEng — the
-	// destination component's shard engine; linkID and frameIdx give
-	// each staged frame a partition-invariant identity.
-	port     *Outbox
-	dstEng   *sim.Engine
-	linkID   uint64
-	frameIdx uint64
-
 	// Audit state (nil/zero outside audited runs). The aud* counters run
 	// from t=0 and are never reset — unlike the Fault* counters above,
 	// which reset at the measurement boundary while frames are in flight —
@@ -239,8 +229,6 @@ func (l *Link) Send(p *Packet) bool {
 		if !l.sendFaulty(p, arrival) {
 			return true // serialized, then lost on the medium
 		}
-	} else if l.port != nil {
-		l.stage(p, arrival)
 	} else {
 		l.eng.AtArg2(arrival, linkDeliver, l, p)
 	}
@@ -276,11 +264,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 		l.emitFault("delay", float64(act.ExtraDelay))
 		arrival += act.ExtraDelay
 	}
-	if l.port != nil {
-		l.stage(p, arrival)
-	} else {
-		l.eng.AtArg2(arrival, linkDeliver, l, p)
-	}
+	l.eng.AtArg2(arrival, linkDeliver, l, p)
 	if act.Duplicate {
 		l.FaultDups.Inc()
 		l.emitFault("dup", float64(p.WireSize()))
@@ -297,11 +281,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 			dup = AllocPacket()
 		}
 		*dup = *p
-		if l.port != nil {
-			l.stage(dup, arrival+l.serialization(p.WireSize()))
-		} else {
-			l.eng.AtArg2(arrival+l.serialization(p.WireSize()), linkDeliver, l, dup)
-		}
+		l.eng.AtArg2(arrival+l.serialization(p.WireSize()), linkDeliver, l, dup)
 	}
 	return true
 }
@@ -320,9 +300,7 @@ func (l *Link) QueuedBytes() int {
 // between audit epochs: a port that filled during warmup still filled,
 // and an audited run reports the same peak as an unaudited one (the
 // audit's post-collection grace window cannot perturb a Result already
-// snapshotted). Sharded runs keep the peak on the sending engine: the
-// egress buffer fills before a boundary frame is staged for its
-// destination shard.
+// snapshotted).
 func (l *Link) PeakQueuedBytes() int { return l.peak }
 
 func (l *Link) serialization(bytes int) sim.Duration {

@@ -46,12 +46,6 @@ type Options struct {
 	// Outcomes). Off by default: a long-lived pool recording forever
 	// would grow without bound.
 	Record bool
-	// Shards, when positive, sets every job's in-run engine partition
-	// count (cluster.Config.Shards). Like Jobs it is an execution knob,
-	// not an experiment parameter: sharded Results are identical to
-	// serial ones and the count never enters the cache key, so cached
-	// and freshly sharded rows mix freely.
-	Shards int
 	// Audit runs every job with the runtime invariant auditor wired
 	// through the simulator (see internal/audit). Auditing is pure
 	// observation — Results stay byte-identical — but audited jobs are
@@ -116,12 +110,6 @@ type Outcome struct {
 	// Violations are the invariant violations an audited run collected
 	// (Options.Audit); nil when auditing is off or the run was clean.
 	Violations []audit.Violation
-	// Shards is the run's shard-coordination accounting (partitions,
-	// sync rounds, stalls, injected frames). Execution metadata like
-	// Elapsed: it varies with Options.Shards and host parallelism, so
-	// report writers exclude it — reports stay byte-identical at any
-	// shard count. Zero-valued for cache hits and serial runs.
-	Shards cluster.ShardStats
 }
 
 // Stats accumulates across every Run on a pool.
@@ -349,9 +337,6 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	if p.opts.Audit {
 		job.Config.Audit = true
 	}
-	if p.opts.Shards > 0 {
-		job.Config.Shards = p.opts.Shards
-	}
 	var key string
 	if job.Cacheable() && (p.cache != nil || p.ckpt != nil) {
 		key = job.Key()
@@ -380,7 +365,7 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	}
 	for attempt := 0; ; attempt++ {
 		o.Attempts = attempt + 1
-		o.Result, o.Violations, o.Shards, o.Err = p.execute(job)
+		o.Result, o.Violations, o.Err = p.execute(job)
 		if o.Err == nil || attempt >= p.opts.Retries {
 			break
 		}
@@ -441,17 +426,16 @@ func (p *Pool) checkpointFlush() {
 type jobResult struct {
 	res        cluster.Result
 	violations []audit.Violation
-	shards     cluster.ShardStats
 	err        error
 }
 
 // execute runs one simulation in its own goroutine so a panic inside the
 // simulator (a pathological configuration tripping an internal invariant)
 // or a hung run cannot take down or stall the whole sweep.
-func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, cluster.ShardStats, error) {
+func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
 	if p.opts.Executor != nil {
 		res, err := p.opts.Executor(job)
-		return res, nil, cluster.ShardStats{}, err
+		return res, nil, err
 	}
 	ch := make(chan jobResult, 1)
 	go func() {
@@ -463,20 +447,20 @@ func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, cluster.Shar
 		}()
 		cl := cluster.New(job.Config)
 		res := cl.Run()
-		ch <- jobResult{res: res, violations: cl.AuditViolations(), shards: cl.ShardStats()}
+		ch <- jobResult{res: res, violations: cl.AuditViolations()}
 	}()
 
 	if p.opts.Timeout <= 0 {
 		r := <-ch
-		return r.res, r.violations, r.shards, r.err
+		return r.res, r.violations, r.err
 	}
 	timer := time.NewTimer(p.opts.Timeout)
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		return r.res, r.violations, r.shards, r.err
+		return r.res, r.violations, r.err
 	case <-timer.C:
-		return cluster.Result{}, nil, cluster.ShardStats{}, fmt.Errorf("runner: job %q exceeded the %v wall-clock timeout",
+		return cluster.Result{}, nil, fmt.Errorf("runner: job %q exceeded the %v wall-clock timeout",
 			job.Tag, p.opts.Timeout)
 	}
 }

@@ -231,32 +231,3 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatalf("workers = %d, want 3", w)
 	}
 }
-
-// TestShardsOption is the -shards contract at the runner layer: a
-// sharded pool produces Results identical to a serial one, and — because
-// the shard count never enters the cache key — a sharded run is served
-// from a cache a serial run populated.
-func TestShardsOption(t *testing.T) {
-	dir := t.TempDir()
-	job := Job{Tag: "sharded", Config: tinyCfg(cluster.NcapCons, app.ApacheProfile(), 24_000)}
-
-	serial := New(Options{Jobs: 1, CacheDir: dir}).RunOne(job)
-	if serial.Err != nil {
-		t.Fatal(serial.Err)
-	}
-	sharded := New(Options{Jobs: 1, Shards: 2}).RunOne(job)
-	if sharded.Err != nil {
-		t.Fatal(sharded.Err)
-	}
-	if !reflect.DeepEqual(serial.Result, sharded.Result) {
-		t.Fatal("sharded pool diverged from serial")
-	}
-
-	cached := New(Options{Jobs: 1, CacheDir: dir, Shards: 2}).RunOne(job)
-	if cached.Err != nil {
-		t.Fatal(cached.Err)
-	}
-	if !cached.CacheHit {
-		t.Fatal("shard count forked the cache key: serial result not reused")
-	}
-}

@@ -85,25 +85,11 @@ const (
 )
 
 // Key is an event's position in the engine's fire order: events fire in
-// increasing (when, sat, aux, seq). Keys are unique, because every event
-// and every reservation (see Reserve) takes its own sequence number.
+// increasing (when, seq). Keys are unique, because every event and every
+// reservation (see Reserve) takes its own sequence number.
 type Key struct {
 	when Time
-	// sat is the simulated time the event was scheduled. For locally
-	// scheduled events it equals the engine's now at the Schedule*/At*
-	// call; cross-engine injections (InjectAt) carry the sender engine's
-	// schedule time instead. Because seq increases monotonically and now
-	// never decreases, ordering by (when, sat, aux, seq) is identical to
-	// ordering by (when, seq) for purely local events — sat and aux only
-	// matter when events from different engines meet in one queue.
-	sat Time
-	// aux is a tie-break key for injected events: 0 for every local
-	// event, and a run-invariant identity (derived from the injecting
-	// link and frame index, see internal/cluster) for injections — so the
-	// fire order at equal (when, sat) does not depend on how a sharded
-	// run was partitioned.
-	aux uint64
-	seq uint64 // tie-breaker: preserves scheduling order at equal times
+	seq  uint64 // tie-breaker: preserves scheduling order at equal times
 }
 
 // When returns the simulated time the event will fire (or fired).
@@ -112,12 +98,6 @@ func (k Key) When() Time { return k.when }
 func (k *Key) less(b *Key) bool {
 	if k.when != b.when {
 		return k.when < b.when
-	}
-	if k.sat != b.sat {
-		return k.sat < b.sat
-	}
-	if k.aux != b.aux {
-		return k.aux < b.aux
 	}
 	return k.seq < b.seq
 }
@@ -304,7 +284,7 @@ func (e *Engine) Reserve(t Time) Key {
 	if t < e.now {
 		t = e.now
 	}
-	k := Key{when: t, sat: e.now, seq: e.seq}
+	k := Key{when: t, seq: e.seq}
 	e.seq++
 	return k
 }
@@ -315,7 +295,7 @@ func (e *Engine) Reserve(t Time) Key {
 // reserved before Run returned; after Stop, k orders before the last
 // event fired. The answer is exact because the engine's fire order never
 // goes backward: every event scheduled or reserved orders after the
-// frontier it was created at, and InjectAt refuses keys that would not.
+// frontier it was created at.
 func (e *Engine) Passed(k Key) bool { return k.less(&e.front) }
 
 // recycle returns a no-longer-queued event to the free list, invalidating
@@ -583,7 +563,7 @@ func (e *Engine) Run(until Time) uint64 {
 		// Everything at or before until has fired, including keys
 		// reserved for until; anything reserved from here on has not.
 		e.now = until
-		e.front = Key{when: until, sat: until, seq: e.seq}
+		e.front = Key{when: until, seq: e.seq}
 	}
 	e.stopped = false
 	return fired
@@ -604,75 +584,6 @@ func (e *Engine) Step() bool {
 
 // Stop makes the current Run return after the in-flight event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// NextEventBound returns a lower bound on the time of the next event to
-// fire: the exact minimum of the near and overflow heaps, and for wheel
-// buckets the start of the earliest occupied granule (which is ≤ every
-// event inside it — computing the exact bucket minimum would defeat the
-// wheel's O(1) insertion). The bound is never below the current time, and
-// is maxTime when no events are pending. After Run(until) returns with
-// events still pending, NextEventBound() > until: Run only stops early
-// when popMin proves every remaining event is past the limit.
-//
-// The shard coordinator (internal/cluster) uses this to compute the
-// conservative synchronization horizon without disturbing the queue.
-func (e *Engine) NextEventBound() Time {
-	bound := maxTime
-	if ev := e.near.min(); ev != nil {
-		bound = ev.when
-	}
-	if ev := e.overflow.min(); ev != nil && ev.when < bound {
-		bound = ev.when
-	}
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		occ := e.levels[lvl].occupied
-		if occ == 0 {
-			continue
-		}
-		shift := uint(nearBits + lvl*levelBits)
-		tz := bits.TrailingZeros64(occ)
-		start := ((e.cur>>shift)&^(wheelSlots-1) | uint64(tz)) << shift
-		if Time(start) < bound {
-			bound = Time(start)
-		}
-	}
-	if bound != maxTime && bound < e.now {
-		bound = e.now
-	}
-	return bound
-}
-
-// InjectAt schedules fn(a0, a1) at the absolute time when, carrying an
-// explicit schedule time sat and tie-break key aux instead of the local
-// (now, 0) that At/Schedule stamp. This is the cross-engine delivery
-// primitive: a frame leaving one shard's engine arrives on another's with
-// the sender's schedule time and a partition-invariant identity, so the
-// receiving queue orders it exactly as the single-engine run would have
-// (see Key.sat/aux). The event must order after the engine's frontier
-// (see Passed) — after every event already fired, and after everything at
-// or before until once Run(until) has returned — and sat must be before
-// when: a frame is sent strictly before it arrives. Both are the
-// conservative-sync contract, so violations panic rather than clamp.
-func (e *Engine) InjectAt(when, sat Time, aux uint64, fn func(any, any), a0, a1 any) {
-	if fn == nil {
-		panic("sim: InjectAt called with nil fn")
-	}
-	if sat >= when {
-		panic(fmt.Sprintf("sim: InjectAt sat %v not before when %v", sat, when))
-	}
-	k := Key{when: when, sat: sat, aux: aux, seq: e.seq}
-	if !e.front.less(&k) {
-		panic(fmt.Sprintf("sim: InjectAt at %v orders before the frontier at %v", when, e.front.when))
-	}
-	ev := e.alloc(when)
-	ev.sat = sat
-	ev.aux = aux
-	ev.afn2 = fn
-	ev.a0 = a0
-	ev.a1 = a1
-	e.insert(ev)
-	e.pending++
-}
 
 // eventHeap is a binary min-heap of events ordered by (when, seq), with
 // index maintenance for O(log n) removal by position.

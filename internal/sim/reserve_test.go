@@ -14,9 +14,9 @@ type probe struct {
 
 // TestPassedMatchesRealEvents is the reservation primitive's correctness
 // property: under random schedules with many same-instant ties, cancels,
-// Stop, bounded Run(until), Step and InjectAt, Passed agrees with the
-// fate of a real event at every point it can be asked — inside every
-// callback, between runs, and after injections.
+// Stop, bounded Run(until) and Step, Passed agrees with the fate of a real
+// event at every point it can be asked — inside every callback, between
+// runs, and after events scheduled between runs.
 func TestPassedMatchesRealEvents(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		checkPassedProperty(t, seed)
@@ -98,18 +98,15 @@ func checkPassedProperty(t *testing.T, seed uint64) {
 			e.Run(e.Now() + delay())
 			check("after Run")
 		}
-		// Between runs — where a shard coordinator injects — reserve and
-		// inject: injections must order after the frontier, so they land
-		// strictly later with a schedule time before their arrival.
+		// Between runs, reserve and schedule: both must order after the
+		// frontier the last run left.
 		if rng.Bool(0.3) {
 			reserve()
 			check("after reserve between runs")
 		}
 		if rng.Bool(0.3) {
-			when := e.Now() + 1 + Duration(rng.Intn(3))
-			sat := when - 1 - Duration(rng.Intn(5))
-			e.InjectAt(when, sat, uint64(rng.Intn(3)), func(a0, a1 any) { act(nil) }, nil, nil)
-			check("after InjectAt")
+			e.AtArg(e.Now()+1+Duration(rng.Intn(3)), act, nil)
+			check("after AtArg between runs")
 		}
 	}
 	e.Run(maxTime - 1)
