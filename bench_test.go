@@ -478,6 +478,88 @@ func BenchmarkEngineMixedHorizonDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineStarMix imitates the engine traffic of the paper's star
+// (star-apache-ncap: Apache, ncap.cons, 24k RPS). The mix comes from
+// TestStarDelayMix in internal/sim, which steps the star at seed 3 through
+// its 500 ms measured window (329,398 fired events) and reads the queue
+// after every step:
+//   - 162 events pending on average, 127 of them scheduled ≥16 ms ahead
+//     (the clients' 25 ms RTO timers, armed once per request and almost
+//     always canceled);
+//   - schedule delays of 256–511 ns 24.29%, 512–1023 ns 0.16%, 1–2 µs
+//     10.37%, 2–4 µs 27.26%, 4–8 µs 10.46%, 8–16 µs 9.03%, 16–32 µs
+//     6.76%, 32–64 µs 6.46%, 64–128 µs 1.72%, 16–33 ms 3.41%, and under
+//     0.1% elsewhere;
+//   - a near heap below 8 events at 85% of steps and below 64 at all.
+//
+// The benchmark keeps 35 short events pending; each op fires the earliest
+// with a no-op ScheduleArg callback and schedules a replacement drawn from
+// the short part of the histogram. The RTO timers cannot reschedule
+// themselves like that: drawn from the same histogram, a 25 ms wait would
+// hold nearly every pending event. So 127 of them stay armed, and every
+// 27th op (the star's one RTO per 27.3 fired events) cancels the oldest and
+// arms a new one, which never comes due.
+func BenchmarkEngineStarMix(b *testing.B) {
+	b.ReportAllocs()
+	const (
+		short    = 35
+		rtos     = 127
+		rtoEvery = 27
+		nDelays  = 1 << 12
+	)
+	// Histogram buckets [lo, 2·lo) and their shares in basis points.
+	type bucket struct {
+		lo sim.Duration
+		bp int
+	}
+	mix := []bucket{
+		{256, 2429}, {512, 16}, {1 << 10, 1037}, {1 << 11, 2726}, {1 << 12, 1046},
+		{1 << 13, 903}, {1 << 14, 676}, {1 << 15, 646}, {1 << 16, 172},
+	}
+	total := 0
+	for _, m := range mix {
+		total += m.bp
+	}
+	rng := sim.NewRand(1, "star-mix")
+	delays := make([]sim.Duration, nDelays)
+	for i := range delays {
+		pick := rng.Intn(total)
+		for _, m := range mix {
+			if pick -= m.bp; pick < 0 {
+				delays[i] = m.lo + sim.Duration(rng.Intn(int(m.lo)))
+				break
+			}
+		}
+	}
+	const rtoLo = sim.Duration(1) << 24
+	rtoDelay := func() sim.Duration { return rtoLo + sim.Duration(rng.Intn(int(rtoLo))) }
+
+	eng := sim.NewEngine()
+	nop := func(any) {}
+	for i := 0; i < short; i++ {
+		eng.ScheduleArg(delays[i], nop, nil)
+	}
+	var armed [rtos]sim.Handle
+	for i := range armed {
+		armed[i] = eng.ScheduleArg(rtoDelay(), nop, nil)
+	}
+	oldest := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+		eng.ScheduleArg(delays[i&(nDelays-1)], nop, nil)
+		if i%rtoEvery == 0 {
+			armed[oldest].Cancel()
+			armed[oldest] = eng.ScheduleArg(rtoDelay(), nop, nil)
+			oldest = (oldest + 1) % rtos
+		}
+	}
+	b.StopTimer()
+	if got := eng.Pending(); got != short+rtos {
+		b.Fatalf("pending = %d, want %d: an RTO timer came due", got, short+rtos)
+	}
+}
+
 // benchSink drains delivered frames back to the packet pool.
 type benchSink struct{ n int }
 

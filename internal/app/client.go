@@ -1,6 +1,8 @@
 package app
 
 import (
+	"math/bits"
+
 	"ncap/internal/netsim"
 	"ncap/internal/resilience"
 	"ncap/internal/sim"
@@ -95,8 +97,12 @@ type Client struct {
 	cfg     ClientConfig
 	rng     *sim.Rand
 
-	nextSeq     uint64
-	pending     map[uint64]*pendingReq
+	nextSeq uint64
+	// pending indexes outstanding requests by sequence number (the low
+	// bits of their id; see slot). Live sequence numbers span less than
+	// the ring, so they never share a slot; a send that would doubles it.
+	pending     []*pendingReq
+	outstanding int
 	free        []*pendingReq // retired pendingReqs for reuse
 	lat         *stats.LatencyRecorder
 	latHist     *telemetry.Histogram // live RTT distribution (nil when telemetry off)
@@ -173,7 +179,7 @@ func NewClient(eng *sim.Engine, addr, server netsim.Addr, uplink *netsim.Link, p
 	return &Client{
 		eng: eng, addr: addr, server: server, uplink: uplink,
 		payload: payload, cfg: cfg, rng: rng,
-		pending: map[uint64]*pendingReq{},
+		pending: make([]*pendingReq, initialPendingRing),
 		lat:     stats.NewLatencyRecorder(),
 	}
 }
@@ -185,7 +191,7 @@ func (c *Client) Addr() netsim.Addr { return c.addr }
 func (c *Client) Latency() *stats.LatencyRecorder { return c.lat }
 
 // Outstanding returns the number of requests still awaiting responses.
-func (c *Client) Outstanding() int { return len(c.pending) }
+func (c *Client) Outstanding() int { return c.outstanding }
 
 // Start begins emitting bursts after the configured offset. A Replay
 // client only marks itself running: its sends were pre-scheduled from
@@ -287,14 +293,48 @@ func (c *Client) newPending(st reqState, seq uint64) *pendingReq {
 	if c.cfg.Deadline > 0 {
 		pr.deadline = c.eng.Now() + c.cfg.Deadline
 	}
-	c.pending[pr.id] = pr
+	for c.pending[c.slot(pr.id)] != nil {
+		c.growPending()
+	}
+	c.pending[c.slot(pr.id)] = pr
+	c.outstanding++
 	return pr
+}
+
+// initialPendingRing is the starting size of the pending ring, a power of
+// two; it doubles on demand.
+const initialPendingRing = 256
+
+// slot returns the ring slot of request id. An id's low 40 bits are its
+// sequence number, and the ring never reaches 2^40 slots.
+func (c *Client) slot(id uint64) int { return int(id & uint64(len(c.pending)-1)) }
+
+// growPending doubles the pending ring. Live requests held distinct slots
+// modulo the old size, so they hold distinct slots modulo the new one.
+func (c *Client) growPending() {
+	old := c.pending
+	c.pending = make([]*pendingReq, 2*len(old))
+	for _, pr := range old {
+		if pr != nil {
+			c.pending[c.slot(pr.id)] = pr
+		}
+	}
+}
+
+// lookup returns the outstanding request with the given id, or nil. Ids
+// with the same sequence residue share a slot, so a hit needs the full id.
+func (c *Client) lookup(id uint64) *pendingReq {
+	if pr := c.pending[c.slot(id)]; pr != nil && pr.id == id {
+		return pr
+	}
+	return nil
 }
 
 // retire forgets a completed or failed request and recycles its state.
 // The timer must not be pending.
 func (c *Client) retire(pr *pendingReq) {
-	delete(c.pending, pr.id)
+	c.pending[c.slot(pr.id)] = nil
+	c.outstanding--
 	c.free = append(c.free, pr)
 }
 
@@ -482,8 +522,8 @@ func (c *Client) Receive(p *netsim.Packet) {
 	if p.Kind != netsim.KindResponse {
 		return
 	}
-	pr, ok := c.pending[p.ReqID]
-	if !ok {
+	pr := c.lookup(p.ReqID)
+	if pr == nil {
 		return // duplicate from a retransmitted request
 	}
 	if pr.need == 0 {
@@ -496,7 +536,7 @@ func (c *Client) Receive(p *netsim.Packet) {
 	if p.Seg < 64 {
 		pr.got |= 1 << uint(p.Seg)
 	}
-	if countBits(pr.got) < min64(pr.need, 64) {
+	if bits.OnesCount64(pr.got) < min64(pr.need, 64) {
 		return
 	}
 	pr.timer.Stop()
@@ -514,14 +554,6 @@ func (c *Client) Receive(p *netsim.Packet) {
 		c.latHist.Record(c.eng.Now() - pr.sent)
 	}
 	c.retire(pr)
-}
-
-func countBits(v uint64) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 func min64(a, b int) int {

@@ -17,7 +17,7 @@ func (c *Client) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".deadline_exceeded", c.DeadlineExceeded.Value)
 	reg.Counter(prefix+".budget_denied", c.BudgetDenied.Value)
 	reg.Counter(prefix+".breaker_dropped", c.BreakerDropped.Value)
-	reg.Gauge(prefix+".outstanding", func() float64 { return float64(len(c.pending)) })
+	reg.Gauge(prefix+".outstanding", func() float64 { return float64(c.outstanding) })
 	c.latHist = reg.Histogram(prefix + ".rtt_ns")
 }
 

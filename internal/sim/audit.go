@@ -51,8 +51,9 @@ func (e *Engine) watchdog(when Time) {
 // buckets must equal Pending(); both heaps must satisfy the (when, seq)
 // heap property with correct back-indices; wheel events must sit in the
 // slot their fire time hashes to, with consistent intrusive links and
-// occupied bits; free-list entries must be marked inFree; and the wheel
-// cursor must not have moved backward since lastCursor (pass 0 on the
+// occupied bits; a valid cached earliest granule must match a fresh scan
+// of the five levels; free-list entries must be marked inFree; and the
+// wheel cursor must not have moved backward since lastCursor (pass 0 on the
 // first call). It returns the current cursor for the next call. The walk
 // is O(pending + free) and runs only from audit epochs.
 func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
@@ -100,6 +101,11 @@ func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 					fmt.Sprintf("tail matches last event in level %d slot %d", lvl, slot), "stale tail")
 			}
 		}
+	}
+	if g := e.scanWheel(); e.wmin.valid && e.wmin != g {
+		a.Report(comp, "wheel-min-cache", now,
+			fmt.Sprintf("start=%d level=%d slot=%d", g.start, g.lvl, g.slot),
+			fmt.Sprintf("start=%d level=%d slot=%d", e.wmin.start, e.wmin.lvl, e.wmin.slot))
 	}
 	a.CheckInt(comp, "pending-count", now, int64(e.pending), total)
 	for ev := e.free; ev != nil; ev = ev.next {

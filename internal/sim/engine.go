@@ -10,8 +10,11 @@
 // Events due within nearSpan of the wheel cursor live in the "near" heap,
 // which alone decides fire order; farther events sit in O(1) wheel buckets
 // and cascade toward the near heap as the cursor advances; events beyond the
-// wheel horizon (or behind the cursor) wait in an overflow heap. Fired and
-// canceled events return to a free list, so steady-state scheduling does not
+// wheel horizon (or behind the cursor) wait in an overflow heap. The engine
+// caches the earliest occupied wheel granule, so a pop that takes a heap
+// root does constant wheel work; only a cascade, or a cancel that empties
+// a bucket, forces a rescan of the five levels. Fired and canceled
+// events return to a free list, so steady-state scheduling does not
 // allocate.
 package sim
 
@@ -205,6 +208,15 @@ type wheelLevel struct {
 	slots    [wheelSlots]bucket
 }
 
+// granule is one wheel bucket located by its granule start: the earliest
+// instant any of its events can fire. lvl is -1 when the wheel is empty
+// (start is then MaxUint64). valid marks a cached copy as current.
+type granule struct {
+	start     uint64
+	lvl, slot int
+	valid     bool
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
@@ -222,13 +234,17 @@ type Engine struct {
 	front Key
 
 	// cur is the wheel cursor: a lower bound on every event reachable via
-	// the near heap or wheel (the overflow heap also takes events behind
-	// it). It can run ahead of now when a bounded Run stops before the
-	// next event.
+	// the near heap or wheel. It never passes the clock once popMin
+	// returns: a cascade moves it only to a granule start at or before
+	// the limit, and a pop only to the popped event's time.
 	cur      uint64
 	near     eventHeap
 	overflow eventHeap
 	levels   [wheelLevels]wheelLevel
+
+	// wmin caches the earliest occupied wheel granule (see wheelMin).
+	// insert lowers it; cascade and unlinkBucket invalidate it.
+	wmin granule
 
 	free *Event // free-list of recycled events, linked through next
 
@@ -245,7 +261,7 @@ type Engine struct {
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
 	// A frontier before time 0 orders before every key: nothing has fired.
-	return &Engine{front: Key{when: -1}}
+	return &Engine{front: Key{when: -1}, wmin: granule{start: math.MaxUint64, lvl: -1, valid: true}}
 }
 
 // Now returns the current simulated time.
@@ -319,9 +335,8 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) insert(ev *Event) {
 	w := uint64(ev.when)
 	if w < e.cur {
-		// Behind the cursor: possible when a bounded Run cascaded past
-		// `until` and a later call schedules between now and cur. The
-		// overflow heap accepts any time.
+		// Behind the cursor. The cursor never passes the clock (see cur),
+		// so this is a guard: the overflow heap accepts any time.
 		ev.where = inOverflow
 		e.overflow.push(ev)
 		return
@@ -338,7 +353,13 @@ func (e *Engine) insert(ev *Event) {
 		e.overflow.push(ev)
 		return
 	}
-	slot := (w >> (nearBits + uint(lvl)*levelBits)) & (wheelSlots - 1)
+	shift := uint(nearBits + lvl*levelBits)
+	slot := (w >> shift) & (wheelSlots - 1)
+	// The event shares the cursor's bits above its level, so its bucket's
+	// granule start is its own time truncated to the level's granule.
+	if start := w >> shift << shift; e.wmin.valid && start < e.wmin.start {
+		e.wmin = granule{start: start, lvl: lvl, slot: int(slot), valid: true}
+	}
 	ev.where = inWheel
 	ev.level = uint8(lvl)
 	ev.slot = uint8(slot)
@@ -369,6 +390,9 @@ func (e *Engine) unlinkBucket(ev *Event) {
 	}
 	if b.head == nil {
 		e.levels[ev.level].occupied &^= 1 << ev.slot
+		// The emptied bucket may be the cached earliest one. Checking
+		// which would push this function past the inlining budget.
+		e.wmin.valid = false
 	}
 	ev.next = nil
 	ev.prev = nil
@@ -378,6 +402,7 @@ func (e *Engine) unlinkBucket(ev *Event) {
 // advanced cursor. Every event moves to a lower level or the near heap,
 // because the cursor now shares its bucket's granule.
 func (e *Engine) cascade(lvl, slot int) {
+	e.wmin.valid = false
 	b := &e.levels[lvl].slots[slot]
 	ev := b.head
 	b.head, b.tail = nil, nil
@@ -390,58 +415,73 @@ func (e *Engine) cascade(lvl, slot int) {
 	}
 }
 
+// scanWheel finds the earliest occupied wheel granule by scanning all five
+// levels. A level's occupied slots all lie in the cursor's page of that
+// level, so its earliest bucket is one TrailingZeros64 away.
+func (e *Engine) scanWheel() granule {
+	g := granule{start: math.MaxUint64, lvl: -1, valid: true}
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		occ := e.levels[lvl].occupied
+		if occ == 0 {
+			continue
+		}
+		shift := uint(nearBits + lvl*levelBits)
+		tz := bits.TrailingZeros64(occ)
+		start := ((e.cur>>shift)&^(wheelSlots-1) | uint64(tz)) << shift
+		if start < g.start {
+			g.start, g.lvl, g.slot = start, lvl, tz
+		}
+	}
+	return g
+}
+
+// wheelMin returns the earliest occupied wheel granule, rescanning only
+// when the cache is invalid. Popping a heap root never invalidates it: the
+// popped event orders before the granule start, so raising the cursor to it
+// keeps the cursor in every occupied bucket's page, and every granule start
+// is unchanged.
+func (e *Engine) wheelMin() granule {
+	if !e.wmin.valid {
+		e.wmin = e.scanWheel()
+	}
+	return e.wmin
+}
+
 // popMin removes and returns the earliest event with when ≤ limit, or nil.
-// It cascades wheel buckets as needed; the near heap's exact (when, seq)
-// comparator is the only thing that ever decides order between events.
+// It compares the two heap roots against the cached earliest wheel granule
+// and cascades that bucket when it could hold the minimum; the near heap's
+// exact (when, seq) comparator is the only thing that ever decides order
+// between events. A pop that takes a heap root costs one siftDown and no
+// wheel scan.
 func (e *Engine) popMin(limit Time) *Event {
 	for {
-		best := e.near.min()
+		best, h := e.near.min(), &e.near
 		if o := e.overflow.min(); o != nil && (best == nil || o.less(&best.Key)) {
-			best = o
+			best, h = o, &e.overflow
 		}
 
-		// Earliest occupied wheel granule, if any.
-		gStart := uint64(math.MaxUint64)
-		gLvl, gSlot := -1, 0
-		for lvl := 0; lvl < wheelLevels; lvl++ {
-			occ := e.levels[lvl].occupied
-			if occ == 0 {
-				continue
-			}
-			shift := uint(nearBits + lvl*levelBits)
-			tz := bits.TrailingZeros64(occ)
-			start := ((e.cur>>shift)&^(wheelSlots-1) | uint64(tz)) << shift
-			if start < gStart {
-				gStart, gLvl, gSlot = start, lvl, tz
-			}
-		}
-
-		if gLvl >= 0 && (best == nil || gStart <= uint64(best.when)) {
+		if g := e.wheelMin(); g.lvl >= 0 && (best == nil || g.start <= uint64(best.when)) {
 			// The earliest wheel bucket may hold the true minimum; its
 			// granule start is ≤ every event inside it, so advancing the
 			// cursor there is safe. But if even the granule start is past
 			// the limit, nothing eligible remains — return without
 			// disturbing the cursor.
-			if Time(gStart) > limit && (best == nil || best.when > limit) {
+			if Time(g.start) > limit && (best == nil || best.when > limit) {
 				return nil
 			}
 			// Raise-only: the cursor never moves backward, which keeps it
 			// in the same wheel page as every occupied bucket (the
-			// invariant the granule-start computation above relies on).
-			if gStart > e.cur {
-				e.cur = gStart
+			// invariant scanWheel relies on).
+			if g.start > e.cur {
+				e.cur = g.start
 			}
-			e.cascade(gLvl, gSlot)
+			e.cascade(g.lvl, g.slot)
 			continue
 		}
 		if best == nil || best.when > limit {
 			return nil
 		}
-		if best.where == inNear {
-			e.near.remove(best.index)
-		} else {
-			e.overflow.remove(best.index)
-		}
+		h.popRoot()
 		if c := uint64(best.when); c > e.cur {
 			e.cur = c
 		}
@@ -570,8 +610,14 @@ func (e *Engine) Run(until Time) uint64 {
 }
 
 // Step executes the single next pending event, if any, and reports whether
-// one was executed.
+// one was executed. It panics if called from a callback Run is executing,
+// as Run does: a nested Step would fire events out from under the running
+// one. Step does not mark the engine running itself (that would cost a
+// deferred reset per step), so a callback Step executes is not checked.
 func (e *Engine) Step() bool {
+	if e.running {
+		panic("sim: Step called inside Run")
+	}
 	ev := e.popMin(maxTime)
 	if ev == nil {
 		return false
@@ -601,6 +647,22 @@ func (h *eventHeap) push(ev *Event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
 	h.siftUp(ev.index)
+}
+
+// popRoot removes the minimum (the heap must be non-empty): the last entry
+// moves to the root and sifts down, never up.
+func (h *eventHeap) popRoot() {
+	old := *h
+	n := len(old) - 1
+	old[0].index = -1
+	if n > 0 {
+		old[0] = old[n]
+	}
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		h.siftDown(0)
+	}
 }
 
 // remove deletes the event at heap position i.

@@ -157,6 +157,30 @@ func TestEngineStep(t *testing.T) {
 	}
 }
 
+// TestEngineStepRefusesNesting: Step from inside a callback Run is
+// executing panics instead of firing events out from under the running
+// one, and the engine stays usable after the panic unwinds.
+func TestEngineStepRefusesNesting(t *testing.T) {
+	e := NewEngine()
+	var inner any
+	e.Schedule(Millisecond, func() {
+		defer func() { inner = recover() }()
+		e.Step()
+	})
+	n := 0
+	e.Schedule(2*Millisecond, func() { n++ })
+	e.Run(Millisecond)
+	if inner == nil {
+		t.Fatal("Step inside Run did not panic")
+	}
+	if n != 0 {
+		t.Fatal("nested Step fired a later event")
+	}
+	if !e.Step() || n != 1 {
+		t.Fatalf("Step after a refused nested Step: n=%d", n)
+	}
+}
+
 // Property: for any set of delays, events fire in nondecreasing time order
 // and the engine executes exactly len(delays) events.
 func TestEngineOrderingProperty(t *testing.T) {

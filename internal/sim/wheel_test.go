@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ncap/internal/audit"
 )
 
 // refEntry is one scheduled event in the reference model: a plain sorted
@@ -15,110 +17,175 @@ type refEntry struct {
 	id   int
 }
 
+// wheelModel drives a random stream of schedules (closure and arg APIs,
+// delays spanning the near heap, every wheel level, and the overflow heap)
+// and cancellations against an engine, and keeps the reference model the
+// engine's fire order must match.
+type wheelModel struct {
+	t    *testing.T
+	seed uint64
+	rng  *Rand
+	e    *Engine
+	got  []firing
+	ref  []refEntry
+	ord  int
+
+	// Cancelable events. A raw *Event is only safe to cancel while the
+	// event is still pending (the pool recycles fired events), so the
+	// closure-API entries are dropped once they fire; Handles stay
+	// cancelable forever and must report dead after firing.
+	lives []liveEvent
+	dead  map[int]bool
+}
+
+type firing struct {
+	id int
+	at Time
+}
+
+type liveEvent struct {
+	id     int
+	handle bool
+	cancel func() bool
+}
+
+func newWheelModel(t *testing.T, seed uint64) *wheelModel {
+	return &wheelModel{t: t, seed: seed, rng: NewRand(seed, "wheel-prop"), e: NewEngine(), dead: map[int]bool{}}
+}
+
+// op performs one random schedule or cancel.
+func (m *wheelModel) op() {
+	rng, e := m.rng, m.e
+	if len(m.lives) > 0 && rng.Bool(0.25) {
+		// Cancel a random event (possibly one that already fired).
+		i := rng.Intn(len(m.lives))
+		v := m.lives[i]
+		m.lives[i] = m.lives[len(m.lives)-1]
+		m.lives = m.lives[:len(m.lives)-1]
+		if m.dead[v.id] {
+			if v.handle && v.cancel() {
+				m.t.Errorf("seed %d: Cancel succeeded on fired handle %d", m.seed, v.id)
+			}
+			return
+		}
+		for j, r := range m.ref {
+			if r.id == v.id {
+				m.ref = append(m.ref[:j], m.ref[j+1:]...)
+				break
+			}
+		}
+		if !v.cancel() {
+			m.t.Errorf("seed %d: Cancel failed for pending event %d", m.seed, v.id)
+		}
+		return
+	}
+	// Schedule with a delay spanning 0ns to ~2^45ns so the near heap,
+	// every wheel level, and the overflow heap all see traffic.
+	d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
+	id := m.ord
+	m.ref = append(m.ref, refEntry{when: e.Now() + Time(d), ord: m.ord, id: id})
+	m.ord++
+	record := func() {
+		m.got = append(m.got, firing{id, e.Now()})
+		m.dead[id] = true
+	}
+	if rng.Bool(0.5) {
+		ev := e.Schedule(d, record)
+		m.lives = append(m.lives, liveEvent{id, false, ev.Cancel})
+	} else {
+		h := e.ScheduleArg(d, func(any) { record() }, nil)
+		m.lives = append(m.lives, liveEvent{id, true, h.Cancel})
+	}
+}
+
+// advance draws an uneven clock step; zero keeps several ops at one
+// instant.
+func (m *wheelModel) advance() Duration {
+	return Duration(m.rng.Uint64() & ((1 << uint(m.rng.Intn(40))) - 1))
+}
+
+// check compares the fire order with the reference once the engine has
+// drained.
+func (m *wheelModel) check() bool {
+	ref := m.ref
+	sort.SliceStable(ref, func(i, j int) bool {
+		if ref[i].when != ref[j].when {
+			return ref[i].when < ref[j].when
+		}
+		return ref[i].ord < ref[j].ord
+	})
+	if len(m.got) != len(ref) {
+		m.t.Errorf("seed %d: fired %d events, reference expects %d", m.seed, len(m.got), len(ref))
+		return false
+	}
+	for i := range ref {
+		if m.got[i].id != ref[i].id || m.got[i].at != ref[i].when {
+			m.t.Errorf("seed %d: firing %d = (id %d, %v), reference (id %d, %v)",
+				m.seed, i, m.got[i].id, m.got[i].at, ref[i].id, ref[i].when)
+			return false
+		}
+	}
+	return true
+}
+
+const wheelModelOps = 300
+
 // TestWheelMatchesReferenceModel is the wheel's correctness property:
-// under random interleavings of scheduling (closure and arg APIs, delays
-// spanning the near heap, every wheel level, and the overflow heap) and
-// cancellation, events fire in exactly the (when, schedule-order) sequence
-// a naive sorted list predicts.
+// under random interleavings of scheduling and cancellation, issued from
+// inside callbacks of one unbounded Run, events fire in exactly the
+// (when, schedule-order) sequence a naive sorted list predicts.
 func TestWheelMatchesReferenceModel(t *testing.T) {
 	prop := func(seed uint64) bool {
-		rng := NewRand(seed, "wheel-prop")
-		e := NewEngine()
-
-		type fired struct {
-			id int
-			at Time
-		}
-		var got []fired
-		var ref []refEntry
-		ord := 0
-
-		// Cancelable events. A raw *Event is only safe to cancel while the
-		// event is still pending (the pool recycles fired events), so the
-		// closure-API entries are dropped once they fire; Handles stay
-		// cancelable forever and must report dead after firing.
-		type live struct {
-			id     int
-			handle bool
-			cancel func() bool
-		}
-		var lives []live
-		dead := map[int]bool{}
-
-		const ops = 300
+		m := newWheelModel(t, seed)
+		remaining := wheelModelOps
 		var step func()
-		remaining := ops
 		step = func() {
 			if remaining == 0 {
 				return
 			}
 			remaining--
-			switch {
-			case len(lives) > 0 && rng.Bool(0.25):
-				// Cancel a random event (possibly one that already fired).
-				i := rng.Intn(len(lives))
-				v := lives[i]
-				lives[i] = lives[len(lives)-1]
-				lives = lives[:len(lives)-1]
-				if dead[v.id] {
-					if v.handle && v.cancel() {
-						t.Errorf("seed %d: Cancel succeeded on fired handle %d", seed, v.id)
-					}
-					break
-				}
-				for j, r := range ref {
-					if r.id == v.id {
-						ref = append(ref[:j], ref[j+1:]...)
-						break
-					}
-				}
-				if !v.cancel() {
-					t.Errorf("seed %d: Cancel failed for pending event %d", seed, v.id)
-				}
-			default:
-				// Schedule with a delay spanning 0ns to ~2^45ns so the near
-				// heap, every wheel level, and the overflow heap all see
-				// traffic.
-				d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
-				id := ord
-				ref = append(ref, refEntry{when: e.Now() + Time(d), ord: ord, id: id})
-				ord++
-				record := func() {
-					got = append(got, fired{id, e.Now()})
-					dead[id] = true
-				}
-				if rng.Bool(0.5) {
-					ev := e.Schedule(d, record)
-					lives = append(lives, live{id, false, ev.Cancel})
-				} else {
-					h := e.ScheduleArg(d, func(any) { record() }, nil)
-					lives = append(lives, live{id, true, h.Cancel})
-				}
-			}
-			// Advance unevenly; zero keeps several ops at one instant.
-			e.Schedule(Duration(rng.Uint64()&((1<<uint(rng.Intn(40)))-1)), step)
+			m.op()
+			m.e.Schedule(m.advance(), step)
 		}
-		e.Schedule(0, step)
-		e.Run(maxTime - 1)
+		m.e.Schedule(0, step)
+		m.e.Run(maxTime - 1)
+		return m.check()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
 
-		sort.SliceStable(ref, func(i, j int) bool {
-			if ref[i].when != ref[j].when {
-				return ref[i].when < ref[j].when
-			}
-			return ref[i].ord < ref[j].ord
-		})
-		if len(got) != len(ref) {
-			t.Errorf("seed %d: fired %d events, reference expects %d", seed, len(got), len(ref))
-			return false
-		}
-		for i := range ref {
-			if got[i].id != ref[i].id || got[i].at != ref[i].when {
-				t.Errorf("seed %d: firing %d = (id %d, %v), reference (id %d, %v)",
-					seed, i, got[i].id, got[i].at, ref[i].id, ref[i].when)
+// TestWheelMatchesReferenceModelBoundedRuns drives the same stream from
+// outside the engine, between a series of bounded Run(until) calls, so
+// every op lands on a queue that a bounded Run left mid-wheel: cascades
+// stopped short of their events, a cached earliest granule, and events
+// pending on every level. After each run the structural audit (including
+// the earliest-granule cache) must be clean, and the wheel cursor must not
+// have run ahead of the clock — an insert behind the cursor would have to
+// take the overflow heap's fallback path.
+func TestWheelMatchesReferenceModelBoundedRuns(t *testing.T) {
+	prop := func(seed uint64) bool {
+		m := newWheelModel(t, seed)
+		a := audit.New()
+		var cursor uint64
+		for i := 0; i < wheelModelOps; i++ {
+			m.op()
+			m.e.Run(m.e.Now() + m.advance())
+			cursor = m.e.AuditIntegrity(a, cursor)
+			if m.e.cur > uint64(m.e.Now()) {
+				t.Errorf("seed %d: wheel cursor %d ahead of the clock %v after a bounded Run",
+					seed, m.e.cur, m.e.Now())
 				return false
 			}
 		}
-		return true
+		m.e.Run(maxTime - 1)
+		m.e.AuditIntegrity(a, cursor)
+		if vs := a.Violations(); len(vs) != 0 {
+			t.Errorf("seed %d: integrity audit: %v", seed, vs)
+			return false
+		}
+		return m.check()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
