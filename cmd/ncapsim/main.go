@@ -43,8 +43,6 @@ func main() {
 		cacheDir   = flag.String("cache", "", "result cache directory shared with ncapsweep (empty disables)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "wall-clock timeout (0 disables)")
 		auditOn    = flag.Bool("audit", false, "run with the runtime invariant auditor; violations are reported and fail the run")
-		checkpoint = flag.String("checkpoint", "", "atomically rewrite this JSON file with the completed result, for -resume")
-		resume     = flag.String("resume", "", "replay the result from this checkpoint file instead of re-running (requires -checkpoint)")
 		faults     cliflags.Faults
 		resil      cliflags.Resilience
 		traffic    cliflags.Traffic
@@ -57,14 +55,6 @@ func main() {
 	topo.Register()
 	out.Register(true)
 	flag.Parse()
-	if *resume != "" && *checkpoint == "" {
-		cliflags.Fatalf(tool, "-resume requires -checkpoint (point both at the same file to continue it)")
-	}
-	if traffic.RecordTrace != "" && *resume != "" {
-		// A checkpoint stores the Result, not the capture; replaying one
-		// cannot produce the trace the flag promises.
-		cliflags.Fatalf(tool, "-record-trace cannot be combined with -resume (checkpoints store results, not traces)")
-	}
 	stopProf := out.StartPprof(tool)
 	defer stopProf()
 
@@ -109,7 +99,7 @@ func main() {
 
 	pool := runner.New(runner.Options{
 		Jobs: 1, CacheDir: *cacheDir, Timeout: *timeout,
-		Audit: *auditOn, Checkpoint: *checkpoint, Resume: *resume,
+		Audit: *auditOn,
 	})
 	cliflags.HandleSignals(tool, pool)
 	start := time.Now()

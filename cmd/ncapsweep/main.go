@@ -21,8 +21,9 @@
 // Independent simulations run concurrently across -jobs workers (default:
 // GOMAXPROCS). Tables aggregate in deterministic order, so stdout is
 // byte-identical at any -jobs value; progress goes to stderr. -cache
-// memoizes results by config content under a directory, so a repeated
-// sweep (same code, same seed, same windows) completes from cache.
+// memoizes results by config content under a directory, one durable
+// (fsynced) file per completed job, so a repeated sweep (same code, same
+// seed, same windows) completes from cache.
 //
 // -json writes a schema-stamped report with every run in submission
 // order; because runs are recorded in that order regardless of worker
@@ -31,11 +32,11 @@
 // -audit arms the runtime invariant auditor (packet conservation, pool
 // ownership, residency/energy accounting, queue structure, livelock);
 // violations print to stderr, land in the -json report, and force a
-// non-zero exit. -checkpoint atomically records each completed job;
-// -resume replays a checkpoint so an interrupted sweep continues with a
-// report byte-identical to an uninterrupted one. SIGINT/SIGTERM drain
-// gracefully (finish in-flight jobs, write a partial report marked
-// interrupted, exit 130).
+// non-zero exit. SIGINT/SIGTERM drain gracefully (finish in-flight jobs,
+// write a partial report marked interrupted, exit 130). To resume an
+// interrupted sweep, rerun the same command with the same -cache: jobs
+// that completed before the interruption replay from the cache, the rest
+// run, and the report is byte-identical to an uninterrupted one.
 //
 // Family dispatch lives in experiments.Render — the same registry ncapd
 // serves sweeps from, so the daemon and the CLI print identical tables.

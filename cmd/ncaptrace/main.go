@@ -44,8 +44,6 @@ func main() {
 		jobsN      = flag.Int("jobs", 2, "concurrent simulations (the -snapshot pair parallelizes)")
 		lossP      = flag.Float64("loss", 0, "Bernoulli frame-loss probability on the server access link — trace NCAP's behavior on a lossy fabric")
 		auditOn    = flag.Bool("audit", false, "run with the runtime invariant auditor; violations are reported and fail the run")
-		checkpoint = flag.String("checkpoint", "", "atomically rewrite this JSON file with completed results after every job, for -resume")
-		resume     = flag.String("resume", "", "replay completed jobs from this checkpoint file instead of re-running them (requires -checkpoint)")
 		res        cliflags.Resilience
 		topo       cliflags.Topology
 		output     cliflags.Output
@@ -61,9 +59,6 @@ func main() {
 	}
 	res.Validate(tool)
 	topo.Validate(tool)
-	if *resume != "" && *checkpoint == "" {
-		cliflags.Fatalf(tool, "-resume requires -checkpoint (point both at the same file to continue it)")
-	}
 
 	prof := cliflags.Workload(tool, *workload)
 	lvl := cliflags.Level(tool, *level)
@@ -72,13 +67,8 @@ func main() {
 	o.Seed = *seed
 	// The snapshot pair holds two independent simulations; a two-worker
 	// pool runs them concurrently (trace runs always execute — the result
-	// cache never serves them, and -checkpoint/-resume are accepted for
-	// flag uniformity but likewise never replay a traced run).
-	pool := runner.New(runner.Options{
-		Jobs:  *jobsN,
-		Audit: *auditOn, Checkpoint: *checkpoint, Resume: *resume,
-		Record: *auditOn,
-	})
+	// cache never serves them).
+	pool := runner.New(runner.Options{Jobs: *jobsN, Audit: *auditOn, Record: *auditOn})
 	o.Runner = pool
 	cliflags.HandleSignals(tool, pool)
 	// finish applies the audit and interruption exit contract shared with

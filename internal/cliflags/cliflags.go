@@ -82,14 +82,12 @@ func Level(tool, name string) cluster.LoadLevel {
 
 // Runner bundles the execution resource flags.
 type Runner struct {
-	Jobs       int
-	Cache      string
-	Timeout    time.Duration
-	Retries    int
-	Quiet      bool
-	Audit      bool
-	Checkpoint string
-	Resume     string
+	Jobs    int
+	Cache   string
+	Timeout time.Duration
+	Retries int
+	Quiet   bool
+	Audit   bool
 }
 
 // Register installs the runner flags with the given default worker count.
@@ -100,8 +98,6 @@ func (r *Runner) Register(defaultJobs int) {
 	flag.IntVar(&r.Retries, "retries", 1, "re-runs per timed-out/panicked job before it is reported failed")
 	flag.BoolVar(&r.Quiet, "q", false, "suppress progress output on stderr")
 	flag.BoolVar(&r.Audit, "audit", false, "run every simulation with the runtime invariant auditor; violations are reported and fail the run")
-	flag.StringVar(&r.Checkpoint, "checkpoint", "", "atomically rewrite this JSON file with completed results after every job, for -resume")
-	flag.StringVar(&r.Resume, "resume", "", "replay completed jobs from this checkpoint file instead of re-running them (requires -checkpoint)")
 }
 
 // Validate rejects nonsense resource limits up front: a zero or negative
@@ -115,10 +111,6 @@ func (r *Runner) Validate(tool string) {
 		Fatalf(tool, "-timeout %v: must be positive", r.Timeout)
 	case r.Retries < 0:
 		Fatalf(tool, "-retries %d: must be non-negative", r.Retries)
-	case r.Resume != "" && r.Checkpoint == "":
-		// Resuming without writing a new checkpoint would silently lose
-		// the ability to survive a second interruption mid-resume.
-		Fatalf(tool, "-resume requires -checkpoint (point both at the same file to continue it)")
 	}
 }
 
@@ -132,15 +124,13 @@ func (r *Runner) Options(record bool) runner.Options {
 		progress = os.Stderr
 	}
 	return runner.Options{
-		Jobs:       r.Jobs,
-		CacheDir:   r.Cache,
-		Timeout:    r.Timeout,
-		Retries:    r.Retries,
-		Progress:   progress,
-		Record:     record,
-		Audit:      r.Audit,
-		Checkpoint: r.Checkpoint,
-		Resume:     r.Resume,
+		Jobs:     r.Jobs,
+		CacheDir: r.Cache,
+		Timeout:  r.Timeout,
+		Retries:  r.Retries,
+		Progress: progress,
+		Record:   record,
+		Audit:    r.Audit,
 	}
 }
 
@@ -367,8 +357,7 @@ func (t *Traffic) Apply(tool string, cfg *cluster.Config) {
 }
 
 // WriteRecorded writes a recording run's captured schedule to the
-// -record-trace path. It is an error for the result to carry no capture
-// (e.g. a checkpoint replay, which stores results, not traces).
+// -record-trace path. It is an error for the result to carry no capture.
 func (t *Traffic) WriteRecorded(rec *workload.Trace) error {
 	if rec == nil {
 		return fmt.Errorf("-record-trace: run produced no capture")

@@ -26,7 +26,7 @@ func resilientSpec(prof app.Profile) *resilience.Spec {
 
 // TestOverloadConfigCacheIdentity: a config without overload knobs
 // serializes without any Overload key, so content-addressed cache keys
-// and checkpoints predating this feature still match.
+// predating this feature still match.
 func TestOverloadConfigCacheIdentity(t *testing.T) {
 	blob, err := json.Marshal(DefaultConfig(NcapAggr, app.ApacheProfile(), 10_000))
 	if err != nil {

@@ -3,15 +3,14 @@ package report
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"ncap/internal/cluster"
 	"ncap/internal/runner"
 )
 
-// resumeJobs is a small mixed batch: enough rows that a partial
-// checkpoint is a genuine prefix, cheap enough to run three times.
+// resumeJobs is a small mixed batch: enough rows that a partially filled
+// cache dir is a genuine prefix, cheap enough to run three times.
 func resumeJobs() []runner.Job {
 	var jobs []runner.Job
 	for i, pol := range []cluster.Policy{cluster.Perf, cluster.OndIdle, cluster.NcapSW, cluster.NcapCons, cluster.NcapAggr, cluster.Ond} {
@@ -34,7 +33,7 @@ func renderReport(t *testing.T, outs []runner.Outcome) []byte {
 }
 
 // TestResumedReportByteIdentical is the recovery contract end to end: a
-// sweep interrupted partway and resumed from its checkpoint must emit a
+// sweep interrupted partway and rerun over its result cache must emit a
 // report byte-identical to an uninterrupted run — at serial and at
 // high-contention worker counts.
 func TestResumedReportByteIdentical(t *testing.T) {
@@ -42,11 +41,11 @@ func TestResumedReportByteIdentical(t *testing.T) {
 	full := renderReport(t, runner.New(runner.Options{Jobs: 4, Record: true}).Run(jobs))
 
 	for _, workers := range []int{1, 8} {
-		ck := filepath.Join(t.TempDir(), "ck.json")
-		// "Interrupt" after four jobs: run the prefix with a checkpoint.
-		runner.New(runner.Options{Jobs: workers, Checkpoint: ck}).Run(jobs[:4])
-		// Resume over the whole batch.
-		pool := runner.New(runner.Options{Jobs: workers, Checkpoint: ck, Resume: ck, Record: true})
+		dir := t.TempDir()
+		// "Interrupt" after four jobs: run the prefix over the cache.
+		runner.New(runner.Options{Jobs: workers, CacheDir: dir}).Run(jobs[:4])
+		// Resume: rerun the whole batch over the same cache.
+		pool := runner.New(runner.Options{Jobs: workers, CacheDir: dir, Record: true})
 		resumed := renderReport(t, pool.Run(jobs))
 		if !bytes.Equal(full, resumed) {
 			t.Fatalf("-jobs %d: resumed report differs from uninterrupted run:\n%s\n---\n%s",

@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"ncap/internal/cluster"
 )
+
+// cacheSyncs counts stores that completed their fsync pair (entry file
+// and directory), for tests asserting the durability path actually runs
+// — an atomic rename alone survives process death but not machine crash.
+var cacheSyncs atomic.Int64
 
 // cacheEntry is the on-disk representation of one memoized result. The
 // schema version and key are stored redundantly so a corrupted, renamed
@@ -63,8 +69,11 @@ func parseCacheEntry(blob []byte, key string) (cluster.Result, bool) {
 
 // store memoizes a result under key. The write is atomic (temp file +
 // rename) so concurrent sweeps sharing a cache dir never observe a
-// partial entry; failures are returned but safe to ignore — the cache is
-// an accelerator, not a store of record.
+// partial entry, and durable (fsync of the file before the rename and of
+// the directory after it) so an interrupted sweep rerun over the same
+// dir replays every job that completed before a machine crash, not only
+// before a process one. Failures are returned but safe to ignore: a
+// missing entry only means the job runs again.
 func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 	// The sampler holds live time series; Cacheable() excludes tracing
 	// jobs, so this is belt and braces against future result fields.
@@ -89,6 +98,11 @@ func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("runner: cache write: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runner: cache write: %w", err)
@@ -97,5 +111,22 @@ func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
+	if err := syncDir(c.dir); err != nil {
+		return fmt.Errorf("runner: cache write: %w", err)
+	}
+	cacheSyncs.Add(1)
 	return nil
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives a machine
+// crash, not only a process one.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	// Some filesystems reject fsync on directories; treat that as best
+	// effort rather than failing a store that already renamed.
+	_ = d.Sync()
+	return d.Close()
 }

@@ -8,53 +8,6 @@ import (
 	"ncap/internal/cluster"
 )
 
-// FuzzParseCheckpoint: a resume file is attacker-grade input as far as the
-// parser is concerned — interrupted writes, truncation, hand edits. The
-// parser must never panic; it either returns an error or an entry map that
-// round-trips through the canonical serialization.
-func FuzzParseCheckpoint(f *testing.F) {
-	good, err := json.Marshal(checkpointFile{
-		Schema: checkpointSchema,
-		Entries: map[string]cluster.Result{
-			"k1": {Sent: 10, Completed: 9, EnergyJ: 1.5},
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add([]byte(""))
-	f.Add([]byte("{}"))
-	f.Add([]byte(`{"schema":"ncap-checkpoint-v1"}`))
-	f.Add([]byte(`{"schema":"ncap-checkpoint-v1","entries":null}`))
-	f.Add([]byte(`{"schema":"ncap-checkpoint-v9","entries":{}}`))
-	f.Add([]byte(`{"schema":"ncap-checkpoint-v1","entries":{"k":[]}}`))
-	f.Add([]byte(`{"schema":"ncap-checkpoint-v1","entries":{"k":{"Sent":"x"}}}`))
-	f.Add(good[:len(good)/2]) // torn write
-	f.Add(append(append([]byte{}, good...), good...))
-	f.Add([]byte("\x00\x01\x02junk"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := parseCheckpoint(data)
-		if err != nil {
-			return
-		}
-		// Anything accepted must survive the rewrite the very next add()
-		// performs, and re-parse to the same entry set.
-		blob, merr := json.Marshal(checkpointFile{Schema: checkpointSchema, Entries: entries})
-		if merr != nil {
-			t.Fatalf("accepted checkpoint does not serialize: %v", merr)
-		}
-		back, perr := parseCheckpoint(blob)
-		if perr != nil {
-			t.Fatalf("canonical serialization does not re-parse: %v", perr)
-		}
-		if len(back) != len(entries) {
-			t.Fatalf("round trip changed entry count: %d -> %d", len(entries), len(back))
-		}
-	})
-}
-
 // FuzzParseCacheEntry: a shared cache directory can hold entries from
 // crashed writers, other schema versions, or plain corruption. Every
 // defect must degrade to a miss (ok=false) — never a panic, and never a

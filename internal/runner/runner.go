@@ -49,31 +49,9 @@ type Options struct {
 	// Audit runs every job with the runtime invariant auditor wired
 	// through the simulator (see internal/audit). Auditing is pure
 	// observation — Results stay byte-identical — but audited jobs are
-	// never cached or checkpoint-replayed: a skipped job cannot vouch
-	// for its invariants. Violations land on Outcome.Violations.
+	// never served from the cache: a skipped job cannot vouch for its
+	// invariants. Violations land on Outcome.Violations.
 	Audit bool
-	// Checkpoint, when non-empty, names a JSON file atomically rewritten
-	// (temp file + rename) after every completed cacheable job with all
-	// successful results so far, so an interrupted sweep can be resumed.
-	// Only successes are stored: failure rows carry host-specific panic
-	// stacks that would break resume determinism, and re-running a
-	// failure is the point of trying again.
-	Checkpoint string
-	// Resume, when non-empty, replays a checkpoint file written by a
-	// previous run: a job whose result it holds is not re-executed and
-	// its Outcome is marked CacheHit, leaving reports byte-identical to
-	// an uninterrupted sweep. An unreadable file disables resume with a
-	// note on Progress; the sweep still runs, just from scratch.
-	Resume string
-	// CheckpointEvery and CheckpointInterval amortize checkpoint
-	// rewrites: the file is flushed once that many jobs completed since
-	// the last write, or that much wall-clock time passed, whichever
-	// comes first — plus a final flush when each batch returns. Zero
-	// selects the defaults (8 jobs, 2 s). Rewriting the whole document
-	// after every job is O(n²) I/O on a large sweep; amortization trades
-	// at most one window of re-execution after a crash for linear I/O.
-	CheckpointEvery    int
-	CheckpointInterval time.Duration
 	// Executor, when non-nil, replaces in-process simulation: instead of
 	// constructing and running the cluster locally, the pool hands each
 	// job to this function and treats its return as the job's execution.
@@ -125,12 +103,11 @@ type Stats struct {
 // A Pool is stateless between batches apart from its cache directory and
 // cumulative Stats; it is safe to reuse across many Run calls. Run batches
 // should be issued from one goroutine at a time, but RunOne may be called
-// concurrently from many goroutines — cache, checkpoint, and stats are
-// internally synchronized.
+// concurrently from many goroutines — the cache and stats are internally
+// synchronized.
 type Pool struct {
 	opts  Options
 	cache *cache
-	ckpt  *checkpoint
 
 	// stop is closed by Stop: the feeder quits dispatching, in-flight
 	// jobs finish, and undispatched jobs get ErrInterrupted outcomes.
@@ -164,18 +141,6 @@ func New(opts Options) *Pool {
 		} else {
 			p.cache = c
 		}
-	}
-	if opts.Checkpoint != "" || opts.Resume != "" {
-		ck, err := openCheckpoint(opts.Checkpoint, opts.Resume, opts.CheckpointEvery, opts.CheckpointInterval)
-		if err != nil {
-			// Same fallback contract as the cache: the sweep runs from
-			// scratch, which is slower but produces identical output.
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "runner: %v (checkpoint resume disabled)\n", err)
-			}
-			ck, _ = openCheckpoint(opts.Checkpoint, "", opts.CheckpointEvery, opts.CheckpointInterval)
-		}
-		p.ckpt = ck
 	}
 	return p
 }
@@ -275,7 +240,6 @@ feed:
 	for i := sent; i < len(jobs); i++ {
 		out[i] = Outcome{Job: jobs[i], Err: ErrInterrupted}
 	}
-	p.checkpointFlush()
 	p.record(out)
 	return out
 }
@@ -286,7 +250,6 @@ feed:
 func (p *Pool) RunOne(job Job) Outcome {
 	p.jobs.Add(1)
 	o := p.runOne(job)
-	p.checkpointFlush()
 	p.record([]Outcome{o})
 	return o
 }
@@ -319,10 +282,9 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	o = Outcome{Job: job}
 	// Last-resort recovery: execute already fences the simulation
 	// goroutine, but a panic on the worker's own path — job.Key() on a
-	// non-serializable config, a cache or checkpoint fault — would
-	// otherwise take down the whole sweep. It becomes a failure row
-	// like any other error, with Attempts set so it cannot be mistaken
-	// for a cache hit.
+	// non-serializable config, a cache fault — would otherwise take down
+	// the whole sweep. It becomes a failure row like any other error,
+	// with Attempts set so it cannot be mistaken for a cache hit.
 	defer func() {
 		if r := recover(); r != nil {
 			o.Err = fmt.Errorf("runner: job %q panicked: %v\n%s", job.Tag, r, debug.Stack())
@@ -338,24 +300,12 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 		job.Config.Audit = true
 	}
 	var key string
-	if job.Cacheable() && (p.cache != nil || p.ckpt != nil) {
+	if job.Cacheable() && p.cache != nil {
 		key = job.Key()
-		if p.ckpt != nil {
-			if res, ok := p.ckpt.lookup(key); ok {
-				p.hits.Add(1)
-				o.Result, o.CacheHit, o.Elapsed = res, true, time.Since(start)
-				return o
-			}
-		}
-		if p.cache != nil {
-			if res, ok := p.cache.load(key); ok {
-				p.hits.Add(1)
-				o.Result, o.CacheHit, o.Elapsed = res, true, time.Since(start)
-				// Fold the hit into the checkpoint too: a resume must not
-				// depend on the cache still being warm.
-				p.checkpointAdd(key, job.Tag, res)
-				return o
-			}
+		if res, ok := p.cache.load(key); ok {
+			p.hits.Add(1)
+			o.Result, o.CacheHit, o.Elapsed = res, true, time.Since(start)
+			return o
 		}
 	}
 
@@ -387,37 +337,11 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	}
 	p.ran.Add(1)
 	if key != "" {
-		if p.cache != nil {
-			if err := p.cache.store(key, job.Tag, job, o.Result); err != nil && p.opts.Progress != nil {
-				fmt.Fprintf(p.opts.Progress, "runner: %v\n", err)
-			}
+		if err := p.cache.store(key, job.Tag, job, o.Result); err != nil && p.opts.Progress != nil {
+			fmt.Fprintf(p.opts.Progress, "runner: %v\n", err)
 		}
-		p.checkpointAdd(key, job.Tag, o.Result)
 	}
 	return o
-}
-
-// checkpointAdd records a completed job in the checkpoint file (if one is
-// configured) and reports write errors on Progress — a failed checkpoint
-// write must not fail the job, only the ability to resume from it.
-func (p *Pool) checkpointAdd(key, tag string, res cluster.Result) {
-	if p.ckpt == nil {
-		return
-	}
-	if err := p.ckpt.add(key, res); err != nil && p.opts.Progress != nil {
-		fmt.Fprintf(p.opts.Progress, "runner: job %q: %v\n", tag, err)
-	}
-}
-
-// checkpointFlush forces buffered checkpoint entries to disk at the end
-// of a batch, so amortized rewrites never leave a finished Run stale.
-func (p *Pool) checkpointFlush() {
-	if p.ckpt == nil {
-		return
-	}
-	if err := p.ckpt.flush(); err != nil && p.opts.Progress != nil {
-		fmt.Fprintf(p.opts.Progress, "runner: %v\n", err)
-	}
 }
 
 // jobResult crosses the isolation goroutine boundary. The channel is

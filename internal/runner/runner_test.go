@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,6 +175,120 @@ func TestTraceJobsBypassCache(t *testing.T) {
 	}
 }
 
+// TestCacheStoreSyncs: every store fsyncs the entry file and its
+// directory — an atomic rename alone survives process death but not
+// machine crash, so the durability counter must advance once per
+// executed job.
+func TestCacheStoreSyncs(t *testing.T) {
+	dir := t.TempDir()
+	jobs := tinyJobs()
+	before := cacheSyncs.Load()
+	for i, o := range New(Options{Jobs: 2, CacheDir: dir}).Run(jobs) {
+		if o.Err != nil {
+			t.Fatalf("job %d: %v", i, o.Err)
+		}
+	}
+	if got := cacheSyncs.Load() - before; got != int64(len(jobs)) {
+		t.Fatalf("cache stores synced = %d after a cold batch, want %d", got, len(jobs))
+	}
+}
+
+// TestResumeCompletesPartialBatch: rerunning a batch over the cache dir
+// an interrupted run left holding a prefix replays exactly that prefix
+// and executes the rest — the interrupted-sweep recovery path, minus the
+// interruption.
+func TestResumeCompletesPartialBatch(t *testing.T) {
+	dir := t.TempDir()
+	jobs := tinyJobs()
+	half := len(jobs) / 2
+
+	New(Options{Jobs: 2, CacheDir: dir}).Run(jobs[:half])
+
+	pool := New(Options{Jobs: 2, CacheDir: dir})
+	for i, o := range pool.Run(jobs) {
+		if o.Err != nil {
+			t.Fatalf("job %d: %v", i, o.Err)
+		}
+		if replayed := i < half; o.CacheHit != replayed {
+			t.Fatalf("job %d: cache hit %v, want %v", i, o.CacheHit, replayed)
+		}
+	}
+	if st := pool.Stats(); st.Ran != int64(len(jobs)-half) {
+		t.Fatalf("ran = %d, want %d", st.Ran, len(jobs)-half)
+	}
+	// The rerun left the cache covering the whole batch.
+	for i, o := range New(Options{Jobs: 2, CacheDir: dir}).Run(jobs) {
+		if !o.CacheHit {
+			t.Fatalf("job %d missed after the completing rerun", i)
+		}
+	}
+}
+
+// TestResumedResultsMatchExecuted: a replayed Result serializes exactly
+// like one executed without a cache — resume must not launder precision
+// through JSON.
+func TestResumedResultsMatchExecuted(t *testing.T) {
+	dir := t.TempDir()
+	jobs := tinyJobs()
+	ran := New(Options{Jobs: 2}).Run(jobs)
+	New(Options{Jobs: 2, CacheDir: dir}).Run(jobs)
+	replayed := New(Options{Jobs: 2, CacheDir: dir}).Run(jobs)
+	for i := range jobs {
+		if !replayed[i].CacheHit {
+			t.Fatalf("job %d was not replayed", i)
+		}
+		a, _ := json.Marshal(ran[i].Result)
+		b, _ := json.Marshal(replayed[i].Result)
+		if string(a) != string(b) {
+			t.Fatalf("job %d: replayed result differs:\n%s\n%s", i, a, b)
+		}
+	}
+}
+
+// TestResumeOverDamagedCacheDir: a writer killed mid-store leaves a
+// stale temp file, and a torn disk can leave a truncated entry. Neither
+// may stop the rerun: complete entries hit, the damaged and missing jobs
+// execute cleanly, and every result matches an uninterrupted run.
+func TestResumeOverDamagedCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	jobs := tinyJobs()
+	want := New(Options{Jobs: 2}).Run(jobs)
+	const done = 3 // jobs[:done] completed before the "interruption"
+	New(Options{Jobs: 2, CacheDir: dir}).Run(jobs[:done])
+
+	torn := filepath.Join(dir, jobs[1].Key()+".json")
+	blob, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "."+jobs[done].Key()+".tmp123456")
+	if err := os.WriteFile(stale, blob[:len(blob)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := New(Options{Jobs: 2, CacheDir: dir})
+	for i, o := range pool.Run(jobs) {
+		if o.Err != nil {
+			t.Fatalf("job %d: %v", i, o.Err)
+		}
+		if hit := i < done && i != 1; o.CacheHit != hit {
+			t.Fatalf("job %d: cache hit %v, want %v", i, o.CacheHit, hit)
+		}
+		if !reflect.DeepEqual(o.Result, want[i].Result) {
+			t.Fatalf("job %d (%s): resumed result differs from an uninterrupted run", i, jobs[i].Tag)
+		}
+	}
+	if st := pool.Stats(); st.Ran != int64(len(jobs)-done+1) || st.Failures != 0 {
+		t.Fatalf("stats = %+v, want %d ran, 0 failures", st, len(jobs)-done+1)
+	}
+	if res, ok := (&cache{dir: dir}).load(jobs[1].Key()); !ok || !reflect.DeepEqual(res, want[1].Result) {
+		t.Fatal("the rerun did not replace the truncated entry")
+	}
+}
+
 // TestPanicIsolation: one pathological job must not kill the batch.
 func TestPanicIsolation(t *testing.T) {
 	good := Job{Tag: "good", Config: tinyCfg(cluster.Perf, app.MemcachedProfile(), 35_000)}
@@ -229,5 +345,58 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if w := New(Options{Jobs: 3}).Workers(); w != 3 {
 		t.Fatalf("workers = %d, want 3", w)
+	}
+}
+
+// TestStopBeforeRunInterruptsEverything: Stop is a standing order — a
+// batch submitted after it dispatches nothing.
+func TestStopBeforeRunInterruptsEverything(t *testing.T) {
+	pool := New(Options{Jobs: 2})
+	pool.Stop()
+	if !pool.Stopped() {
+		t.Fatal("Stopped() = false after Stop")
+	}
+	for i, o := range pool.Run(tinyJobs()) {
+		if !errors.Is(o.Err, ErrInterrupted) {
+			t.Fatalf("job %d: err = %v, want ErrInterrupted", i, o.Err)
+		}
+	}
+	if st := pool.Stats(); st.Ran != 0 {
+		t.Fatalf("ran = %d after pre-run Stop", st.Ran)
+	}
+}
+
+// stopAfterFirstWrite is a Progress writer that stops the pool the first
+// time the runner reports progress — i.e. right after the first job
+// completes (the progress reporter never throttles its first line).
+type stopAfterFirstWrite struct{ pool *Pool }
+
+func (w *stopAfterFirstWrite) Write(b []byte) (int, error) {
+	w.pool.Stop()
+	return len(b), nil
+}
+
+// TestStopMidRunDrainsGracefully: stopping after the first completion
+// finishes nothing further — completed jobs keep their results, every
+// remaining job carries ErrInterrupted, and the outcome slice still has
+// one entry per submitted job.
+func TestStopMidRunDrainsGracefully(t *testing.T) {
+	pool := New(Options{Jobs: 1})
+	pool.opts.Progress = &stopAfterFirstWrite{pool: pool}
+	jobs := tinyJobs()
+	out := pool.Run(jobs)
+	if len(out) != len(jobs) {
+		t.Fatalf("got %d outcomes for %d jobs", len(out), len(jobs))
+	}
+	if out[0].Err != nil || out[0].Result.Completed == 0 {
+		t.Fatalf("first job should have completed: err=%v", out[0].Err)
+	}
+	for i := 1; i < len(out); i++ {
+		if !errors.Is(out[i].Err, ErrInterrupted) {
+			t.Fatalf("job %d: err = %v, want ErrInterrupted", i, out[i].Err)
+		}
+	}
+	if !pool.Stopped() {
+		t.Fatal("pool not marked stopped")
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // The pinned cache key of the default NCAP-cons/apache/low config. The
 // topology field is nil-gated behind json omitempty precisely so this key
-// never moves: if this test fails, every historical cache entry and
-// checkpoint is orphaned — bump schemaVersion instead of shipping a
-// silent identity change.
+// never moves: if this test fails, every historical cache entry is
+// orphaned — bump schemaVersion instead of shipping a silent identity
+// change.
 const pinnedDefaultKey = "ab350d2d8927149a10a4833df992261b013d0218177d1cab52465d6ed4f1e04a"
 
 func TestDefaultConfigKeyPinned(t *testing.T) {

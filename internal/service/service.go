@@ -728,7 +728,7 @@ func (s *Service) tablePath(id string) string {
 }
 
 // atomicWriteFile writes bytes durably: temp file, fsync, rename, parent
-// directory fsync — the same discipline as the runner checkpoint.
+// directory fsync — the same discipline as the runner's result cache.
 func atomicWriteFile(path string, blob []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
