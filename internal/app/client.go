@@ -108,6 +108,7 @@ type Client struct {
 	latHist     *telemetry.Histogram // live RTT distribution (nil when telemetry off)
 	measureFrom sim.Time
 	running     bool
+	nextBurst   sim.Handle // the pending burst tick (see Quiesce)
 
 	// Replay switches the client to schedule replay: Start stops
 	// emitting bursts and the cluster fires pre-scheduled ReplayItems
@@ -206,11 +207,17 @@ func (c *Client) Start() {
 	if c.Replay {
 		return
 	}
-	c.eng.ScheduleArg(c.cfg.StartOffset, clientBurst, c)
+	c.nextBurst = c.eng.ScheduleArg(c.cfg.StartOffset, clientBurst, c)
 }
 
 // Stop halts burst emission (outstanding requests keep completing).
 func (c *Client) Stop() { c.running = false }
+
+// Quiesce cancels the burst tick a stopped client still has scheduled.
+// Stop leaves it pending — it fires as a no-op, and that event is part of
+// the run — so it is only for post-run quiescence: with a burst period
+// longer than the drain, the tick can lie arbitrarily far past the run.
+func (c *Client) Quiesce() { c.nextBurst.Cancel() }
 
 // BeginMeasurement resets the recorder; only requests first sent from now
 // on are recorded (the warmup boundary).
@@ -250,7 +257,7 @@ func (c *Client) burst() {
 	// Small deterministic jitter (±5%) keeps multi-client bursts from
 	// locking into perfect alignment.
 	jitter := c.rng.Duration(0, c.cfg.Period/10) - c.cfg.Period/20
-	c.eng.ScheduleArg(c.cfg.Period+jitter, clientBurst, c)
+	c.nextBurst = c.eng.ScheduleArg(c.cfg.Period+jitter, clientBurst, c)
 }
 
 func (c *Client) sendNew() {

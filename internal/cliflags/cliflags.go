@@ -408,8 +408,8 @@ func (t *Topology) Any() bool { return t.File != "" || t.Racks > 0 }
 
 // Spec resolves the flags into a topology spec — loading and validating
 // the -topology file (exit 2 on a bad one) or building the -racks shape —
-// and returns nil when nothing is set (the legacy star code path,
-// byte-identical with historical runs).
+// and returns nil when nothing is set: the paper's star, whose config key
+// and Result stay byte-identical with historical runs.
 func (t *Topology) Spec(tool string) *topology.Spec {
 	switch {
 	case t.File != "":

@@ -13,7 +13,7 @@ import (
 func TestTopologySpecResolution(t *testing.T) {
 	var tp Topology
 	if tp.Any() || tp.Spec("t") != nil {
-		t.Fatal("zero-value flags must keep the nil (legacy star) spec")
+		t.Fatal("zero-value flags must keep the nil (paper's star) spec")
 	}
 
 	tp = Topology{Racks: 1, RackServers: 16, RackClients: 8}

@@ -55,15 +55,11 @@ func (c *Cluster) enableAudit() {
 	for _, n := range c.nodes {
 		n.NIC.EnableAudit(ad.a)
 	}
-	// An unroutable frame in a compiled topology is a compilation bug:
-	// surface each occurrence as a structured violation (the report layer
-	// independently turns the counters into a warning row).
+	// An unroutable frame is a compilation bug: surface each occurrence
+	// as a structured violation (the report layer independently turns
+	// the counters into a warning row).
 	for _, sw := range c.Switches() {
-		name := sw.Name()
-		if name == "" {
-			name = "switch"
-		}
-		comp := "switch." + name
+		comp := "switch." + sw.Name()
 		sw.SetUnroutableHook(func(p *netsim.Packet) {
 			ad.a.Report(comp, "unroutable", int64(c.eng.Now()),
 				"a port or route for every forwarded frame",
@@ -126,6 +122,9 @@ func (c *Cluster) finalizeAudit() {
 		}
 		n.NIC.Quiesce()
 		n.Driver.Quiesce()
+	}
+	for _, cl := range c.Clients {
+		cl.Quiesce()
 	}
 	// Clients, bulk sender and sampler are already stopped; the grace
 	// window lets their in-flight requests (bounded RTO chains) complete.

@@ -89,6 +89,20 @@ func TestAuditCleanAcrossPolicies(t *testing.T) {
 	}
 }
 
+// A stopped client's next burst tick is a period away, and at low load
+// or with many clients the period outlasts the drain and the audit's
+// grace window. Those ticks must not count against quiescence.
+func TestAuditCleanWithLongBurstPeriod(t *testing.T) {
+	cfg := auditQuickCfg(NcapCons, 3000)
+	cfg.Clients = 20 // period = 200 × 20 / 3000 rps ≈ 1.3 s
+	cfg.Audit = true
+	cl := New(cfg)
+	cl.Run()
+	if vs := cl.AuditViolations(); len(vs) != 0 {
+		t.Fatalf("violations on a clean long-period run: %v", vs)
+	}
+}
+
 func TestAuditCleanOnFaultedFabric(t *testing.T) {
 	cfg := auditQuickCfg(NcapCons, 24_000)
 	cfg.Audit = true

@@ -19,9 +19,10 @@ import (
 	"ncap/internal/workload"
 )
 
-// Network addresses in the four-node topology. Compiled topologies assign
-// addresses sequentially from 1 in group declaration order, which for the
-// explicit star spec reproduces exactly these values.
+// Network addresses in the paper's star. Topologies assign addresses
+// sequentially from 1 in group declaration order, so the star's server is
+// ServerAddr and its clients follow; the bulk sender sits apart at
+// bulkAddr.
 const (
 	ServerAddr      netsim.Addr = 1
 	firstClientAddr netsim.Addr = 2
@@ -29,17 +30,16 @@ const (
 )
 
 // ClientAddr returns the network address of client i (0-based) in the
-// legacy star. Fault specs target nodes by address; this keeps the
-// numbering in one place. Compiled topologies report their addresses
-// through Cluster.Nodes.
+// star. Fault specs target nodes by address; this keeps the numbering in
+// one place. On other topologies addresses follow group declaration order.
 func ClientAddr(i int) netsim.Addr { return firstClientAddr + netsim.Addr(i) }
 
-// serverNode bundles one fully modeled server: processor, kernel, NIC,
-// driver, application and per-node governors. The legacy star has exactly
-// one; a compiled topology has one per server in the spec.
-type serverNode struct {
+// Node bundles one fully modeled server: processor, kernel, NIC, driver,
+// application and per-node governors. The topology has one per server in
+// its spec; the paper's star has exactly one.
+type Node struct {
 	addr  netsim.Addr
-	group string // rollup group name ("" on the legacy star)
+	group string // rollup group name
 	label string // RNG-stream and telemetry prefix ("server", "server1", ...)
 	rack  int
 
@@ -67,7 +67,6 @@ type compiledGroup struct {
 type Cluster struct {
 	cfg Config
 	eng *sim.Engine
-	sw  *netsim.Switch
 
 	// faultLinks are every link an injector may be attached to: every
 	// link but the trunks. Their fault counters aggregate into the
@@ -76,32 +75,21 @@ type Cluster struct {
 	faultLinks     []*netsim.Link
 	faultLinkNames []string
 
-	// Fleet state. nodes always holds every server node — on the legacy
-	// star, exactly the one the singular fields below alias. Switch tiers,
-	// trunk links and group rollup indices exist only for compiled
-	// topologies.
-	nodes      []*serverNode
+	// Fabric state: every server node in declaration order, the switch
+	// tiers, the switch-to-switch trunks (none on a single-rack shape)
+	// and the group rollup indices.
+	nodes      []*Node
 	tors       []*netsim.Switch
 	spines     []*netsim.Switch
 	trunks     []*netsim.Link
 	trunkNames []string
-	trunkOwner []int // index into allSwitches(), parallel to trunks
+	trunkOwner []int // index into Switches(), parallel to trunks
 	groups     []compiledGroup
 
-	// Singular aliases of nodes[0], kept so the paper's single-server
-	// experiments (and their tests, examples and tooling) keep reading
-	// naturally.
-	Chip    *cpu.Chip
-	Kernel  *oskernel.Kernel
-	NIC     *nic.NIC
-	Driver  *driver.Driver
-	Server  *app.Server
+	// Clients are the load-generating nodes, in declaration order.
 	Clients []*app.Client
-	Bulk    *app.BulkSender
-
-	Ond     *governor.Ondemand
-	Menu    *governor.Menu
-	Sampler *trace.Sampler
+	bulk    *app.BulkSender // background sender (nil unless Config.BulkBps)
+	sampler *trace.Sampler  // node 0's time series (nil unless Config.TraceInterval)
 
 	// Traffic replay state (see internal/workload): the schedule being
 	// replayed (nil in burst mode), its canonical hash, the live capture
@@ -133,8 +121,8 @@ func (d domainState) AtMaxFreq() bool { return d.dom.Target() == d.tab.Max() }
 func (d domainState) AtMinFreq() bool { return d.dom.Target() == d.tab.Min() }
 
 // serverLabel names server node i's RNG stream and telemetry prefix.
-// Node 0 keeps the legacy "server" name so the explicit star spec replays
-// the legacy construction's random streams bit-for-bit.
+// Node 0 is plain "server", the name every historical star run drew its
+// random stream from.
 func serverLabel(i int) string {
 	if i == 0 {
 		return "server"
@@ -142,30 +130,24 @@ func serverLabel(i int) string {
 	return "server" + strconv.Itoa(i)
 }
 
-// clientLabel names client node i's RNG stream. Identical to the legacy
-// "client"+digit naming for the paper's three clients.
+// clientLabel names client node i's RNG stream ("client0", "client1", ...).
 func clientLabel(i int) string { return "client" + strconv.Itoa(i) }
 
 // New assembles a cluster from the config. It panics on an invalid config
-// (construction bug); use Config.Validate to check user input first. A
-// nil Config.Topology builds the paper's 4-node star through the legacy
-// path, byte-identical to historical runs; a non-nil spec is compiled
-// into a rack/spine fabric (see compile.go).
+// (construction bug); use Config.Validate to check user input first. The
+// topology — Config.Topology, or the paper's star when that is nil — is
+// compiled into wired simulation components (see compile.go).
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := sim.NewEngine()
-	c := &Cluster{cfg: cfg, eng: eng}
-	if cfg.Topology != nil {
-		c.compile()
-	} else {
-		c.buildStar()
-	}
+	c := &Cluster{cfg: cfg, eng: sim.NewEngine()}
+	c.compile()
 
 	// Optional tracing (node 0's processor and NIC).
 	if cfg.TraceInterval > 0 {
-		c.Sampler = trace.NewSampler(c.Chip, c.NIC, cfg.TraceInterval, c.wakeCounter())
+		n := c.nodes[0]
+		c.sampler = trace.NewSampler(n.Chip, n.NIC, cfg.TraceInterval, c.wakeCounter())
 	}
 
 	// Optional telemetry: registered last, once every component (NCAP
@@ -178,61 +160,6 @@ func New(cfg Config) *Cluster {
 		c.enableAudit()
 	}
 	return c
-}
-
-// buildStar is the legacy construction path: one server, Config.Clients
-// burst clients and an optional bulk sender behind a single switch.
-func (c *Cluster) buildStar() {
-	cfg := c.cfg
-	eng := c.eng
-
-	// Network fabric. Fault injectors (perfect fabric: none) attach per
-	// unidirectional link, each with its own random stream keyed by seed
-	// and link name so draws stay independent.
-	c.sw = netsim.NewSwitch(eng, 500*sim.Nanosecond)
-	nicCfg := cfg.NIC
-	if cfg.Queues > 1 {
-		nicCfg.Queues = cfg.Queues
-	}
-
-	// Server node: processor, kernel, NIC, governors, driver, application
-	// and the policy's NCAP embodiment (Table 1).
-	n := c.addServerNode("", serverLabel(0), 0, ServerAddr, cfg.Cores, nicCfg, cfg.Driver)
-	c.adoptPrimary(n)
-	c.NIC.SetLink(c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), ServerAddr, fault.FromNode))
-	c.faulted(c.sw.Attach(ServerAddr, cfg.Link, c.NIC), ServerAddr, fault.ToNode)
-
-	// Traffic source: resolve a replayed schedule (explicit trace or
-	// generated scenario) before the clients are built so they come up
-	// in replay mode.
-	c.resolveTraffic()
-
-	// Clients, phase-staggered across the period.
-	period := app.TargetPeriodFor(cfg.LoadRPS, cfg.BurstSize, cfg.Clients)
-	payload := cfg.Workload.RequestPayload()
-	for i := 0; i < cfg.Clients; i++ {
-		addr := firstClientAddr + netsim.Addr(i)
-		ccfg := c.clientConfig(period, i, cfg.Clients)
-		cl := app.NewClient(eng, addr, ServerAddr,
-			c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), addr, fault.FromNode),
-			payload, ccfg,
-			sim.NewRand(cfg.Seed, "client"+string(rune('0'+i))))
-		cl.Replay = c.replayTrace != nil
-		if cfg.Overload.Enabled() {
-			cl.Budget = cfg.Overload.NewBudget()
-			cl.Breaker = cfg.Overload.NewBreaker()
-		}
-		c.faulted(c.sw.Attach(addr, cfg.Link, cl), addr, fault.ToNode)
-		c.Clients = append(c.Clients, cl)
-	}
-	c.installTraffic()
-
-	// Optional background bulk traffic.
-	if cfg.BulkBps > 0 {
-		c.Bulk = app.NewBulkSender(eng, bulkAddr, ServerAddr,
-			c.faulted(netsim.NewLink(eng, cfg.Link, c.sw), bulkAddr, fault.FromNode),
-			cfg.BulkBps, 1400)
-	}
 }
 
 // faulted registers a link in the fault-injection set (and attaches an
@@ -277,9 +204,9 @@ func (c *Cluster) clientConfig(period sim.Duration, i, total int) app.ClientConf
 // governors, driver, application, NCAP embodiment — and appends it to the
 // node list. The caller wires its NIC to the fabric.
 func (c *Cluster) addServerNode(group, label string, rack int, addr netsim.Addr,
-	cores int, nicCfg nic.Config, drvCfg driver.Config) *serverNode {
+	cores int, nicCfg nic.Config, drvCfg driver.Config) *Node {
 	cfg, eng := c.cfg, c.eng
-	n := &serverNode{addr: addr, group: group, label: label, rack: rack}
+	n := &Node{addr: addr, group: group, label: label, rack: rack}
 
 	// Processor and kernel (Table 1).
 	tab := power.DefaultTable()
@@ -372,13 +299,6 @@ func (c *Cluster) addServerNode(group, label string, rack int, addr netsim.Addr,
 	return n
 }
 
-// adoptPrimary aliases node 0 into the singular fields.
-func (c *Cluster) adoptPrimary(n *serverNode) {
-	c.Chip, c.Kernel, c.NIC = n.Chip, n.Kernel, n.NIC
-	c.Driver, c.Server = n.Driver, n.Server
-	c.Ond, c.Menu = n.Ond, n.Menu
-}
-
 // templates returns the NCAP request templates, with the context-unaware
 // strawman's bulk pattern appended for the ablation.
 func (c *Cluster) templates() []string {
@@ -393,7 +313,7 @@ func (c *Cluster) templates() []string {
 
 // hooksFor wires the enhanced interrupt handler's power levers
 // (Fig. 5(d)) to one server node's chip and governors.
-func (c *Cluster) hooksFor(n *serverNode) driver.PowerHooks {
+func (c *Cluster) hooksFor(n *Node) driver.PowerHooks {
 	if !c.cfg.Policy.UsesNCAPHardware() && !c.cfg.Policy.UsesNCAPSoftware() {
 		return driver.PowerHooks{}
 	}
@@ -438,10 +358,11 @@ func (c *Cluster) hooksFor(n *serverNode) driver.PowerHooks {
 // wakeCounter returns the cumulative proactive-transition interrupt count
 // (IT_HIGH boosts plus CIT wakes) for the INT(wake) trace markers (node 0).
 func (c *Cluster) wakeCounter() func() int64 {
+	node := c.nodes[0]
 	if c.cfg.Policy.UsesNCAPHardware() {
 		return func() int64 {
 			var n int64
-			for _, q := range c.NIC.Queues() {
+			for _, q := range node.NIC.Queues() {
 				d := q.Decision()
 				n += d.Highs.Value() + d.Wakes.Value()
 			}
@@ -450,7 +371,7 @@ func (c *Cluster) wakeCounter() func() int64 {
 	}
 	if c.cfg.Policy.UsesNCAPSoftware() {
 		return func() int64 {
-			d := c.Driver.SWDecision()
+			d := node.Driver.SWDecision()
 			return d.Highs.Value() + d.Wakes.Value()
 		}
 	}
@@ -460,25 +381,23 @@ func (c *Cluster) wakeCounter() func() int64 {
 // Engine exposes the simulation engine (examples and tests).
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// Switch exposes the network fabric so additional endpoints (bulk
-// sources, alternative client designs) can be attached before Run. On a
-// compiled topology it returns the first top-of-rack switch.
-func (c *Cluster) Switch() *netsim.Switch { return c.sw }
+// Switch exposes the first top-of-rack switch — the star's only switch —
+// so additional endpoints (bulk sources, alternative client designs) can
+// be attached before Run.
+func (c *Cluster) Switch() *netsim.Switch { return c.tors[0] }
 
-// Switches returns every switch in the fabric: the single star switch on
-// the legacy path, or the ToR tier followed by the spine tier.
+// Switches returns every switch in the fabric: the ToR tier followed by
+// the spine tier.
 func (c *Cluster) Switches() []*netsim.Switch {
-	if len(c.tors) == 0 && len(c.spines) == 0 {
-		return []*netsim.Switch{c.sw}
-	}
 	out := make([]*netsim.Switch, 0, len(c.tors)+len(c.spines))
 	out = append(out, c.tors...)
 	out = append(out, c.spines...)
 	return out
 }
 
-// ServerCount returns the number of fully modeled server nodes.
-func (c *Cluster) ServerCount() int { return len(c.nodes) }
+// Nodes returns every fully modeled server node in declaration order;
+// on the paper's star, Nodes()[0] is its one server.
+func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Config returns the experiment configuration.
 func (c *Cluster) Config() Config { return c.cfg }

@@ -10,15 +10,15 @@ import (
 	"ncap/internal/topology"
 )
 
-// compile is the graph compiler: it turns Config.Topology — a declarative
-// spec of node groups, rack (ToR) switches and an optional ECMP spine
-// tier — into wired simulation components. Addresses are assigned from 1
-// in group declaration order, node by node, which makes the explicit Star
-// spec reproduce the legacy star's addresses (and, with the shared
-// RNG-stream names, its Results) exactly.
+// compile is the graph compiler: it turns the config's topology — a
+// declarative spec of node groups, rack (ToR) switches and an optional
+// ECMP spine tier, the paper's star when Config.Topology is nil — into
+// wired simulation components. Addresses are assigned from 1 in group
+// declaration order, node by node, so the star's server is ServerAddr and
+// client i is ClientAddr(i).
 func (c *Cluster) compile() {
 	cfg := c.cfg
-	spec := cfg.Topology
+	spec := cfg.spec()
 
 	fwDelay := spec.FwDelay
 	if fwDelay == 0 {
@@ -37,7 +37,6 @@ func (c *Cluster) compile() {
 		sw.SetName("spine" + strconv.Itoa(s))
 		c.spines = append(c.spines, sw)
 	}
-	c.sw = c.tors[0]
 
 	// Trunks: every ToR gets an uplink to every spine (its equal-cost
 	// default routes — cross-rack flows ECMP-hash across them) and every
@@ -125,8 +124,8 @@ func (c *Cluster) compile() {
 	}
 
 	// Server nodes, in declaration order.
-	serversByGroup := map[string][]*serverNode{}
-	var allServers []*serverNode
+	serversByGroup := map[string][]*Node{}
+	var allServers []*Node
 	si := 0
 	for gi := range spec.Groups {
 		g := &spec.Groups[gi]
@@ -158,10 +157,9 @@ func (c *Cluster) compile() {
 			si++
 		}
 	}
-	c.adoptPrimary(c.nodes[0])
 
 	// Traffic source resolves before the clients so they come up in
-	// replay mode (same order as the legacy path).
+	// replay mode.
 	c.resolveTraffic()
 
 	// Client nodes, phase-staggered across the shared period by global
@@ -220,12 +218,20 @@ func (c *Cluster) compile() {
 		}
 	}
 	c.installTraffic()
+
+	// Optional background bulk traffic (the context-aware ablation; star
+	// only, see Config.Validate) into the server from its own address.
+	if cfg.BulkBps > 0 {
+		c.bulk = app.NewBulkSender(c.eng, bulkAddr, ServerAddr,
+			c.faulted(netsim.NewLink(c.eng, cfg.Link, c.tors[0]), bulkAddr, fault.FromNode),
+			cfg.BulkBps, 1400)
+	}
 }
 
 // fanout returns the group's eligible server addresses rotated to begin
 // at the client's round-robin slot — the client's request-destination
 // rotation (app.Client.Targets).
-func fanout(targets []*serverNode, start int) []netsim.Addr {
+func fanout(targets []*Node, start int) []netsim.Addr {
 	out := make([]netsim.Addr, len(targets))
 	for i := range targets {
 		out[i] = targets[(start+i)%len(targets)].addr

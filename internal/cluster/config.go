@@ -83,13 +83,13 @@ type Config struct {
 	// Topology selects the cluster shape (see internal/topology): a
 	// declarative graph of node groups, rack (ToR) switches and an
 	// optional ECMP spine tier, compiled by New into wired simulation
-	// components. A nil pointer serializes to nothing and keeps the
-	// legacy construction path, so historical configs keep byte-identical
-	// cache keys and results; a non-nil spec participates in the runner's
-	// content-keyed cache identity. With a topology set, the scalar
-	// Clients and Cores fields are ignored — the spec carries both — and
-	// LoadRPS remains the aggregate offered load across every client in
-	// the fleet.
+	// components. A nil pointer is the paper's star, topology.Star(Clients):
+	// it serializes to nothing, so historical configs keep byte-identical
+	// cache keys, and its Result carries no topology rollups; a non-nil
+	// spec participates in the runner's content-keyed cache identity.
+	// With a topology set, the scalar Clients and Cores fields are
+	// ignored — the spec carries both — and LoadRPS remains the aggregate
+	// offered load across every client in the fleet.
 	Topology *topology.Spec `json:"Topology,omitempty"`
 	// Overload enables the resilience layer (see internal/resilience):
 	// the server's bounded admission queue with config-selected shedding,
@@ -145,14 +145,17 @@ func DefaultConfig(policy Policy, workload app.Profile, loadRPS float64) Config 
 	}
 }
 
-// ClientCount returns the number of client nodes the config compiles to:
-// the topology's when one is set, the scalar Clients field otherwise.
-func (c Config) ClientCount() int {
+// spec returns the topology the config compiles to: Config.Topology, or
+// the paper's star with the scalar Clients count when that is nil.
+func (c Config) spec() *topology.Spec {
 	if c.Topology != nil {
-		return c.Topology.Clients()
+		return c.Topology
 	}
-	return c.Clients
+	return topology.Star(c.Clients)
 }
+
+// ClientCount returns the number of client nodes the config compiles to.
+func (c Config) ClientCount() int { return c.spec().Clients() }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -161,15 +164,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
-	}
-	if err := c.Topology.Validate(); err != nil {
-		return err
-	}
-	if c.Topology != nil && c.BulkBps > 0 {
-		// The background bulk sender is a fixture of the paper's star
-		// (one well-known extra address); a fleet models background load
-		// through its workload scenarios instead.
-		return fmt.Errorf("cluster: BulkBps is a legacy-star option (unset it or drop the topology)")
 	}
 	switch {
 	case c.LoadRPS <= 0:
@@ -188,13 +182,29 @@ func (c Config) Validate() error {
 		// interrupts would fight the busy queues' boosts.
 		return fmt.Errorf("cluster: multi-queue NCAP requires PerCoreDVFS")
 	}
+	spec := c.spec()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if c.BulkBps > 0 {
+		// The background bulk sender is a fixture of the paper's star
+		// (one well-known extra address); a fleet models background load
+		// through its workload scenarios instead.
+		switch {
+		case c.Topology != nil:
+			return fmt.Errorf("cluster: BulkBps needs the default star (unset it or drop the topology)")
+		case ClientAddr(c.Clients-1) >= bulkAddr:
+			return fmt.Errorf("cluster: BulkBps supports at most %d clients (client addresses would reach the bulk sender's %d)",
+				bulkAddr-firstClientAddr, bulkAddr)
+		}
+	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}
 	if err := c.Overload.Validate(); err != nil {
 		return err
 	}
-	if err := c.Traffic.Validate(c.ClientCount()); err != nil {
+	if err := c.Traffic.Validate(spec.Clients()); err != nil {
 		return err
 	}
 	if c.Traffic.Replay() && c.Traffic.Trace == nil {

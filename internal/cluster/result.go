@@ -100,8 +100,8 @@ type Result struct {
 	QueuePeak        int64        `json:",omitempty"`
 	RecoveryNs       sim.Duration `json:",omitempty"`
 
-	// Topology rollups (compiled topologies only — all empty on the
-	// legacy star, so its serialized Results are byte-identical). Groups
+	// Topology rollups (explicit Config.Topology only — all empty when it
+	// is nil, so the paper's star serializes byte-identically). Groups
 	// mirrors the spec's group list; Switches covers the ToR tier then the
 	// spine tier; Unroutable is the fleet-wide count of frames no switch
 	// could route (nonzero = compilation bug, surfaced as a report warning
@@ -161,8 +161,8 @@ func (c *Cluster) Run() Result {
 	for _, cl := range c.Clients {
 		cl.Start()
 	}
-	if c.Bulk != nil {
-		c.Bulk.Start()
+	if c.bulk != nil {
+		c.bulk.Start()
 	}
 
 	// Warmup.
@@ -184,8 +184,8 @@ func (c *Cluster) Run() Result {
 	for _, cl := range c.Clients {
 		cl.BeginMeasurement()
 	}
-	if c.Sampler != nil {
-		c.Sampler.Start()
+	if c.sampler != nil {
+		c.sampler.Start()
 	}
 	if c.aud != nil {
 		c.auditBoundary()
@@ -211,11 +211,11 @@ func (c *Cluster) Run() Result {
 	for _, cl := range c.Clients {
 		cl.Stop()
 	}
-	if c.Bulk != nil {
-		c.Bulk.Stop()
+	if c.bulk != nil {
+		c.bulk.Stop()
 	}
-	if c.Sampler != nil {
-		c.Sampler.Stop()
+	if c.sampler != nil {
+		c.sampler.Stop()
 	}
 	c.eng.Run(measureEnd + cfg.Drain)
 	c.mergeClientStats(&res)
@@ -299,10 +299,11 @@ func (c *Cluster) collectOverload(res *Result, measureEnd sim.Time) {
 	}
 }
 
-// collectFleet fills the topology rollups after the drain. Only called on
-// compiled topologies: the fields stay empty on the legacy star, so its
-// serialized Results are byte-identical. nodeEnergy holds the per-node
-// package energy snapshots taken at the measurement window's end.
+// collectFleet fills the topology rollups after the drain. Only called
+// with an explicit Config.Topology: the fields stay empty on the nil
+// topology, so the paper's star serializes byte-identically. nodeEnergy
+// holds the per-node package energy snapshots taken at the measurement
+// window's end.
 func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 	cfg := c.cfg
 	for gi := range c.groups {
@@ -348,8 +349,7 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 	}
 }
 
-// totalEnergyJ sums package energy across every server node (a single
-// node on the legacy star).
+// totalEnergyJ sums package energy across every server node.
 func (c *Cluster) totalEnergyJ() float64 {
 	var e float64
 	for _, n := range c.nodes {
@@ -415,7 +415,7 @@ func (c *Cluster) collect(energyJ float64) Result {
 		Retransmits: retrans, Abandoned: abandoned,
 		CResidency: map[power.CState]sim.Duration{},
 		CEntries:   map[power.CState]int{},
-		Sampler:    c.Sampler,
+		Sampler:    c.sampler,
 		Events:     events,
 	}
 	for _, n := range c.nodes {

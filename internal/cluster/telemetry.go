@@ -22,8 +22,8 @@ func (c *Cluster) registerTelemetry() {
 		return
 	}
 	reg, tr := tel.Registry(), tel.Trace()
-	// Per-node prefixes come from the node label: "server" on the legacy
-	// star (node 0 keeps the historical names), "serverN" beyond it.
+	// Per-node prefixes come from the node label: "server" for node 0
+	// (the star's historical names), "serverN" beyond it.
 	for _, n := range c.nodes {
 		p := n.label
 		n.Chip.RegisterTelemetry(reg, tr, p+".cpu")

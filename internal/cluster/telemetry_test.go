@@ -32,6 +32,25 @@ func TestTelemetryDoesNotPerturbResult(t *testing.T) {
 	}
 }
 
+// The bulk sender sits at its own address past the star's clients, so
+// Validate caps the client count below it: 98 clients would give client
+// 97 the bulk sender's address (and duplicate its telemetry names), while
+// 97 clients build and run with every link registered.
+func TestBulkSenderAddressFitsStar(t *testing.T) {
+	cfg := telemetryConfig()
+	cfg.BulkBps = 1e6
+	cfg.Clients = 98
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "BulkBps") {
+		t.Fatalf("98 clients with a bulk sender must be rejected: %v", err)
+	}
+	cfg.Clients = 97
+	cfg.Telemetry = telemetry.New(telemetry.Options{})
+	res := New(cfg).Run()
+	if res.Completed == 0 {
+		t.Fatal("97-client star with a bulk sender completed no request")
+	}
+}
+
 // The registry must expose the documented component hierarchy under
 // stable dotted names, and the dump must agree with the Result where the
 // two count the same whole-run quantity.

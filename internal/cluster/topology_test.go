@@ -2,37 +2,74 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ncap/internal/app"
+	"ncap/internal/fault"
+	"ncap/internal/sim"
 	"ncap/internal/topology"
+	"ncap/internal/workload"
 )
 
-// The compatibility contract behind the topology API: an explicit
-// Star(3) spec compiles to the same simulation the nil-Topology legacy
-// path builds — same addresses, same RNG stream names, same wiring — so
-// the two runs produce equal Results (modulo the rollup fields only
-// compiled topologies populate).
+// The compatibility contract behind the topology API: a nil Topology is
+// the paper's star, so it runs exactly like the explicit Star(n) spec —
+// same addresses, same RNG stream names, same wiring — and the two
+// Results are equal once the rollup fields only an explicit spec reports
+// are stripped. The nil run reports no rollups at all, which keeps its
+// serialized Result byte-identical to the historical one.
 func TestStarSpecMatchesLegacy(t *testing.T) {
-	legacy := New(shortConfig(NcapCons, app.ApacheProfile(), 24_000)).Run()
-
-	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
-	cfg.Topology = topology.Star(3)
-	compiled := New(cfg).Run()
-
-	if len(compiled.Groups) != 2 || len(compiled.Switches) != 1 {
-		t.Fatalf("star spec rollups: %d groups, %d switches", len(compiled.Groups), len(compiled.Switches))
+	prof := app.ApacheProfile()
+	variants := []struct {
+		name  string
+		apply func(*Config)
+	}{
+		{"plain", func(*Config) {}},
+		{"faulted", func(c *Config) {
+			c.Fault = fault.Spec{
+				Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(0)), ExtraDelay: 200 * sim.Microsecond}},
+				Links: []fault.LinkFault{
+					{Node: uint32(ClientAddr(0)), Dir: fault.ToNode, Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}},
+					{Node: uint32(ServerAddr), Dir: fault.Both, Loss: fault.LossBernoulli, P: 0.01},
+				},
+			}
+		}},
+		{"overload", func(c *Config) { c.Overload = resilientSpec(prof) }},
+		{"diurnal", func(c *Config) {
+			c.Traffic = &workload.Spec{Scenario: workload.Scenario{Name: workload.ScenarioDiurnal}}
+		}},
+		{"queues4-percore", func(c *Config) { c.Queues, c.PerCoreDVFS = 4, true }},
 	}
-	if compiled.Unroutable != 0 {
-		t.Fatalf("star spec dropped %d unroutable frames", compiled.Unroutable)
-	}
-	// Strip what only the compiled path reports, then demand exact equality.
-	compiled.Groups, compiled.Switches = nil, nil
-	legacy.Sampler, compiled.Sampler = nil, nil
-	if !reflect.DeepEqual(legacy, compiled) {
-		t.Fatalf("Star(3) diverged from the legacy star:\nlegacy   %+v\ncompiled %+v", legacy, compiled)
+	for _, clients := range []int{1, 3, 5} {
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("clients%d/%s", clients, v.name), func(t *testing.T) {
+				cfg := shortConfig(NcapCons, prof, 24_000)
+				cfg.Clients = clients
+				v.apply(&cfg)
+				star := New(cfg).Run()
+				cfg.Topology = topology.Star(clients)
+				compiled := New(cfg).Run()
+
+				if len(star.Groups) != 0 || len(star.Switches) != 0 || star.Unroutable != 0 {
+					t.Fatalf("nil topology reported rollups: %d groups, %d switches, %d unroutable",
+						len(star.Groups), len(star.Switches), star.Unroutable)
+				}
+				if len(compiled.Groups) != 2 || len(compiled.Switches) != 1 {
+					t.Fatalf("star spec rollups: %d groups, %d switches", len(compiled.Groups), len(compiled.Switches))
+				}
+				if compiled.Unroutable != 0 {
+					t.Fatalf("star spec dropped %d unroutable frames", compiled.Unroutable)
+				}
+				// Strip what only the explicit spec reports, then demand
+				// exact equality.
+				compiled.Groups, compiled.Switches = nil, nil
+				if !reflect.DeepEqual(star, compiled) {
+					t.Fatalf("Star(%d) diverged from the nil topology:\nnil  %+v\nspec %+v", clients, star, compiled)
+				}
+			})
+		}
 	}
 }
 

@@ -63,12 +63,13 @@ func runClosedLoop(o Options, prof app.Profile, loadRPS float64) OpenVsClosedRow
 		clients = append(clients, c)
 		c.Start()
 	}
-	if cl.Ond != nil {
-		cl.Ond.Start()
+	server := cl.Nodes()[0]
+	if server.Ond != nil {
+		server.Ond.Start()
 	}
 
 	eng.Run(cfg.Warmup)
-	cl.Chip.ResetStats()
+	server.Chip.ResetStats()
 	for _, c := range clients {
 		c.BeginMeasurement()
 	}

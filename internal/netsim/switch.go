@@ -27,8 +27,7 @@ type Switch struct {
 	routes        map[Addr][]*Link
 	defaultRoutes []*Link
 
-	// name labels the switch in violations and rollups ("" on the legacy
-	// single-switch star).
+	// name labels the switch in violations and rollups ("" until SetName).
 	name string
 
 	// onUnroutable observes frames with no port or route before they are
@@ -51,7 +50,7 @@ func NewSwitch(eng *sim.Engine, fwDelay sim.Duration) *Switch {
 // SetName labels the switch for rollups and audit violations.
 func (s *Switch) SetName(name string) { s.name = name }
 
-// Name returns the switch label ("" on the legacy star).
+// Name returns the switch label set by SetName.
 func (s *Switch) Name() string { return s.name }
 
 // SetUnroutableHook installs an observer for unroutable frames (called

@@ -27,8 +27,8 @@ func TestStarDelayMix(t *testing.T) {
 	cfg.Seed = 3
 	c := cluster.New(cfg)
 	// The start-up half of Cluster.Run: the star has one server node.
-	if c.Ond != nil {
-		c.Ond.Start()
+	if ond := c.Nodes()[0].Ond; ond != nil {
+		ond.Start()
 	}
 	for _, cl := range c.Clients {
 		cl.Start()

@@ -7,11 +7,10 @@
 // content-keyed cache identity, and cluster.New compiles it into wired
 // simulation components.
 //
-// A nil *Spec is the paper's fixed 4-node star (one server, three
-// clients, one switch), built by the legacy construction path so
-// historical configs keep byte-identical cache keys and results; Star
-// returns the same shape as an explicit spec, and the two produce equal
-// Results (asserted by cluster tests).
+// A nil *Spec in a cluster config is the paper's star (one server, the
+// config's clients, one switch): the cluster compiles it as Star, so it
+// runs exactly like the explicit spec while its serialized config, and
+// so its cache key, stays the historical one (asserted by cluster tests).
 package topology
 
 import (
@@ -41,7 +40,7 @@ const (
 const MaxNodes = 4096
 
 // DefaultFwDelay is the per-switch store-and-forward delay when the spec
-// leaves FwDelay zero — the same 500 ns the legacy star uses.
+// leaves FwDelay zero: the paper's 500 ns switch.
 const DefaultFwDelay = 500 * sim.Nanosecond
 
 // Group is a set of identically configured nodes attached to the fabric.
@@ -95,14 +94,14 @@ type Spec struct {
 	// Link is the default access-link config for groups without their
 	// own; nil inherits the cluster config's link.
 	Link *netsim.LinkConfig `json:",omitempty"`
-	// FwDelay is the per-switch store-and-forward delay (0 = the legacy
-	// 500 ns).
+	// FwDelay is the per-switch store-and-forward delay (0 =
+	// DefaultFwDelay).
 	FwDelay sim.Duration `json:",omitempty"`
 }
 
-// Star returns the paper's evaluation shape as an explicit spec: one
-// server and the given clients behind a single switch. With clients = 3
-// it compiles to the same simulation the nil-Topology legacy path builds.
+// Star returns the paper's evaluation shape: one server and the given
+// clients behind a single switch (the paper uses 3). A cluster config
+// with a nil Topology compiles Star(Config.Clients).
 func Star(clients int) *Spec {
 	return &Spec{
 		Racks: 1,
@@ -169,7 +168,7 @@ func (s *Spec) ServerGroup(name string) *Group {
 }
 
 // Validate reports specification errors. A nil spec is valid: it selects
-// the legacy 4-node star.
+// the paper's star.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil

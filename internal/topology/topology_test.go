@@ -41,7 +41,7 @@ func TestConstructorsCount(t *testing.T) {
 func TestNilSpecIsValid(t *testing.T) {
 	var s *Spec
 	if err := s.Validate(); err != nil {
-		t.Fatalf("nil spec must select the legacy star: %v", err)
+		t.Fatalf("nil spec must select the paper's star: %v", err)
 	}
 }
 

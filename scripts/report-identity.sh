@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# report-identity.sh — byte-identity check of ncapsweep output against a
+# base revision.
+#
+#   1. Export <base-ref> into a temporary directory and build ncapsweep
+#      there; build ncapsweep from the working tree.
+#   2. Run `ncapsweep -exp <exp> -jobs 2 -q -json` with both binaries.
+#   3. cmp the stdout tables and the -json reports.
+#
+# A refactor that claims to keep behaviour must pass this against its
+# parent. It is not a CI gate: a legitimate model change moves the numbers.
+#
+# Usage: scripts/report-identity.sh <base-ref> [exp]   (exp defaults to all)
+# Run from the repository root.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: $0 <base-ref> [exp]" >&2
+  exit 2
+fi
+BASE=$1
+EXP=${2:-all}
+REV=$(git rev-parse --verify "$BASE^{commit}")
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+# git archive exports the committed tree without registering a worktree,
+# so an interrupted run leaves nothing behind in .git.
+mkdir "$WORK/base"
+git archive "$REV" | tar -x -C "$WORK/base"
+go -C "$WORK/base" build -o "$WORK/ncapsweep-base" ./cmd/ncapsweep
+go build -o "$WORK/ncapsweep-head" ./cmd/ncapsweep
+
+for side in base head; do
+  echo "== $side: ncapsweep -exp $EXP =="
+  "$WORK/ncapsweep-$side" -exp "$EXP" -jobs 2 -q -json "$WORK/$side.json" > "$WORK/$side.txt"
+done
+
+cmp "$WORK/base.txt" "$WORK/head.txt"
+cmp "$WORK/base.json" "$WORK/head.json"
+echo "OK: -exp $EXP tables ($(wc -c < "$WORK/head.txt") bytes) and report ($(wc -c < "$WORK/head.json") bytes) match $BASE ($(git rev-parse --short "$REV"))"
