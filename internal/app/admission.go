@@ -135,7 +135,7 @@ func (s *Server) dropRequest(p *netsim.Packet, kind, detail string) {
 		V: float64(s.QueueLen()), Detail: detail,
 	})
 	if s.Dedup {
-		delete(s.dupInflight, p.ReqID)
+		s.dedup().drop(p.Src, p.ReqID)
 	}
 	p.Release()
 }

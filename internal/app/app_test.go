@@ -297,7 +297,7 @@ func TestClientMeasurementBoundary(t *testing.T) {
 	if preCount == 0 {
 		t.Fatal("no warmup completions")
 	}
-	cl.BeginMeasurement()
+	cl.BeginMeasurement(100 * sim.Millisecond)
 	if cl.Latency().Count() != 0 {
 		t.Fatal("recorder not reset")
 	}

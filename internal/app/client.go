@@ -220,9 +220,16 @@ func (c *Client) Stop() { c.running = false }
 func (c *Client) Quiesce() { c.nextBurst.Cancel() }
 
 // BeginMeasurement resets the recorder; only requests first sent from now
-// on are recorded (the warmup boundary).
-func (c *Client) BeginMeasurement() {
+// on are recorded (the warmup boundary). span is how long the client will
+// record for (measurement window plus drain): a burst client sizes its
+// sample buffer once, to its offered rate over span plus 5%, so recording
+// never regrows it. A replay client has no fixed rate and skips this.
+func (c *Client) BeginMeasurement(span sim.Duration) {
 	c.lat.Reset()
+	if !c.Replay {
+		n := int64(c.cfg.BurstSize) * int64(span) / int64(c.cfg.Period)
+		c.lat.Grow(int(n + n/20))
+	}
 	c.latHist.Reset()
 	c.measureFrom = c.eng.Now()
 	c.Sent.Reset()

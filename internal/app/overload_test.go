@@ -166,7 +166,7 @@ func TestClientBudgetDeadlineInteraction(t *testing.T) {
 // TestDedupTableBoundedUnderStorm: a long run of distinct requests holds
 // the duplicate-suppression table at its cap with FIFO eviction — recent
 // requests stay suppressible, evicted ones are re-served, and the backing
-// array is compacted rather than leaked.
+// ring is reused rather than leaked.
 func TestDedupTableBoundedUnderStorm(t *testing.T) {
 	const cap = 8
 	r := newServerRig(MemcachedProfile())
@@ -185,9 +185,9 @@ func TestDedupTableBoundedUnderStorm(t *testing.T) {
 	if live != cap {
 		t.Fatalf("dedup table holds %d entries, want the cap %d", live, cap)
 	}
-	// Compaction bounds the backing array by the compaction threshold
-	// (64) plus the window, not by the number of requests served: without
-	// it, 500 inserts would grow the array past 512 slots.
+	// The ring is sized by the span of live request ids (its initial 64
+	// slots cover this stream), not by the number of requests served:
+	// without eviction, 500 inserts would grow it past 512 slots.
 	if backing > 2*(64+cap) {
 		t.Fatalf("dedup backing array = %d slots for %d live entries: eviction leaks", backing, live)
 	}

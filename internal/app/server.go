@@ -50,10 +50,7 @@ type Server struct {
 	// dedupWindow). Set before traffic flows.
 	DedupCap int
 
-	dupInflight map[uint64]bool // requests currently being served
-	dupServed   map[uint64]int  // recently served request → response bytes
-	dupOrder    []uint64        // FIFO eviction ring over dupServed
-	dupHead     int             // consumed prefix of dupOrder
+	dup *servedMemory // duplicate-suppression state, built on first use
 
 	// Admission-control state (EnableAdmission; zero-valued when off, and
 	// the legacy socket path never reads it).
@@ -228,7 +225,7 @@ func (s *Server) finish(req *netsim.Packet, coreID int) {
 		body = s.responseBytes()
 	}
 	if s.Dedup {
-		s.rememberServed(req.ReqID, body)
+		s.dedup().serve(req.Src, req.ReqID, body)
 	}
 	s.segs = netsim.SegmentResponse(s.segs[:0], s.addr, req.Src, req.ReqID, body)
 	req.Release()
@@ -241,16 +238,12 @@ func (s *Server) finish(req *netsim.Packet, coreID int) {
 // the parse cost — no application re-execution, no fresh randomness, so
 // the response body is byte-for-byte the one the client lost.
 func (s *Server) absorbDuplicate(p *netsim.Packet, pollCore int) bool {
-	if s.dupInflight == nil {
-		s.dupInflight = map[uint64]bool{}
-		s.dupServed = map[uint64]int{}
-	}
-	if s.dupInflight[p.ReqID] {
+	switch d, body := s.dedup().claim(p.Src, p.ReqID); d {
+	case dupSuppress:
 		s.DupSuppressed.Inc()
 		p.Release()
 		return true
-	}
-	if body, ok := s.dupServed[p.ReqID]; ok {
+	case dupResend:
 		s.DupResent.Inc()
 		// Copy the routing fields out: the packet is released now, before
 		// the deferred resend task runs.
@@ -260,43 +253,32 @@ func (s *Server) absorbDuplicate(p *netsim.Packet, pollCore int) bool {
 		s.submit(j, pollCore)
 		return true
 	}
-	s.dupInflight[p.ReqID] = true
 	return false
 }
 
-// rememberServed moves a request from in-flight to the bounded
-// served-response memory, evicting the oldest entry past the window. The
-// eviction ring advances by head index and compacts once the consumed
-// prefix dominates, so a sustained retry storm cannot grow the backing
-// array without bound.
-func (s *Server) rememberServed(reqID uint64, body int) {
-	delete(s.dupInflight, reqID)
-	if _, dup := s.dupServed[reqID]; !dup {
-		s.dupOrder = append(s.dupOrder, reqID)
-	}
-	s.dupServed[reqID] = body
-	window := s.DedupCap
-	if window <= 0 {
-		window = dedupWindow
-	}
-	if len(s.dupOrder)-s.dupHead > window {
-		evict := s.dupOrder[s.dupHead]
-		s.dupHead++
-		delete(s.dupServed, evict)
-		if s.dupHead > 64 && s.dupHead*2 >= len(s.dupOrder) {
-			s.dupOrder = append(s.dupOrder[:0], s.dupOrder[s.dupHead:]...)
-			s.dupHead = 0
+// dedup returns the served-response memory, building it on first use
+// with the DedupCap bound (dedupWindow when unset).
+func (s *Server) dedup() *servedMemory {
+	if s.dup == nil {
+		window := s.DedupCap
+		if window <= 0 {
+			window = dedupWindow
 		}
+		s.dup = newServedMemory(window)
 	}
+	return s.dup
 }
 
 // DedupLen returns the served-response memory's current size (tests).
-func (s *Server) DedupLen() int { return len(s.dupServed) }
+func (s *Server) DedupLen() int { return s.dedup().Len() }
 
-// DedupRing returns the eviction ring's live length and backing capacity
-// (tests: both must stay bounded under a retry storm).
+// DedupRing returns the served-response memory's live size and its rings'
+// total length (tests: both must stay bounded under a retry storm).
 func (s *Server) DedupRing() (live, backing int) {
-	return len(s.dupOrder) - s.dupHead, cap(s.dupOrder)
+	for _, r := range s.dedup().rings {
+		backing += len(r.slots)
+	}
+	return s.dedup().Len(), backing
 }
 
 // ResetStats zeroes request accounting at the warmup boundary.

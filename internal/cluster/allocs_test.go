@@ -20,7 +20,11 @@ const maxAllocsPerRequest = 3
 // TestRequestPathAllocs keeps the request path allocation-free: a client
 // send, the server NIC, driver, kernel, CPU and application, and the
 // response back. It counts mallocs across Run only, after New has built
-// the cluster.
+// the cluster. It also bounds the bytes Run allocates per completed
+// request, which is where a run's result state shows: latency samples are
+// sized once and merged once at exact size, and the served-response
+// memory is one ring per source (DESIGN.md §1b, "Per-run result memory").
+// Each bound is about 1.25x the bytes measured when it was set.
 func TestRequestPathAllocs(t *testing.T) {
 	if audit.Strict {
 		t.Skip("the audit build's packet tracker allocates by design")
@@ -39,12 +43,13 @@ func TestRequestPathAllocs(t *testing.T) {
 	rack := shortConfig(NcapCons, app.ApacheProfile(), 16*1500)
 	rack.Topology = topology.Rack(16, 8)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name     string
+		cfg      Config
+		maxBytes float64 // per completed request
 	}{
-		{"star", shortConfig(NcapCons, app.ApacheProfile(), 24_000)},
-		{"faulted", faulted},
-		{"rack16", rack},
+		{"star", shortConfig(NcapCons, app.ApacheProfile(), 24_000), 112},
+		{"faulted", faulted, 240},
+		{"rack16", rack, 360},
 	} {
 		c := New(tc.cfg)
 		var before, after runtime.MemStats
@@ -62,6 +67,12 @@ func TestRequestPathAllocs(t *testing.T) {
 			tc.name, after.Mallocs-before.Mallocs, res.Completed, per)
 		if per > maxAllocsPerRequest {
 			t.Errorf("%s: %.2f allocations per request, want <= %d", tc.name, per, maxAllocsPerRequest)
+		}
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Completed)
+		t.Logf("%s: %d bytes over %d completed requests (%.0f per request)",
+			tc.name, after.TotalAlloc-before.TotalAlloc, res.Completed, bytes)
+		if bytes > tc.maxBytes {
+			t.Errorf("%s: %.0f bytes allocated per request, want <= %.0f", tc.name, bytes, tc.maxBytes)
 		}
 	}
 }

@@ -182,7 +182,7 @@ func (c *Cluster) Run() Result {
 		l.FaultDelays.Reset()
 	}
 	for _, cl := range c.Clients {
-		cl.BeginMeasurement()
+		cl.BeginMeasurement(cfg.Measure + cfg.Drain)
 	}
 	if c.sampler != nil {
 		c.sampler.Start()
@@ -243,22 +243,21 @@ func (c *Cluster) Run() Result {
 	return res
 }
 
-// mergeClientStats refreshes the client-side request accounting (latency
+// mergeClientStats fills in the client-side request accounting (latency
 // distribution, completion counters) after the drain window. ServedRPS is
 // deliberately left at its measure-window value: completions landing in
 // the drain belong in the latency distribution (their requests were sent
 // inside the window) but would overstate the service *rate*.
 func (c *Cluster) mergeClientStats(res *Result) {
-	merged := stats.NewRecorder()
-	res.Sent, res.Completed, res.Retransmits, res.Abandoned = 0, 0, 0, 0
-	for _, cl := range c.Clients {
-		merged.Merge(cl.Latency())
+	recs := make([]*stats.LatencyRecorder, len(c.Clients))
+	for i, cl := range c.Clients {
+		recs[i] = cl.Latency()
 		res.Sent += cl.Sent.Value()
 		res.Completed += cl.Completed.Value()
 		res.Retransmits += cl.Retransmits.Value()
 		res.Abandoned += cl.Abandoned.Value()
 	}
-	res.Latency = merged.Summarize()
+	res.Latency = stats.Merge(recs...).Summarize()
 }
 
 // collectOverload fills the resilience accounting after the drain. Only
@@ -317,14 +316,14 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 			gr.AvgPowerW = gr.EnergyJ / cfg.Measure.Seconds()
 		} else {
 			gr.Nodes = len(cg.clients)
-			merged := stats.NewRecorder()
-			for _, ci := range cg.clients {
+			recs := make([]*stats.LatencyRecorder, len(cg.clients))
+			for i, ci := range cg.clients {
 				cl := c.Clients[ci]
-				merged.Merge(cl.Latency())
+				recs[i] = cl.Latency()
 				gr.Sent += cl.Sent.Value()
 				gr.Completed += cl.Completed.Value()
 			}
-			gr.Latency = merged.Summarize()
+			gr.Latency = stats.Merge(recs...).Summarize()
 		}
 		res.Groups = append(res.Groups, gr)
 	}
@@ -393,26 +392,21 @@ func (c *Cluster) collect(energyJ float64) Result {
 			events -= cl.PacingFires()
 		}
 	}
-	merged := stats.NewRecorder()
-	var sent, completed, retrans, abandoned int64
+	// The latency distribution and request counters are filled in after
+	// the drain (mergeClientStats); only the service rate is taken here,
+	// from the completions inside the measurement window.
+	var completed int64
 	for _, cl := range c.Clients {
-		merged.Merge(cl.Latency())
-		sent += cl.Sent.Value()
 		completed += cl.Completed.Value()
-		retrans += cl.Retransmits.Value()
-		abandoned += cl.Abandoned.Value()
 	}
 
 	res := Result{
-		Policy:    cfg.Policy,
-		Workload:  cfg.Workload.Name,
-		LoadRPS:   cfg.LoadRPS,
-		Latency:   merged.Summarize(),
-		EnergyJ:   energyJ,
-		AvgPowerW: energyJ / cfg.Measure.Seconds(),
-		ServedRPS: float64(completed) / cfg.Measure.Seconds(),
-		Sent:      sent, Completed: completed,
-		Retransmits: retrans, Abandoned: abandoned,
+		Policy:     cfg.Policy,
+		Workload:   cfg.Workload.Name,
+		LoadRPS:    cfg.LoadRPS,
+		EnergyJ:    energyJ,
+		AvgPowerW:  energyJ / cfg.Measure.Seconds(),
+		ServedRPS:  float64(completed) / cfg.Measure.Seconds(),
 		CResidency: map[power.CState]sim.Duration{},
 		CEntries:   map[power.CState]int{},
 		Sampler:    c.sampler,

@@ -79,12 +79,13 @@ func runClosedLoop(o Options, prof app.Profile, loadRPS float64) OpenVsClosedRow
 	}
 	eng.Run(cfg.Warmup + cfg.Measure + cfg.Drain)
 
-	merged := stats.NewRecorder()
+	recs := make([]*stats.LatencyRecorder, len(clients))
 	var completed int64
-	for _, c := range clients {
-		merged.Merge(c.Latency())
+	for i, c := range clients {
+		recs[i] = c.Latency()
 		completed += c.Completed.Value()
 	}
+	merged := stats.Merge(recs...)
 	return OpenVsClosedRow{
 		Method:    "closed-loop",
 		P95:       merged.Percentile(95),

@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ncap/internal/sim"
 )
@@ -36,6 +36,29 @@ func (l *LatencyRecorder) Record(d sim.Duration) {
 	l.sorted = false
 	l.sum += float64(d)
 }
+
+// Merge returns a new recorder holding every observation of recs, copied
+// in argument order into one allocation of the total sample count. The
+// sum is re-accumulated sample by sample in that same order, so Mean is
+// bit-identical to recording the samples one at a time.
+func Merge(recs ...*LatencyRecorder) *LatencyRecorder {
+	n := 0
+	for _, r := range recs {
+		n += len(r.samples)
+	}
+	m := &LatencyRecorder{samples: make([]sim.Duration, 0, n)}
+	for _, r := range recs {
+		m.samples = append(m.samples, r.samples...)
+	}
+	for _, d := range m.samples {
+		m.sum += float64(d)
+	}
+	return m
+}
+
+// Grow makes room for n more observations, so the next n Records do not
+// reallocate.
+func (l *LatencyRecorder) Grow(n int) { l.samples = slices.Grow(l.samples, n) }
 
 // Count returns the number of observations.
 func (l *LatencyRecorder) Count() int { return len(l.samples) }
@@ -118,7 +141,7 @@ func (l *LatencyRecorder) Reset() {
 
 func (l *LatencyRecorder) sort() {
 	if !l.sorted {
-		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+		slices.Sort(l.samples)
 		l.sorted = true
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -305,6 +307,55 @@ func TestLatencyAgainstSortReference(t *testing.T) {
 		want := ref[int(p/100*5000)-1]
 		if got := l.Percentile(p); got != want {
 			t.Errorf("P%v = %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestMergeMatchesReplay: Merge over k recorders equals recording every
+// sample one at a time in argument order — the same Summary and the same
+// bits of the running sum behind Mean — for random samples, heavy ties,
+// values near 2^40 (where the float sum rounds, so order matters) and
+// empty recorders. Merging leaves its inputs untouched.
+func TestMergeMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gens := map[string]func() sim.Duration{
+		"random": func() sim.Duration { return sim.Duration(rng.Int63n(50 * int64(sim.Millisecond))) },
+		"ties":   func() sim.Duration { return sim.Duration(rng.Intn(4)) * sim.Microsecond },
+		"2^40":   func() sim.Duration { return sim.Duration(1<<40 - rng.Int63n(1<<20)) },
+	}
+	for name, gen := range gens {
+		for _, sizes := range [][]int{{}, {0}, {0, 0, 0}, {1}, {5, 0, 3}, {0, 2000, 0, 17}, {6000, 6000, 6000}, {1, 9000, 1, 4000}} {
+			recs := make([]*LatencyRecorder, len(sizes))
+			want := NewLatencyRecorder()
+			var inputs [][]sim.Duration
+			for i, n := range sizes {
+				recs[i] = NewLatencyRecorder()
+				for j := 0; j < n; j++ {
+					recs[i].Record(gen())
+				}
+				if i%2 == 1 {
+					recs[i].Percentile(50) // a sorted input merges like any other
+				}
+				inputs = append(inputs, append([]sim.Duration(nil), recs[i].Samples()...))
+				for _, d := range recs[i].Samples() {
+					want.Record(d)
+				}
+			}
+			got := Merge(recs...)
+			if math.Float64bits(got.sum) != math.Float64bits(want.sum) {
+				t.Errorf("%s %v: merged sum %v, replayed sum %v", name, sizes, got.sum, want.sum)
+			}
+			if g, w := got.Summarize(), want.Summarize(); g != w {
+				t.Errorf("%s %v: merged %+v, replayed %+v", name, sizes, g, w)
+			}
+			if cap(got.Samples()) != got.Count() {
+				t.Errorf("%s %v: merged capacity %d for %d samples", name, sizes, cap(got.Samples()), got.Count())
+			}
+			for i, r := range recs {
+				if !slices.Equal(r.Samples(), inputs[i]) {
+					t.Fatalf("%s %v: Merge changed input %d", name, sizes, i)
+				}
+			}
 		}
 	}
 }
