@@ -87,7 +87,7 @@ func BenchmarkFig4_Correlation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr = experiments.Fig4(o)
 	}
-	s := tr.Result.Sampler
+	s := tr.Result.Trace
 	printOnce("fig4", func() {
 		fmt.Printf("\n# E3 / Fig.4 — ond.idle correlation trace: %d samples"+
 			" (use cmd/ncaptrace for the CSV)\n", len(s.BWRx.Points))
@@ -160,15 +160,15 @@ func BenchmarkFig8_Snapshot(b *testing.B) {
 		ond, ncap = experiments.Snapshots(o, app.ApacheProfile(), cluster.LowLoad)
 	}
 	var wakes float64
-	for _, p := range ncap.Result.Sampler.Wakes.Points {
+	for _, p := range ncap.Result.Trace.Wakes.Points {
 		wakes += p.V
 	}
 	printOnce("fig8snap", func() {
 		fmt.Printf("\n# E6 / Fig.8-right — snapshots (CSV via cmd/ncaptrace -snapshot)\n")
 		fmt.Printf("  ond.idle:  freq range [%.1f, %.1f] GHz, p95=%v\n",
-			minOf(ond.Result.Sampler.Freq), ond.Result.Sampler.Freq.Max(), ond.Result.Latency.P95)
+			minOf(ond.Result.Trace.Freq), ond.Result.Trace.Freq.Max(), ond.Result.Latency.P95)
 		fmt.Printf("  ncap.cons: freq range [%.1f, %.1f] GHz, p95=%v, INT(wake)=%d\n",
-			minOf(ncap.Result.Sampler.Freq), ncap.Result.Sampler.Freq.Max(), ncap.Result.Latency.P95, int(wakes))
+			minOf(ncap.Result.Trace.Freq), ncap.Result.Trace.Freq.Max(), ncap.Result.Latency.P95, int(wakes))
 	})
 	b.ReportMetric(wakes, "int_wakes")
 }

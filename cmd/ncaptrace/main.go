@@ -142,7 +142,8 @@ func main() {
 // series name with the policy so a snapshot pair's signals stay distinct.
 func addTrace(rep *report.Report, tr experiments.TraceResult) {
 	rep.Runs = append(rep.Runs, report.FromResult(string(tr.Policy), tr.Result))
-	for _, s := range report.SeriesFromSampler(tr.Result.Sampler) {
+	for _, ts := range tr.Result.Trace.Series() {
+		s := report.FromTimeSeries(ts)
 		s.Name = string(tr.Policy) + "." + s.Name
 		rep.Series = append(rep.Series, s)
 	}
@@ -163,11 +164,11 @@ func writeTrace(tr experiments.TraceResult, w *os.File) {
 			w.Close()
 		}
 	}()
-	if err := tr.Result.Sampler.WriteCSV(w); err != nil {
+	if err := tr.Result.Trace.WriteCSV(w); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "ncaptrace: %s: %d samples, p95=%v, energy=%.2fJ\n",
-		tr.Policy, len(tr.Result.Sampler.Freq.Points), tr.Result.Latency.P95, tr.Result.EnergyJ)
+		tr.Policy, len(tr.Result.Trace.Freq.Points), tr.Result.Latency.P95, tr.Result.EnergyJ)
 }
 
 func fileOrStdout(prefix, name string) *os.File {

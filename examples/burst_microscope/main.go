@@ -25,7 +25,7 @@ func main() {
 		cfg.Measure = 200 * ncap.Millisecond
 		res := ncap.Run(cfg)
 
-		s := res.Sampler
+		s := res.Trace
 		fmt.Printf("=== %s  (p95=%v, energy=%.2f J)\n", policy, res.Latency.P95, res.EnergyJ)
 		fmt.Println("time    BW(Rx)                F(GHz)                INT")
 

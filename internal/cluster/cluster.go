@@ -15,7 +15,7 @@ import (
 	"ncap/internal/oskernel"
 	"ncap/internal/power"
 	"ncap/internal/sim"
-	"ncap/internal/trace"
+	"ncap/internal/telemetry"
 	"ncap/internal/workload"
 )
 
@@ -88,8 +88,8 @@ type Cluster struct {
 
 	// Clients are the load-generating nodes, in declaration order.
 	Clients []*app.Client
-	bulk    *app.BulkSender // background sender (nil unless Config.BulkBps)
-	sampler *trace.Sampler  // node 0's time series (nil unless Config.TraceInterval)
+	bulk    *app.BulkSender    // background sender (nil unless Config.BulkBps)
+	sampler *telemetry.Sampler // node 0's trace signals (nil unless Config.TraceInterval)
 
 	// Traffic replay state (see internal/workload): the schedule being
 	// replayed (nil in burst mode), its canonical hash, the live capture
@@ -144,15 +144,14 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{cfg: cfg, eng: sim.NewEngine()}
 	c.compile()
 
-	// Optional tracing (node 0's processor and NIC).
-	if cfg.TraceInterval > 0 {
-		n := c.nodes[0]
-		c.sampler = trace.NewSampler(n.Chip, n.NIC, cfg.TraceInterval, c.wakeCounter())
-	}
-
-	// Optional telemetry: registered last, once every component (NCAP
-	// blocks included) is assembled.
+	// Optional telemetry: registered once every component (NCAP blocks
+	// included) is assembled.
 	c.registerTelemetry()
+
+	// Optional tracing, which reads node 0's metrics from the registry.
+	if cfg.TraceInterval > 0 {
+		c.sampler = c.traceSampler()
+	}
 
 	// Optional invariant auditing; the audit build tag forces it on for
 	// every run so `go test ./... -tags audit` exercises the checks.
@@ -353,29 +352,6 @@ func (c *Cluster) hooksFor(n *Node) driver.PowerHooks {
 		h.OndemandInhibit = n.Ond.Inhibit
 	}
 	return h
-}
-
-// wakeCounter returns the cumulative proactive-transition interrupt count
-// (IT_HIGH boosts plus CIT wakes) for the INT(wake) trace markers (node 0).
-func (c *Cluster) wakeCounter() func() int64 {
-	node := c.nodes[0]
-	if c.cfg.Policy.UsesNCAPHardware() {
-		return func() int64 {
-			var n int64
-			for _, q := range node.NIC.Queues() {
-				d := q.Decision()
-				n += d.Highs.Value() + d.Wakes.Value()
-			}
-			return n
-		}
-	}
-	if c.cfg.Policy.UsesNCAPSoftware() {
-		return func() int64 {
-			d := node.Driver.SWDecision()
-			return d.Highs.Value() + d.Wakes.Value()
-		}
-	}
-	return nil
 }
 
 // Engine exposes the simulation engine (examples and tests).

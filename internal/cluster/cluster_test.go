@@ -237,16 +237,16 @@ func TestTraceSamplerWired(t *testing.T) {
 	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
 	cfg.TraceInterval = sim.Millisecond
 	res := New(cfg).Run()
-	if res.Sampler == nil {
-		t.Fatal("sampler missing")
+	if res.Trace == nil {
+		t.Fatal("trace missing")
 	}
-	n := len(res.Sampler.Freq.Points)
+	n := len(res.Trace.Freq.Points)
 	if n < 100 {
 		t.Fatalf("trace points = %d, want ~150", n)
 	}
 	// The frequency trace must show both boosted and lowered operation.
 	var sawHigh, sawLow bool
-	for _, p := range res.Sampler.Freq.Points {
+	for _, p := range res.Trace.Freq.Points {
 		if p.V > 3.0 {
 			sawHigh = true
 		}
@@ -258,7 +258,7 @@ func TestTraceSamplerWired(t *testing.T) {
 		t.Fatalf("freq trace lacks dynamics (high=%v low=%v)", sawHigh, sawLow)
 	}
 	// BW(Rx) must show bursts: max well above mean.
-	bw := res.Sampler.BWRx
+	bw := res.Trace.BWRx
 	var sum float64
 	for _, p := range bw.Points {
 		sum += p.V

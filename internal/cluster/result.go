@@ -9,7 +9,6 @@ import (
 	"ncap/internal/sim"
 	"ncap/internal/stats"
 	"ncap/internal/topology"
-	"ncap/internal/trace"
 	"ncap/internal/workload"
 )
 
@@ -59,8 +58,10 @@ type Result struct {
 	PStateTransitions           int64
 	GovernorInvocations         int64
 
-	// Sampler holds the time-series trace when enabled.
-	Sampler *trace.Sampler
+	// Trace holds node 0's time series when Config.TraceInterval is set.
+	// Its JSON key predates the field's name and is kept so stored
+	// Results read back unchanged.
+	Trace *Trace `json:"Sampler"`
 
 	// Traffic accounting (replay/recording runs only, see
 	// internal/workload). TraceHash identifies the replayed or captured
@@ -113,8 +114,8 @@ type Result struct {
 	// Events is the simulator event count (progress metric): the events
 	// the engine fired plus one per frame serialization a link completed
 	// (the dequeue events links once scheduled, now folded into records).
-	// Audit epoch ticks and, under intended-send accounting, client
-	// pacing fires are excluded.
+	// Audit epoch ticks, trace sampler ticks and, under intended-send
+	// accounting, client pacing fires are excluded.
 	Events uint64
 }
 
@@ -216,6 +217,7 @@ func (c *Cluster) Run() Result {
 	}
 	if c.sampler != nil {
 		c.sampler.Stop()
+		res.Trace = buildTrace(c.sampler, len(c.nodes[0].Chip.Cores()))
 	}
 	c.eng.Run(measureEnd + cfg.Drain)
 	c.mergeClientStats(&res)
@@ -375,12 +377,16 @@ func (c *Cluster) firedEvents() uint64 {
 
 func (c *Cluster) collect(energyJ float64) Result {
 	cfg := c.cfg
-	// The audit epoch ticker fires as ordinary engine events; subtracting
-	// them keeps Events — and with it the whole Result — byte-identical
-	// between audited and unaudited runs (the ticks are pure observation).
+	// The audit epoch ticker and the trace sampler fire as ordinary
+	// engine events; subtracting them keeps Events — and with it the
+	// whole Result — byte-identical between observed and unobserved runs
+	// (the ticks are pure observation).
 	events := c.firedEvents()
 	if c.aud != nil {
 		events -= c.aud.ticks
+	}
+	if c.sampler != nil {
+		events -= uint64(len(c.sampler.Times))
 	}
 	if c.accounting {
 		// Burst pacing and trace replay reach the same arrivals through
@@ -409,7 +415,6 @@ func (c *Cluster) collect(energyJ float64) Result {
 		ServedRPS:  float64(completed) / cfg.Measure.Seconds(),
 		CResidency: map[power.CState]sim.Duration{},
 		CEntries:   map[power.CState]int{},
-		Sampler:    c.sampler,
 		Events:     events,
 	}
 	for _, n := range c.nodes {

@@ -107,7 +107,7 @@ func fleetConfig(p Policy, prof app.Profile, perServer float64) Config {
 func TestFleetDeterminism(t *testing.T) {
 	run := func() Result {
 		res := New(fleetConfig(NcapAggr, app.MemcachedProfile(), 35_000)).Run()
-		res.Sampler = nil
+		res.Trace = nil
 		return res
 	}
 	a, b := run(), run()

@@ -10,8 +10,8 @@ import (
 )
 
 // resultJSON canonicalizes a Result for byte-identity comparison (the
-// live Recorded trace and Sampler are excluded from serialization or nil
-// in these runs, exactly as in the report path).
+// live Recorded trace is excluded from serialization and Trace is nil in
+// these runs, exactly as in the report path).
 func resultJSON(t *testing.T, r Result) string {
 	t.Helper()
 	blob, err := json.Marshal(r)

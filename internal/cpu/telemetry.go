@@ -10,11 +10,12 @@ import (
 )
 
 // RegisterTelemetry registers the chip's metrics under prefix (per-core
-// C-state residency and entry counts, busy time, scheduler counters;
-// chip-level frequency, energy and P-state transitions) and attaches the
-// event trace for P/C-state transition events. Metrics are observable —
-// registration stores closures over live chip state and costs nothing on
-// the simulation hot path. Safe to call with nil handles (telemetry off).
+// C-state residency and entry counts, busy time, frequency, scheduler
+// counters; chip-level frequency, energy and P-state transitions) and
+// attaches the event trace for P/C-state transition events. Metrics are
+// observable — registration stores closures over live chip state and
+// costs nothing on the simulation hot path. Safe to call with nil handles
+// (telemetry off).
 func (c *Chip) RegisterTelemetry(reg *telemetry.Registry, tr *telemetry.EventTrace, prefix string) {
 	c.trace = tr
 	reg.Gauge(prefix+".freq_mhz", func() float64 { return float64(c.FreqMHz()) })
@@ -28,6 +29,7 @@ func (c *Chip) RegisterTelemetry(reg *telemetry.Registry, tr *telemetry.EventTra
 
 func (c *Core) registerTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Meter(prefix+".busy_ns", c.BusyTime)
+	reg.Gauge(prefix+".freq_mhz", func() float64 { return float64(c.Domain().Current().MHz) })
 	reg.Counter(prefix+".wakes", c.Wakes.Value)
 	reg.Counter(prefix+".preempts", c.Preempts.Value)
 	reg.Counter(prefix+".dispatched", c.Dispatched.Value)

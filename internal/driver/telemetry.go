@@ -18,6 +18,7 @@ func (d *Driver) RegisterTelemetry(reg *telemetry.Registry, tr *telemetry.EventT
 	if d.swDec != nil {
 		reg.Counter(prefix+".sw.highs", d.swDec.Highs.Value)
 		reg.Counter(prefix+".sw.lows", d.swDec.Lows.Value)
+		reg.Counter(prefix+".sw.wakes", d.swDec.Wakes.Value)
 		reg.Counter(prefix+".sw.matches", d.swMon.Matches.Value)
 		reg.Counter(prefix+".sw.misses", d.swMon.Misses.Value)
 	}

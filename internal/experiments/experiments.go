@@ -211,10 +211,9 @@ type TraceResult struct {
 }
 
 // Trace runs one policy at the given load with time-series sampling at
-// interval and returns the result (Result.Sampler holds the series).
+// interval and returns the result (Result.Trace holds the series).
 // Extra mutators (a fault spec, say) apply after the interval is set.
-// Trace-sampling runs bypass the result cache: their value is the live
-// time series, which the cache does not serialize.
+// Trace-sampling runs bypass the result cache (see runner.Job.Cacheable).
 func Trace(o Options, policy cluster.Policy, prof app.Profile, load float64, interval sim.Duration, mutate ...func(*cluster.Config)) TraceResult {
 	res := run(o, policy, prof, load, func(c *cluster.Config) {
 		c.TraceInterval = interval

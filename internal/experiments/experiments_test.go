@@ -63,9 +63,9 @@ func TestFig2SweepShape(t *testing.T) {
 
 func TestFig4TraceHasCorrelatedSignals(t *testing.T) {
 	tr := Fig4(tiny())
-	s := tr.Result.Sampler
+	s := tr.Result.Trace
 	if s == nil {
-		t.Fatal("no sampler")
+		t.Fatal("no trace")
 	}
 	if len(s.BWRx.Points) == 0 || len(s.Util.Points) != len(s.BWRx.Points) {
 		t.Fatal("series missing or misaligned")
@@ -272,15 +272,15 @@ func TestTraceSnapshotsProduceBothPolicies(t *testing.T) {
 	if ond.Policy != cluster.OndIdle || ncap.Policy != cluster.NcapCons {
 		t.Fatal("policy labels wrong")
 	}
-	if ond.Result.Sampler == nil || ncap.Result.Sampler == nil {
-		t.Fatal("samplers missing")
+	if ond.Result.Trace == nil || ncap.Result.Trace == nil {
+		t.Fatal("traces missing")
 	}
 	// NCAP's trace must include wake-interrupt markers; ond.idle's must not.
 	var ncapWakes, ondWakes float64
-	for _, p := range ncap.Result.Sampler.Wakes.Points {
+	for _, p := range ncap.Result.Trace.Wakes.Points {
 		ncapWakes += p.V
 	}
-	for _, p := range ond.Result.Sampler.Wakes.Points {
+	for _, p := range ond.Result.Trace.Wakes.Points {
 		ondWakes += p.V
 	}
 	if ncapWakes == 0 {

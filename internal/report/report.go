@@ -7,25 +7,22 @@
 // configuration is byte-identical regardless of worker count, cache
 // state or host — everything wall-clock (job elapsed times, cache hits,
 // retry counts) is deliberately excluded. Tables printed by the CLIs
-// remain the cluster.Result.WriteRow text format; Run.WriteRow produces
-// byte-identical rows from the report's own fields, so a report is a
-// faithful superset of the text output.
+// remain the cluster.Result.WriteRow text format, and every field a row
+// prints is also a Run field, so a report is a superset of the text
+// output.
 package report
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"ncap/internal/audit"
 	"ncap/internal/cluster"
 	"ncap/internal/power"
 	"ncap/internal/runner"
-	"ncap/internal/sim"
 	"ncap/internal/stats"
 	"ncap/internal/telemetry"
-	"ncap/internal/trace"
 )
 
 // Schema identifies the report document format. Bump on any change to
@@ -383,21 +380,4 @@ func (r *Report) AddTelemetry(tel *telemetry.Telemetry) {
 	}
 	r.Metrics = append(r.Metrics, tel.Registry().Export()...)
 	r.Events = SummarizeEvents(tel.Trace())
-}
-
-// AddSampler attaches a trace sampler's time series. Nil is a no-op.
-func (r *Report) AddSampler(s *trace.Sampler) {
-	r.Series = append(r.Series, SeriesFromSampler(s)...)
-}
-
-// WriteRow prints the run as a fixed-width table row, byte-identical to
-// cluster.Result.WriteRow for the same underlying result — the report is
-// the record; the text table is a view of it.
-func (r Run) WriteRow(w io.Writer) {
-	fmt.Fprintf(w, "%-10s %-10s %8.0f  p50=%8.3fms p95=%8.3fms p99=%8.3fms  E=%7.2fJ P=%6.2fW  served=%7.0f/s drops=%d\n",
-		r.Policy, r.Workload, r.LoadRPS,
-		sim.Duration(r.Latency.P50Ns).Millis(),
-		sim.Duration(r.Latency.P95Ns).Millis(),
-		sim.Duration(r.Latency.P99Ns).Millis(),
-		r.EnergyJ, r.AvgPowerW, r.ServedRPS, r.RxDrops)
 }

@@ -22,18 +22,6 @@ func quickConfig() cluster.Config {
 	return cfg
 }
 
-// The text table is a view of the report: rendering a Run must produce
-// the byte-identical row the cluster.Result would have printed.
-func TestRunWriteRowMatchesResult(t *testing.T) {
-	res := cluster.New(quickConfig()).Run()
-	var want, got bytes.Buffer
-	res.WriteRow(&want)
-	FromResult("x", res).WriteRow(&got)
-	if want.String() != got.String() {
-		t.Fatalf("rows differ:\nresult: %q\nreport: %q", want.String(), got.String())
-	}
-}
-
 func TestSchemaRoundTrip(t *testing.T) {
 	pool := runner.New(runner.Options{Jobs: 2, Record: true})
 	outs := pool.Run([]runner.Job{

@@ -5,7 +5,6 @@ import (
 
 	"ncap/internal/stats"
 	"ncap/internal/telemetry"
-	"ncap/internal/trace"
 )
 
 // Point is one time-series sample with an explicit nanosecond timestamp.
@@ -27,21 +26,6 @@ func FromTimeSeries(ts *stats.TimeSeries) Series {
 		s.Points = append(s.Points, Point{TNs: int64(p.T), V: p.V})
 	}
 	return s
-}
-
-// SeriesFromSampler exports every signal the sampler collects, in a
-// fixed order. Nil is a no-op.
-func SeriesFromSampler(sm *trace.Sampler) []Series {
-	if sm == nil {
-		return nil
-	}
-	var out []Series
-	for _, ts := range []*stats.TimeSeries{
-		sm.BWRx, sm.BWTx, sm.Util, sm.Freq, sm.TC1, sm.TC3, sm.TC6, sm.Wakes,
-	} {
-		out = append(out, FromTimeSeries(ts))
-	}
-	return out
 }
 
 // EventsSummary condenses a telemetry event trace: totals plus per-kind

@@ -75,9 +75,6 @@ func parseCacheEntry(blob []byte, key string) (cluster.Result, bool) {
 // before a process one. Failures are returned but safe to ignore: a
 // missing entry only means the job runs again.
 func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
-	// The sampler holds live time series; Cacheable() excludes tracing
-	// jobs, so this is belt and braces against future result fields.
-	res.Sampler = nil
 	cfgBlob, _ := json.Marshal(job.Config)
 	blob, err := json.MarshalIndent(cacheEntry{
 		Schema: schemaVersion,

@@ -62,8 +62,8 @@ func (j Job) Key() string {
 }
 
 // Cacheable reports whether the job's result can be memoized on disk.
-// Trace-sampling runs carry a live *trace.Sampler whose time series the
-// cache does not serialize, and telemetry-carrying runs exist to populate
+// Trace-sampling runs exist for their time series (Result.Trace), which
+// would only bloat the store, and telemetry-carrying runs exist to populate
 // a live sink (metrics registry, event trace) a cached Result cannot
 // refill — both always execute. Audited jobs (Config.Audit) also always
 // execute: replaying a stored Result would skip the invariant checks the

@@ -162,8 +162,8 @@ func TestTraceJobsBypassCache(t *testing.T) {
 		if o.CacheHit {
 			t.Fatal("trace job hit the cache")
 		}
-		if o.Result.Sampler == nil {
-			t.Fatal("trace job lost its sampler")
+		if o.Result.Trace == nil {
+			t.Fatal("trace job lost its trace")
 		}
 	}
 	entries, err := os.ReadDir(dir)
@@ -311,9 +311,14 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	// A real simulation takes milliseconds of wall time; a nanosecond
-	// budget must trip the timeout, and the worker must keep going.
-	slow := Job{Tag: "slow", Config: tinyCfg(cluster.OndIdle, app.ApacheProfile(), 24_000)}
+	// A nanosecond budget must trip the timeout, and the worker must keep
+	// going. The job starts before its timer is armed, so it must outlast
+	// any scheduling delay between the two: a 5 s window takes hundreds of
+	// milliseconds of wall time, where tinyCfg's could finish first on a
+	// loaded host.
+	cfg := tinyCfg(cluster.OndIdle, app.ApacheProfile(), 24_000)
+	cfg.Measure = 5 * sim.Second
+	slow := Job{Tag: "slow", Config: cfg}
 	pool := New(Options{Jobs: 1, Timeout: time.Nanosecond})
 	o := pool.RunOne(slow)
 	if o.Err == nil {

@@ -224,40 +224,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesNormalized(t *testing.T) {
-	s := &TimeSeries{Name: "bw"}
-	s.Add(0, 2)
-	s.Add(sim.Millisecond, 8)
-	s.Add(2*sim.Millisecond, 4)
-	n := s.Normalized()
-	want := []float64{0.25, 1, 0.5}
-	for i, p := range n.Points {
-		if p.V != want[i] {
-			t.Errorf("point %d = %v, want %v", i, p.V, want[i])
-		}
-	}
-	// Original untouched.
-	if s.Points[1].V != 8 {
-		t.Fatal("Normalized mutated the source series")
-	}
-	empty := &TimeSeries{Name: "zero"}
-	empty.Add(0, 0)
-	if empty.Normalized().Points[0].V != 0 {
-		t.Fatal("all-zero series must survive normalization")
-	}
-}
-
-func TestTimeSeriesSlice(t *testing.T) {
-	s := &TimeSeries{Name: "f"}
-	for i := 0; i < 10; i++ {
-		s.Add(sim.Time(i)*sim.Millisecond, float64(i))
-	}
-	got := s.Slice(3*sim.Millisecond, 6*sim.Millisecond)
-	if len(got) != 3 || got[0].V != 3 || got[2].V != 5 {
-		t.Fatalf("slice = %v", got)
-	}
-}
-
 func TestMultiCSVAlignment(t *testing.T) {
 	a := &TimeSeries{Name: "a"}
 	b := &TimeSeries{Name: "b"}
@@ -278,18 +244,6 @@ func TestMultiCSVAlignment(t *testing.T) {
 	c.Add(0, 1)
 	if err := MultiCSV(&sb, a, c); err == nil {
 		t.Fatal("expected error for mismatched lengths")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := &TimeSeries{Name: "u"}
-	s.Add(500*sim.Microsecond, 0.5)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "time_ms,u\n0.500,0.5\n" {
-		t.Fatalf("csv = %q", sb.String())
 	}
 }
 

@@ -36,46 +36,6 @@ func (s *TimeSeries) Max() float64 {
 	return max
 }
 
-// Normalized returns a copy scaled so the maximum value is 1 (the paper
-// normalizes BW(Rx)/BW(Tx) to their run maxima). An all-zero series is
-// returned unchanged.
-func (s *TimeSeries) Normalized() *TimeSeries {
-	max := s.Max()
-	out := &TimeSeries{Name: s.Name, Points: make([]Point, len(s.Points))}
-	copy(out.Points, s.Points)
-	if max == 0 {
-		return out
-	}
-	for i := range out.Points {
-		out.Points[i].V /= max
-	}
-	return out
-}
-
-// Slice returns the samples within [from, to).
-func (s *TimeSeries) Slice(from, to sim.Time) []Point {
-	var out []Point
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// WriteCSV emits "time_ms,value" rows.
-func (s *TimeSeries) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "time_ms,%s\n", s.Name); err != nil {
-		return err
-	}
-	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%.3f,%g\n", p.T.Millis(), p.V); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MultiCSV writes several aligned series as one CSV table. Series must have
 // identical sample times; it returns an error otherwise.
 func MultiCSV(w io.Writer, series ...*TimeSeries) error {

@@ -1,14 +1,16 @@
 // Package telemetry is the simulator's observability substrate: a
 // hierarchical metrics registry (counters, gauges, time-weighted state
 // meters, latency histograms) that every simulated component registers
-// into under stable dotted names, plus a typed, ring-buffered event trace
-// with JSONL export.
+// into under stable dotted names, a periodic sampler over it, plus a
+// typed, ring-buffered event trace with JSONL export.
 //
 // Determinism contract: telemetry is pure observation. Registering a
 // metric stores a closure that reads component state; nothing is
 // scheduled on the simulation engine and no random stream is consumed, so
 // a telemetry-enabled run produces a Result byte-identical to the same
-// run with telemetry disabled. Export orders metrics by name and events
+// run with telemetry disabled. The one engine user is Sampler, whose
+// ticks only read; its caller subtracts them from any event count it
+// reports (see Sampler). Export orders metrics by name and events
 // by emission order, so dumps are byte-identical across processes and
 // worker counts.
 //
