@@ -5,7 +5,6 @@ import (
 
 	"ncap/internal/app"
 	"ncap/internal/audit"
-	"ncap/internal/core"
 	"ncap/internal/cpu"
 	"ncap/internal/driver"
 	"ncap/internal/fault"
@@ -104,14 +103,8 @@ type Cluster struct {
 	aud *auditState
 }
 
-// chipState adapts the chip for core.DecisionEngine (chip-wide DVFS).
-type chipState struct{ chip *cpu.Chip }
-
-func (c chipState) AtMaxFreq() bool { return c.chip.Target() == c.chip.Table().Max() }
-func (c chipState) AtMinFreq() bool { return c.chip.Target() == c.chip.Table().Min() }
-
-// domainState adapts one core's DVFS domain for core.DecisionEngine
-// (per-core extension).
+// domainState adapts a core's DVFS domain for core.DecisionEngine: the
+// whole chip under chip-wide DVFS, the core alone under PerCoreDVFS.
 type domainState struct {
 	dom *cpu.Domain
 	tab *power.Table
@@ -119,6 +112,11 @@ type domainState struct {
 
 func (d domainState) AtMaxFreq() bool { return d.dom.Target() == d.tab.Max() }
 func (d domainState) AtMinFreq() bool { return d.dom.Target() == d.tab.Min() }
+
+// stateOf returns the DecisionEngine view of core id's DVFS domain.
+func (n *Node) stateOf(id int) domainState {
+	return domainState{dom: n.Chip.Core(id).Domain(), tab: n.Chip.Table()}
+}
 
 // serverLabel names server node i's RNG stream and telemetry prefix.
 // Node 0 is plain "server", the name every historical star run drew its
@@ -272,26 +270,19 @@ func (c *Cluster) addServerNode(group, label string, rack int, addr netsim.Addr,
 	}
 	n.Server = server
 
-	// NCAP embodiments. Template programming models the driver-init
-	// sysfs writes (Sec. 4.1).
+	// NCAP embodiments. Each DecisionEngine judges its target core's DVFS
+	// domain: a queue's core (Sec. 7 extension), or the IRQ core for
+	// ncap.sw. Template programming models the driver-init sysfs writes
+	// (Sec. 4.1).
 	templates := c.templates()
 	if cfg.Policy.UsesNCAPHardware() {
-		for _, q := range n.NIC.Queues() {
-			state := core.ChipState(chipState{n.Chip})
-			if cfg.PerCoreDVFS {
-				// Each queue's DecisionEngine judges and steers its own
-				// target core's DVFS domain (Sec. 7 extension).
-				state = domainState{
-					dom: n.Chip.Core(q.ID() % len(n.Chip.Cores())).Domain(),
-					tab: n.Chip.Table(),
-				}
-			}
-			q.EnableNCAP(cfg.ncapConfig(), state)
+		for i, q := range n.NIC.Queues() {
+			q.EnableNCAP(cfg.ncapConfig(), n.stateOf(n.Driver.QueueCore(i)))
 			q.Monitor().ProgramStrings(templates...)
 		}
 	}
 	if cfg.Policy.UsesNCAPSoftware() {
-		n.Driver.EnableSoftwareNCAP(cfg.ncapConfig(), chipState{n.Chip}, templates...)
+		n.Driver.EnableSoftwareNCAP(cfg.ncapConfig(), n.stateOf(n.Kernel.IRQCore()), templates...)
 	}
 
 	c.nodes = append(c.nodes, n)
@@ -311,40 +302,47 @@ func (c *Cluster) templates() []string {
 }
 
 // hooksFor wires the enhanced interrupt handler's power levers
-// (Fig. 5(d)) to one server node's chip and governors.
+// (Fig. 5(d)) to one server node's chip and governors. It alone decides
+// how far an action on a core reaches:
+//   - a hardware queue's DVFS levers act on its core's domain, which is
+//     the whole chip when there is one domain;
+//   - with several queues, a hardware queue's menu levers act on its
+//     core alone (Sec. 7 extension), otherwise on the global menu;
+//   - ncap.sw's one engine judges the whole chip, so its levers reach
+//     every domain and the global menu.
 func (c *Cluster) hooksFor(n *Node) driver.PowerHooks {
-	if !c.cfg.Policy.UsesNCAPHardware() && !c.cfg.Policy.UsesNCAPSoftware() {
+	hw, sw := c.cfg.Policy.UsesNCAPHardware(), c.cfg.Policy.UsesNCAPSoftware()
+	if !hw && !sw {
 		return driver.PowerHooks{}
 	}
 	fcons := c.cfg.ncapConfig().FCONS
 	tab := n.Chip.Table()
 	step := (tab.Len() - 1 + fcons - 1) / fcons // ceil((states-1)/FCONS)
 	h := driver.PowerHooks{
-		Boost:    n.Chip.Boost,
-		StepDown: func() { n.Chip.SetPState(tab.StepTowardMin(n.Chip.Target(), step)) },
+		Boost:    func(id int) { n.Chip.Core(id).Domain().Boost() },
+		StepDown: func(id int) { n.Chip.Core(id).Domain().StepTowardMin(step) },
 	}
-	if c.cfg.PerCoreDVFS {
-		h.BoostCore = func(id int) { n.Chip.Core(id).Domain().Boost() }
-		h.StepDownCore = func(id int) { n.Chip.Core(id).Domain().StepTowardMin(step) }
+	if sw {
+		h.Boost = func(int) { n.Chip.Boost() }
+		h.StepDown = func(int) { n.Chip.SetPState(tab.StepTowardMin(n.Chip.Target(), step)) }
 	}
 	if n.Menu != nil {
-		h.MenuEnable = func() {
-			n.Menu.Enable()
-			// Governor change kicks idle cores so they re-select (the
-			// kernel's wake_up_all_idle_cpus on cpuidle state change);
-			// cores halted in C1 at high voltage move to deep sleep.
-			for _, core := range n.Chip.Cores() {
-				core.KickIdle()
-			}
-		}
-		h.MenuDisable = n.Menu.Disable
-		if c.cfg.Queues > 1 {
-			// Per-core menu control: a burst on queue q restricts only
-			// q's target core (Sec. 7 extension).
-			h.MenuDisableCore = n.Menu.DisableCore
-			h.MenuEnableCore = func(id int) {
+		if hw && c.cfg.Queues > 1 {
+			h.MenuDisable = n.Menu.DisableCore
+			h.MenuEnable = func(id int) {
 				n.Menu.EnableCore(id)
 				n.Chip.Core(id).KickIdle()
+			}
+		} else {
+			h.MenuDisable = func(int) { n.Menu.Disable() }
+			h.MenuEnable = func(int) {
+				n.Menu.Enable()
+				// Governor change kicks idle cores so they re-select (the
+				// kernel's wake_up_all_idle_cpus on cpuidle state change);
+				// cores halted in C1 at high voltage move to deep sleep.
+				for _, core := range n.Chip.Cores() {
+					core.KickIdle()
+				}
 			}
 		}
 	}

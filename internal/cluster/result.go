@@ -238,8 +238,10 @@ func (c *Cluster) Run() Result {
 		}
 	}
 	// Quiescence-dependent audit checks run last: the Result is fully
-	// collected, so the grace window they need cannot perturb it.
-	if c.aud != nil {
+	// collected, so the grace window they need cannot perturb it. A
+	// halted run (see sim.Engine.Halt) never quiesces; its caller has
+	// already given up on the Result.
+	if c.aud != nil && !c.eng.Halted() {
 		c.finalizeAudit()
 	}
 	return res

@@ -7,7 +7,11 @@
 //
 // With a multi-queue NIC (Sec. 7 extension) the driver registers one
 // MSI-X vector and one NAPI context per queue, pinned to the queue's
-// target core, and routes IT_HIGH/IT_LOW to that core's power hooks.
+// target core. Every power action, hardware or ncap.sw, runs the one
+// IT_HIGH/IT_LOW sequence on behalf of a core: a queue's target core, or
+// the IRQ core for ncap.sw. The driver never decides how far an action
+// reaches; the node assembly binds each lever to that core's DVFS domain
+// and menu state, or to the whole chip.
 package driver
 
 import (
@@ -72,24 +76,17 @@ func scaled(cycles int64, factor float64) int64 {
 }
 
 // PowerHooks are the driver's levers over the power-management stack,
-// wired up by the node assembly. Any may be nil (policy absent). The
-// *Core variants take precedence when set, enabling per-core steering
-// with a multi-queue NIC.
+// wired up by the node assembly. Each lever acts on behalf of a core; the
+// assembly alone decides how far it reaches (that core's DVFS domain or
+// menu state, or the whole chip). Any may be nil (policy absent).
 type PowerHooks struct {
-	// Boost sets the chip frequency to the maximum (P0).
-	Boost func()
-	// BoostCore boosts only the given core's DVFS domain.
-	BoostCore func(coreID int)
-	// StepDown lowers the frequency by one IT_LOW step of the FCONS walk.
-	StepDown func()
-	// StepDownCore lowers only the given core's domain.
-	StepDownCore func(coreID int)
-	// MenuEnable / MenuDisable toggle the cpuidle menu governor.
-	MenuEnable  func()
-	MenuDisable func()
-	// MenuEnableCore / MenuDisableCore toggle it for one core.
-	MenuEnableCore  func(coreID int)
-	MenuDisableCore func(coreID int)
+	// Boost raises the core's frequency to the maximum (P0).
+	Boost func(coreID int)
+	// StepDown lowers it by one IT_LOW step of the FCONS walk.
+	StepDown func(coreID int)
+	// MenuDisable / MenuEnable toggle the cpuidle menu governor for it.
+	MenuDisable func(coreID int)
+	MenuEnable  func(coreID int)
 	// OndemandInhibit suspends the ondemand governor for one period.
 	OndemandInhibit func()
 }
@@ -98,14 +95,16 @@ type PowerHooks struct {
 // with the core that polled it (for flow-affine task placement).
 type Deliver func(p *netsim.Packet, coreID int)
 
-// queueCtx binds one NIC queue to its interrupt vector and NAPI context.
+// queueCtx binds one NIC queue to its interrupt vector and NAPI context,
+// and is the power-action context of the queue's core. ncap.sw acts
+// through a context of its own on the IRQ core, with no queue.
 type queueCtx struct {
 	d      *Driver
 	q      *nic.Queue
 	coreID int
 	irq    *oskernel.IRQ
 	napi   *oskernel.SoftIRQ
-	menu   bool       // this queue holds a menu-disable reference
+	menu   bool       // this context holds a menu-disable reference
 	rxFree []*rxBatch // idle batch cursors
 }
 
@@ -141,7 +140,8 @@ type Driver struct {
 	// menuRefs counts menu-disable holders per core (several queues can
 	// share a core): the governor is disabled at 0→1 and re-enabled at
 	// 1→0, so one queue's IT_LOW cannot re-enable deep sleep while a
-	// sibling queue's burst is still protected.
+	// sibling queue's burst is still protected. A lever that reaches the
+	// whole chip's menu is bound only where one context can hold it.
 	menuRefs map[int]int
 
 	// ncap.sw state (nil unless EnableSoftwareNCAP was called).
@@ -149,7 +149,7 @@ type Driver struct {
 	swTxc   *core.TxBytesCounter
 	swDec   *core.DecisionEngine
 	swTimer *oskernel.Timer
-	swMenu  bool
+	swCtx   *queueCtx
 
 	// Polls counts NAPI poll batches; Delivered counts packets handed to
 	// the application; Boosts/StepDowns count power actions taken.
@@ -192,13 +192,16 @@ func (d *Driver) QueueCore(q int) int { return d.ctxs[q].coreID }
 // EnableSoftwareNCAP activates the ncap.sw variant: ReqMonitor runs per
 // packet in the softirq (costing SWInspectCycles each), TxBytesCounter in
 // the transmit path, and a 1 ms kernel timer evaluates DecisionEngine
-// (Sec. 5). templates mirror the sysfs programming of the hardware path.
-func (d *Driver) EnableSoftwareNCAP(cfg core.Config, chip core.ChipState, templates ...string) {
+// (Sec. 5). Its actions run the hardware queues' IT_HIGH/IT_LOW sequence
+// on behalf of the IRQ core, whose DVFS state the engine judges through
+// state. templates mirror the sysfs programming of the hardware path.
+func (d *Driver) EnableSoftwareNCAP(cfg core.Config, state core.ChipState, templates ...string) {
 	d.swMon = core.NewReqMonitor()
 	d.swMon.ProgramStrings(templates...)
 	d.swTxc = &core.TxBytesCounter{}
-	d.swDec = core.NewDecisionEngine(cfg, chip, d.k.Engine().Now())
-	d.swTimer = d.k.NewTimer("ncap-sw", d.k.IRQCore(), d.cfg.SWTimerCycles, d.swTick)
+	d.swDec = core.NewDecisionEngine(cfg, state, d.k.Engine().Now())
+	d.swCtx = &queueCtx{d: d, coreID: d.k.IRQCore()}
+	d.swTimer = d.k.NewTimer("ncap-sw", d.swCtx.coreID, d.cfg.SWTimerCycles, d.swTick)
 	d.swTimer.ArmPeriodic(sim.Millisecond)
 }
 
@@ -226,35 +229,21 @@ func (c *queueCtx) handleIRQ() {
 	}
 }
 
-// actHigh performs the IT_HIGH sequence from Sec. 4.3: (1) F to max,
-// (2) disable the menu governor, (3) inhibit ondemand for one period —
-// scoped to this queue's core when per-core hooks are wired.
+// actHigh performs the IT_HIGH sequence from Sec. 4.3 on behalf of this
+// context's core: (1) F to max, (2) disable the menu governor, (3) inhibit
+// ondemand for one period.
 func (c *queueCtx) actHigh() {
 	d := c.d
 	d.Boosts.Inc()
 	d.emit("boost", c.coreID)
-	switch {
-	case d.hooks.BoostCore != nil:
-		d.hooks.BoostCore(c.coreID)
-	case d.hooks.Boost != nil:
-		d.hooks.Boost()
+	if d.hooks.Boost != nil {
+		d.hooks.Boost(c.coreID)
 	}
-	if !c.menu && (d.hooks.MenuDisableCore != nil || d.hooks.MenuDisable != nil) {
+	if !c.menu && d.hooks.MenuDisable != nil {
 		c.menu = true
-		// Per-core hooks refcount on the queue's core; the global hook
-		// refcounts on a single shared key so several queues' bursts
-		// cannot re-enable the governor under each other.
-		key := c.coreID
-		if d.hooks.MenuDisableCore == nil {
-			key = -1
-		}
-		d.menuRefs[key]++
-		if d.menuRefs[key] == 1 {
-			if d.hooks.MenuDisableCore != nil {
-				d.hooks.MenuDisableCore(c.coreID)
-			} else {
-				d.hooks.MenuDisable()
-			}
+		d.menuRefs[c.coreID]++
+		if d.menuRefs[c.coreID] == 1 {
+			d.hooks.MenuDisable(c.coreID)
 		}
 	}
 	if d.hooks.OndemandInhibit != nil {
@@ -270,24 +259,13 @@ func (c *queueCtx) actLow() {
 	d.emit("stepdown", c.coreID)
 	if c.menu {
 		c.menu = false
-		key := c.coreID
-		if d.hooks.MenuEnableCore == nil {
-			key = -1
-		}
-		d.menuRefs[key]--
-		if d.menuRefs[key] == 0 {
-			if d.hooks.MenuEnableCore != nil {
-				d.hooks.MenuEnableCore(c.coreID)
-			} else if d.hooks.MenuEnable != nil {
-				d.hooks.MenuEnable()
-			}
+		d.menuRefs[c.coreID]--
+		if d.menuRefs[c.coreID] == 0 && d.hooks.MenuEnable != nil {
+			d.hooks.MenuEnable(c.coreID)
 		}
 	}
-	switch {
-	case d.hooks.StepDownCore != nil:
-		d.hooks.StepDownCore(c.coreID)
-	case d.hooks.StepDown != nil:
-		d.hooks.StepDown()
+	if d.hooks.StepDown != nil {
+		d.hooks.StepDown(c.coreID)
 	}
 }
 
@@ -387,37 +365,10 @@ func (b *txBatch) transmit() {
 func (d *Driver) swTick() {
 	act := d.swDec.OnMITTExpiry(d.k.Engine().Now(), d.swMon.TakeReqCnt(), d.swTxc.TakeTxCnt(), sim.Millisecond)
 	if act.High {
-		d.swActHigh()
+		d.swCtx.actHigh()
 	}
 	if act.Low {
-		d.swActLow()
-	}
-}
-
-func (d *Driver) swActHigh() {
-	d.Boosts.Inc()
-	d.emit("boost", d.k.IRQCore())
-	if d.hooks.Boost != nil {
-		d.hooks.Boost()
-	}
-	if d.hooks.MenuDisable != nil {
-		d.hooks.MenuDisable()
-		d.swMenu = true
-	}
-	if d.hooks.OndemandInhibit != nil {
-		d.hooks.OndemandInhibit()
-	}
-}
-
-func (d *Driver) swActLow() {
-	d.StepDowns.Inc()
-	d.emit("stepdown", d.k.IRQCore())
-	if d.swMenu && d.hooks.MenuEnable != nil {
-		d.hooks.MenuEnable()
-		d.swMenu = false
-	}
-	if d.hooks.StepDown != nil {
-		d.hooks.StepDown()
+		d.swCtx.actLow()
 	}
 }
 

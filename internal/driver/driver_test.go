@@ -85,13 +85,13 @@ func TestRxBatchRespectsNAPIBudget(t *testing.T) {
 func TestITHighSequence(t *testing.T) {
 	var boosted, menuOff, inhibited bool
 	r := newRig(PowerHooks{
-		Boost:           func() { boosted = true },
-		MenuDisable:     func() { menuOff = true },
-		MenuEnable:      func() { menuOff = false },
+		Boost:           func(int) { boosted = true },
+		MenuDisable:     func(int) { menuOff = true },
+		MenuEnable:      func(int) { menuOff = false },
 		OndemandInhibit: func() { inhibited = true },
 	})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.dev.Queue(0).EnableNCAP(core.DefaultConfig(), chipState{r.chip})
+	r.dev.Queue(0).Monitor().ProgramStrings("GET")
 	// Force a non-max current frequency so IT_HIGH isn't suppressed.
 	r.chip.SetPState(r.chip.Table().Min())
 	r.eng.Run(20 * sim.Microsecond)
@@ -113,13 +113,13 @@ func TestITLowReenablesMenuAndStepsDown(t *testing.T) {
 	menuOff := false
 	var r *rig
 	r = newRig(PowerHooks{
-		Boost:       func() { r.chip.Boost() },
-		MenuDisable: func() { menuOff = true },
-		MenuEnable:  func() { menuOn = true; menuOff = false },
-		StepDown:    func() { stepped = true },
+		Boost:       func(int) { r.chip.Boost() },
+		MenuDisable: func(int) { menuOff = true },
+		MenuEnable:  func(int) { menuOn = true; menuOff = false },
+		StepDown:    func(int) { stepped = true },
 	})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.dev.Queue(0).EnableNCAP(core.DefaultConfig(), chipState{r.chip})
+	r.dev.Queue(0).Monitor().ProgramStrings("GET")
 	r.chip.SetPState(r.chip.Table().Min())
 	r.eng.Run(20 * sim.Microsecond)
 
@@ -143,8 +143,8 @@ func TestCITWakePollsEmptyRingSafely(t *testing.T) {
 	// A CIT wake interrupt can arrive before any packet finishes DMA; the
 	// poll must handle the empty ring and unmask.
 	r := newRig(PowerHooks{})
-	r.dev.EnableNCAP(core.DefaultConfig(), chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.dev.Queue(0).EnableNCAP(core.DefaultConfig(), chipState{r.chip})
+	r.dev.Queue(0).Monitor().ProgramStrings("GET")
 	r.eng.Run(sim.Millisecond) // long silent gap
 	r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
 	r.eng.Run(5 * sim.Millisecond)
@@ -175,7 +175,11 @@ func (s *txSink) Receive(p *netsim.Packet) { s.got = append(s.got, p) }
 
 func TestSoftwareNCAPBoostsViaTimer(t *testing.T) {
 	boosts := 0
-	r := newRig(PowerHooks{Boost: func() { boosts++ }})
+	var menuCores []int
+	r := newRig(PowerHooks{
+		Boost:       func(int) { boosts++ },
+		MenuDisable: func(id int) { menuCores = append(menuCores, id) },
+	})
 	r.drv.EnableSoftwareNCAP(core.DefaultConfig(), chipState{r.chip}, "GET")
 	r.chip.SetPState(r.chip.Table().Min())
 	r.eng.Run(20 * sim.Microsecond)
@@ -194,13 +198,18 @@ func TestSoftwareNCAPBoostsViaTimer(t *testing.T) {
 	if !r.drv.SoftwareNCAP() {
 		t.Fatal("SoftwareNCAP() = false")
 	}
+	// ncap.sw runs the queues' IT_HIGH sequence on behalf of the IRQ core,
+	// taking the menu-disable reference once however often it boosts.
+	if len(menuCores) != 1 || menuCores[0] != r.k.IRQCore() {
+		t.Fatalf("menu disabled on cores %v, want once on IRQ core %d", menuCores, r.k.IRQCore())
+	}
 }
 
 func TestSoftwareNCAPChargesInspectionCycles(t *testing.T) {
 	// The same packet load must consume more core-0 CPU with ncap.sw than
 	// without — the overhead that makes ncap.sw lose at high load.
 	run := func(sw bool) sim.Duration {
-		r := newRig(PowerHooks{Boost: func() {}})
+		r := newRig(PowerHooks{Boost: func(int) {}})
 		if sw {
 			r.drv.EnableSoftwareNCAP(core.DefaultConfig(), chipState{r.chip}, "GET")
 		}
@@ -221,7 +230,7 @@ func TestSoftwareNCAPChargesInspectionCycles(t *testing.T) {
 
 func TestSoftwareNCAPStepsDownWhenQuiet(t *testing.T) {
 	steps := 0
-	r := newRig(PowerHooks{StepDown: func() { steps++ }})
+	r := newRig(PowerHooks{StepDown: func(int) { steps++ }})
 	r.drv.EnableSoftwareNCAP(core.DefaultConfig(), chipState{r.chip}, "GET")
 	// Total silence for 10 ms: the 1 ms timer accumulates low windows.
 	r.eng.Run(10 * sim.Millisecond)
@@ -337,10 +346,10 @@ func TestMenuDisableRefcountAcrossQueuesSharingCore(t *testing.T) {
 	dev := nic.New(eng, 1, cfg)
 	disabled := map[int]bool{}
 	drv := New(k, dev, DefaultConfig(), PowerHooks{
-		BoostCore:       func(int) {},
-		StepDownCore:    func(int) {},
-		MenuDisableCore: func(id int) { disabled[id] = true },
-		MenuEnableCore:  func(id int) { disabled[id] = false },
+		Boost:       func(int) {},
+		StepDown:    func(int) {},
+		MenuDisable: func(id int) { disabled[id] = true },
+		MenuEnable:  func(id int) { disabled[id] = false },
 	}, func(*netsim.Packet, int) {})
 
 	// Queues 0 and 4 both serve core 0.
@@ -368,8 +377,8 @@ func TestUrgentWakeStartsSecondPollChainMidBatch(t *testing.T) {
 	r := newRig(PowerHooks{})
 	cfg := core.DefaultConfig()
 	cfg.CIT = 10 * sim.Microsecond
-	r.dev.EnableNCAP(cfg, chipState{r.chip})
-	r.dev.Monitor().ProgramStrings("GET")
+	r.dev.Queue(0).EnableNCAP(cfg, chipState{r.chip})
+	r.dev.Queue(0).Monitor().ProgramStrings("GET")
 	// Batch one: 40 frames NCAP does not classify as latency-critical,
 	// ~80 µs of stack processing once moderation fires.
 	for i := 0; i < 40; i++ {

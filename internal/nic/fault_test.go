@@ -27,16 +27,16 @@ func TestCorruptFrameDroppedAtFCS(t *testing.T) {
 		t.Fatalf("corrupt frame accounted as received: pkts=%d bytes=%d",
 			n.RxPackets.Value(), n.RxBytes.Value())
 	}
-	if irqs != 0 || n.RxPending() != 0 {
-		t.Fatalf("corrupt frame reached the host: irqs=%d pending=%d", irqs, n.RxPending())
+	if irqs != 0 || n.Queue(0).RxPending() != 0 {
+		t.Fatalf("corrupt frame reached the host: irqs=%d pending=%d", irqs, n.Queue(0).RxPending())
 	}
 
 	// A clean frame after the drop flows normally.
 	n.Receive(req("GET /index.html"))
 	eng.Run(2 * sim.Millisecond)
-	if n.RxPackets.Value() != 1 || n.RxPending() != 1 {
+	if n.RxPackets.Value() != 1 || n.Queue(0).RxPending() != 1 {
 		t.Fatalf("clean frame lost after FCS drop: pkts=%d pending=%d",
-			n.RxPackets.Value(), n.RxPending())
+			n.RxPackets.Value(), n.Queue(0).RxPending())
 	}
 
 	n.ResetStats()

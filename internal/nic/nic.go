@@ -294,41 +294,13 @@ func (n *NIC) ResetStats() {
 
 // ---------------------------------------------------------------------------
 // Single-queue convenience API: the paper's baseline NIC. These delegate
-// to queue 0 and keep the stock driver code independent of the extension.
+// to queue 0; drivers and NCAP code address queues through Queue.
 
 // SetIRQ wires queue 0's interrupt line to the kernel.
 func (n *NIC) SetIRQ(fn func()) { n.queues[0].SetIRQ(fn) }
 
-// EnableNCAP installs the enhanced-NIC hardware blocks on every queue,
-// sharing one chip view (chip-wide DVFS). Templates are programmed
-// separately via Monitor().ProgramStrings — the driver does it from its
-// init path, as through sysfs (Sec. 4.1).
-func (n *NIC) EnableNCAP(cfg core.Config, chip core.ChipState) {
-	for _, q := range n.queues {
-		q.EnableNCAP(cfg, chip)
-	}
-}
-
-// Monitor returns queue 0's NCAP request monitor (nil on a stock NIC).
-func (n *NIC) Monitor() *core.ReqMonitor { return n.queues[0].mon }
-
-// Decision returns queue 0's NCAP decision engine (nil on a stock NIC).
-func (n *NIC) Decision() *core.DecisionEngine { return n.queues[0].dec }
-
 // NCAPEnabled reports whether the enhanced hardware is active.
 func (n *NIC) NCAPEnabled() bool { return n.queues[0].dec != nil }
-
-// ReadICR returns and clears queue 0's interrupt cause register.
-func (n *NIC) ReadICR() uint32 { return n.queues[0].ReadICR() }
-
-// MaskRxIRQ suppresses queue 0's rx-cause interrupts (NAPI poll entry).
-func (n *NIC) MaskRxIRQ() { n.queues[0].MaskRxIRQ() }
-
-// UnmaskRxIRQ re-enables queue 0's rx interrupts.
-func (n *NIC) UnmaskRxIRQ() { n.queues[0].UnmaskRxIRQ() }
-
-// RxPending returns queue 0's DMA-complete packets awaiting poll.
-func (n *NIC) RxPending() int { return n.queues[0].RxPending() }
 
 // Poll removes and returns up to budget packets from queue 0.
 func (n *NIC) Poll(budget int) []*netsim.Packet { return n.queues[0].Poll(budget) }
@@ -344,8 +316,9 @@ func (q *Queue) SetIRQ(fn func()) { q.irq = fn }
 
 // EnableNCAP installs this queue's NCAP blocks: its own ReqMonitor,
 // TxBytesCounter and DecisionEngine evaluated on its own MITT, judging
-// and steering the chip view it is given (the target core's DVFS domain
-// in the per-core extension).
+// the DVFS state it is given (its target core's domain, which is the
+// chip under chip-wide DVFS). Templates are programmed separately via
+// Monitor().ProgramStrings, as the driver does through sysfs (Sec. 4.1).
 func (q *Queue) EnableNCAP(cfg core.Config, chip core.ChipState) {
 	q.mon = core.NewReqMonitor()
 	q.txc = &core.TxBytesCounter{}

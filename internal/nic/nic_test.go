@@ -37,11 +37,11 @@ func TestRxInterruptAfterQuietPeriod(t *testing.T) {
 	if irqAt[0] < 25*sim.Microsecond || irqAt[0] > 30*sim.Microsecond {
 		t.Fatalf("IRQ at %v, want ~25.6µs", irqAt[0])
 	}
-	if n.ReadICR()&ITRx == 0 {
+	if n.Queue(0).ReadICR()&ITRx == 0 {
 		t.Fatal("ICR missing IT_RX")
 	}
-	if n.RxPending() != 1 {
-		t.Fatalf("pending = %d", n.RxPending())
+	if n.Queue(0).RxPending() != 1 {
+		t.Fatalf("pending = %d", n.Queue(0).RxPending())
 	}
 }
 
@@ -79,8 +79,8 @@ func TestPollDrainsFIFO(t *testing.T) {
 	if len(got) != 3 || got[0].ReqID != 0 || got[2].ReqID != 2 {
 		t.Fatalf("poll = %v", got)
 	}
-	if n.RxPending() != 2 {
-		t.Fatalf("pending = %d", n.RxPending())
+	if n.Queue(0).RxPending() != 2 {
+		t.Fatalf("pending = %d", n.Queue(0).RxPending())
 	}
 	rest := n.Poll(64)
 	if len(rest) != 2 || rest[0].ReqID != 3 {
@@ -104,8 +104,8 @@ func TestRxRingOverflowDrops(t *testing.T) {
 	if n.RxDrops.Value() != 6 {
 		t.Fatalf("drops = %d, want 6", n.RxDrops.Value())
 	}
-	if n.RxPending() != 4 {
-		t.Fatalf("pending = %d, want 4", n.RxPending())
+	if n.Queue(0).RxPending() != 4 {
+		t.Fatalf("pending = %d, want 4", n.Queue(0).RxPending())
 	}
 }
 
@@ -115,14 +115,14 @@ func TestNAPIMasking(t *testing.T) {
 	irqs := 0
 	n.SetIRQ(func() { irqs++ })
 
-	n.MaskRxIRQ()
+	n.Queue(0).MaskRxIRQ()
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
 	if irqs != 0 {
 		t.Fatalf("masked NIC raised %d IRQs", irqs)
 	}
 	// Unmasking with pending packets re-raises immediately.
-	n.UnmaskRxIRQ()
+	n.Queue(0).UnmaskRxIRQ()
 	if irqs != 1 {
 		t.Fatalf("unmask raised %d IRQs, want 1", irqs)
 	}
@@ -134,10 +134,10 @@ func TestReadICRClears(t *testing.T) {
 	n.SetIRQ(func() {})
 	n.Receive(req("GET /"))
 	eng.Run(sim.Millisecond)
-	if v := n.ReadICR(); v&ITRx == 0 {
+	if v := n.Queue(0).ReadICR(); v&ITRx == 0 {
 		t.Fatalf("ICR = %b", v)
 	}
-	if v := n.ReadICR(); v != 0 {
+	if v := n.Queue(0).ReadICR(); v != 0 {
 		t.Fatalf("second read = %b, want 0", v)
 	}
 }
@@ -147,9 +147,9 @@ func TestNCAPHighOnBurst(t *testing.T) {
 	n := testNIC(eng)
 	chip := &chipStub{}
 	var causes []uint32
-	n.SetIRQ(func() { causes = append(causes, n.ReadICR()) })
-	n.EnableNCAP(core.DefaultConfig(), chip)
-	n.Monitor().ProgramStrings("GET")
+	n.SetIRQ(func() { causes = append(causes, n.Queue(0).ReadICR()) })
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), chip)
+	n.Queue(0).Monitor().ProgramStrings("GET")
 
 	// A dense burst: 10 GETs in the first 20 µs => ReqRate at the first
 	// MITT expiry (50µs) is 200K RPS > RHT.
@@ -182,10 +182,10 @@ func TestNCAPCITWakeBeforeDMACompletes(t *testing.T) {
 	var causes []uint32
 	n.SetIRQ(func() {
 		irqAt = append(irqAt, eng.Now())
-		causes = append(causes, n.ReadICR())
+		causes = append(causes, n.Queue(0).ReadICR())
 	})
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{})
+	n.Queue(0).Monitor().ProgramStrings("GET")
 
 	// Arrange a long silent gap: start the clock 1 ms in.
 	eng.Run(sim.Millisecond)
@@ -214,10 +214,10 @@ func TestNCAPNoCITWakeForUnmatchedTraffic(t *testing.T) {
 	var causes []uint32
 	n.SetIRQ(func() {
 		irqAt = append(irqAt, eng.Now())
-		causes = append(causes, n.ReadICR())
+		causes = append(causes, n.Queue(0).ReadICR())
 	})
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{})
+	n.Queue(0).Monitor().ProgramStrings("GET")
 
 	eng.Run(sim.Millisecond)
 	// Bulk traffic (no template match) must not trigger the CIT path: no
@@ -243,9 +243,9 @@ func TestNCAPLowAfterQuiet(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
 	var causes []uint32
-	n.SetIRQ(func() { causes = append(causes, n.ReadICR()) })
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
-	n.Monitor().ProgramStrings("GET")
+	n.SetIRQ(func() { causes = append(causes, n.Queue(0).ReadICR()) })
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{})
+	n.Queue(0).Monitor().ProgramStrings("GET")
 	// Nothing arrives at all: after ~1.05ms of quiet MITT periods, IT_LOW.
 	eng.Run(3 * sim.Millisecond)
 	lows := 0
@@ -264,7 +264,7 @@ func TestNCAPLowSuppressedAtMinFreq(t *testing.T) {
 	n := testNIC(eng)
 	irqs := 0
 	n.SetIRQ(func() { irqs++ })
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{atMin: true})
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{atMin: true})
 	eng.Run(10 * sim.Millisecond)
 	if irqs != 0 {
 		t.Fatalf("IRQs = %d at min frequency, want 0", irqs)
@@ -274,7 +274,7 @@ func TestNCAPLowSuppressedAtMinFreq(t *testing.T) {
 func TestTransmitCountsAndNCAPTxCnt(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	n.EnableNCAP(core.DefaultConfig(), &chipStub{})
+	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{})
 	sink := &recvSink{}
 	n.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), sink))
 	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 4000)
@@ -303,7 +303,7 @@ func (r *recvSink) Receive(p *netsim.Packet) { r.got = append(r.got, p) }
 func TestStockNICHasNoNCAP(t *testing.T) {
 	eng := sim.NewEngine()
 	n := testNIC(eng)
-	if n.NCAPEnabled() || n.Monitor() != nil || n.Decision() != nil {
+	if n.NCAPEnabled() || n.Queue(0).Monitor() != nil || n.Queue(0).Decision() != nil {
 		t.Fatal("stock NIC exposes NCAP blocks")
 	}
 	irqs := 0
@@ -336,12 +336,12 @@ func TestDMASerializesTransfers(t *testing.T) {
 	n.Receive(req("GET /a"))
 	n.Receive(req("GET /b"))
 	eng.Run(15 * sim.Microsecond)
-	if n.RxPending() != 1 {
-		t.Fatalf("pending after 15µs = %d, want 1 (DMA serialized)", n.RxPending())
+	if n.Queue(0).RxPending() != 1 {
+		t.Fatalf("pending after 15µs = %d, want 1 (DMA serialized)", n.Queue(0).RxPending())
 	}
 	eng.Run(25 * sim.Microsecond)
-	if n.RxPending() != 2 {
-		t.Fatalf("pending after 25µs = %d, want 2", n.RxPending())
+	if n.Queue(0).RxPending() != 2 {
+		t.Fatalf("pending after 25µs = %d, want 2", n.Queue(0).RxPending())
 	}
 }
 

@@ -24,9 +24,9 @@ type Options struct {
 	// created on first use and is safe to share between processes.
 	CacheDir string
 	// Timeout bounds each job's wall-clock time; 0 means no limit. A
-	// timed-out job yields an Outcome.Err and its worker moves on (the
-	// abandoned simulation goroutine is left to finish and be collected —
-	// the engine has no preemption point to interrupt).
+	// timed-out job yields an Outcome.Err and its worker moves on; the
+	// abandoned simulation is halted (sim.Engine.Halt), so its goroutine
+	// exits after the event in flight instead of simulating to the end.
 	Timeout time.Duration
 	// Progress, when non-nil, receives human-readable batch progress
 	// (completed/total, cache hits, ETA). Point it at stderr so sweep
@@ -345,8 +345,8 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 }
 
 // jobResult crosses the isolation goroutine boundary. The channel is
-// buffered so an abandoned (timed-out) simulation can still deposit its
-// result and exit instead of leaking forever.
+// buffered so an abandoned (timed-out, halted) simulation can still
+// deposit its result and exit instead of leaking forever.
 type jobResult struct {
 	res        cluster.Result
 	violations []audit.Violation
@@ -362,6 +362,13 @@ func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
 		return res, nil, err
 	}
 	ch := make(chan jobResult, 1)
+	// A timeout halts the simulation's engine. It may fire while the
+	// cluster is still being built, so each side checks the other's flag
+	// after setting its own: one of them always sees both.
+	var (
+		live     atomic.Pointer[cluster.Cluster]
+		timedOut atomic.Bool
+	)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -370,6 +377,10 @@ func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
 			}
 		}()
 		cl := cluster.New(job.Config)
+		live.Store(cl)
+		if timedOut.Load() {
+			cl.Engine().Halt()
+		}
 		res := cl.Run()
 		ch <- jobResult{res: res, violations: cl.AuditViolations()}
 	}()
@@ -384,6 +395,10 @@ func (p *Pool) execute(job Job) (cluster.Result, []audit.Violation, error) {
 	case r := <-ch:
 		return r.res, r.violations, r.err
 	case <-timer.C:
+		timedOut.Store(true)
+		if cl := live.Load(); cl != nil {
+			cl.Engine().Halt()
+		}
 		return cluster.Result{}, nil, fmt.Errorf("runner: job %q exceeded the %v wall-clock timeout",
 			job.Tag, p.opts.Timeout)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +330,27 @@ func TestTimeout(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Failures != 1 {
 		t.Fatalf("stats = %+v, want one failure", st)
+	}
+}
+
+// A timed-out job's simulation must stop, not run on beside the next
+// job: a 60 s window takes minutes of wall time, so its goroutine is gone
+// within a second only if the timeout halted it.
+func TestTimeoutHaltsSimulation(t *testing.T) {
+	cfg := tinyCfg(cluster.OndIdle, app.ApacheProfile(), 24_000)
+	cfg.Measure = 60 * sim.Second
+	before := runtime.NumGoroutine()
+	o := New(Options{Jobs: 1, Timeout: time.Nanosecond}).RunOne(Job{Tag: "long", Config: cfg})
+	if o.Err == nil {
+		t.Fatal("nanosecond timeout did not trip")
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1s after the timeout, %d before the job: the simulation still runs",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

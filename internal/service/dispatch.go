@@ -12,12 +12,13 @@ import (
 )
 
 // ticket is one job's dispatch state. Executors (driver goroutines) wait
-// on ch; workers complete the ticket through a lease. Tickets are keyed
-// by (sweep, content key), so concurrent submissions of the same config
-// inside one sweep join a single ticket — the first completion settles
-// all of them, which is also what makes duplicate remote completions
-// idempotent: results are a pure function of the config, so whichever
-// copy arrives first is the result.
+// on ch; workers complete the ticket through a lease. Every executeJob
+// call whose content key has not completed yet makes a fresh ticket, so
+// two copies of one config in flight in a sweep are dispatched twice;
+// commitComplete journals the first completion of the key and drops the
+// second. Duplicate completions of one ticket (a re-leased job finishing
+// twice) settle it once: results are a pure function of the config, so
+// whichever copy arrives first is the result.
 type ticket struct {
 	sweepID     string
 	job         runner.Job

@@ -79,9 +79,6 @@ type Options struct {
 	// local workers — jobs then wait for remote workers (or tests driving
 	// the lease API directly).
 	Workers int
-	// MaxInflight bounds concurrently dispatched jobs per sweep driver;
-	// zero picks max(2*Workers, 4).
-	MaxInflight int
 	// LeaseTTL bounds a worker's silence before its job is re-dispatched.
 	// Zero means 30s.
 	LeaseTTL time.Duration
@@ -99,12 +96,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 2 * o.Workers
-		if o.MaxInflight < 4 {
-			o.MaxInflight = 4
-		}
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 30 * time.Second
 	}
@@ -345,7 +336,7 @@ func (s *Service) runDriver(sw *sweep) {
 		return
 	}
 	pool := runner.New(runner.Options{
-		Jobs:    s.opts.MaxInflight,
+		Jobs:    max(2*s.opts.Workers, 4), // jobs in flight per sweep driver
 		Record:  true,
 		Retries: 0, // the lease layer owns retries; double-retrying would skew attempts
 		Executor: func(job runner.Job) (cluster.Result, error) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Time is a simulated instant, in nanoseconds since the start of the run.
@@ -226,6 +227,7 @@ type Engine struct {
 	pending int
 	running bool
 	stopped bool
+	halt    atomic.Bool // sticky Stop, settable from any goroutine
 
 	// front is the engine's frontier in the fire order: the key of the
 	// event firing (or last fired), or, once Run(until) returns without
@@ -586,7 +588,7 @@ func (e *Engine) Run(until Time) uint64 {
 	e.running = true
 	defer func() { e.running = false }()
 	var fired uint64
-	for !e.stopped {
+	for !e.stopped && !e.halt.Load() {
 		ev := e.popMin(until)
 		if ev == nil {
 			break
@@ -599,7 +601,7 @@ func (e *Engine) Run(until Time) uint64 {
 		e.fire(ev)
 		fired++
 	}
-	if !e.stopped && until >= e.now {
+	if !e.stopped && !e.halt.Load() && until >= e.now {
 		// Everything at or before until has fired, including keys
 		// reserved for until; anything reserved from here on has not.
 		e.now = until
@@ -630,6 +632,15 @@ func (e *Engine) Step() bool {
 
 // Stop makes the current Run return after the in-flight event completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Halt is a sticky Stop: the current Run returns after the in-flight
+// event completes, and every later Run returns at once. Unlike the rest
+// of the engine it is safe to call from any goroutine, so a wall-clock
+// timeout can end a simulation it has abandoned.
+func (e *Engine) Halt() { e.halt.Store(true) }
+
+// Halted reports whether Halt has been called.
+func (e *Engine) Halted() bool { return e.halt.Load() }
 
 // eventHeap is a binary min-heap of events ordered by (when, seq), with
 // index maintenance for O(log n) removal by position.

@@ -141,6 +141,31 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// Halt is a Stop that sticks: unlike TestEngineStop's resume, every later
+// Run returns at once, firing nothing and leaving the clock where it was.
+func TestEngineHaltSticks(t *testing.T) {
+	e := NewEngine()
+	count := 0
+	for i := 1; i <= 10; i++ {
+		e.Schedule(Duration(i)*Millisecond, func() {
+			count++
+			if count == 3 {
+				e.Halt()
+			}
+		})
+	}
+	e.Run(Second)
+	if count != 3 || !e.Halted() {
+		t.Fatalf("fired %d events after Halt (halted=%v), want 3", count, e.Halted())
+	}
+	if fired := e.Run(Second); fired != 0 || count != 3 {
+		t.Fatalf("Run after Halt fired %d events", fired)
+	}
+	if e.Now() != 3*Millisecond {
+		t.Fatalf("clock = %v after a halted Run, want 3ms", e.Now())
+	}
+}
+
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
