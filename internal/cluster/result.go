@@ -150,7 +150,11 @@ type SwitchStats struct {
 
 // Run executes the experiment: warmup, measured window, drain; it returns
 // the collected result.
-func (c *Cluster) Run() Result {
+func (c *Cluster) Run() Result { return c.run(c.eng.Run) }
+
+// run is Run with the engine driven through advance, which must leave the
+// engine as Engine.Run(until) would (the fire-order test steps it).
+func (c *Cluster) run(advance func(until sim.Time) uint64) Result {
 	cfg := c.cfg
 	for _, n := range c.nodes {
 		if n.Ond != nil {
@@ -167,7 +171,7 @@ func (c *Cluster) Run() Result {
 	}
 
 	// Warmup.
-	c.eng.Run(cfg.Warmup)
+	advance(cfg.Warmup)
 
 	// Measurement boundary: zero all accounting.
 	for _, n := range c.nodes {
@@ -195,7 +199,7 @@ func (c *Cluster) Run() Result {
 	// Measured window: all machine-side accounting (energy, residencies,
 	// action counters) is snapshotted at its end.
 	measureEnd := cfg.Warmup + cfg.Measure
-	c.eng.Run(measureEnd)
+	advance(measureEnd)
 	var nodeEnergy []float64
 	if cfg.Topology != nil {
 		// Per-node snapshots for the group rollups, taken at the same
@@ -219,7 +223,7 @@ func (c *Cluster) Run() Result {
 		c.sampler.Stop()
 		res.Trace = buildTrace(c.sampler, len(c.nodes[0].Chip.Cores()))
 	}
-	c.eng.Run(measureEnd + cfg.Drain)
+	advance(measureEnd + cfg.Drain)
 	c.mergeClientStats(&res)
 	if cfg.Overload != nil {
 		c.collectOverload(&res, measureEnd)
