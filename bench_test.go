@@ -445,7 +445,7 @@ func BenchmarkEngineCancelStorm(b *testing.B) {
 	eng := sim.NewEngine()
 	nop := func(any) {}
 	delays := []sim.Duration{
-		500 * sim.Nanosecond,  // near heap
+		500 * sim.Nanosecond,  // near window
 		30 * sim.Microsecond,  // level 0
 		2 * sim.Millisecond,   // level 1
 		120 * sim.Millisecond, // level 2
@@ -490,7 +490,7 @@ func BenchmarkEngineMixedHorizonDrain(b *testing.B) {
 //     10.37%, 2–4 µs 27.26%, 4–8 µs 10.46%, 8–16 µs 9.03%, 16–32 µs
 //     6.76%, 32–64 µs 6.46%, 64–128 µs 1.72%, 16–33 ms 3.41%, and under
 //     0.1% elsewhere;
-//   - a near heap below 8 events at 85% of steps and below 64 at all.
+//   - a near window below 8 events at 85% of steps and below 64 at all.
 //
 // The benchmark keeps 35 short events pending; each op fires the earliest
 // with a no-op ScheduleArg callback and schedules a replacement drawn from

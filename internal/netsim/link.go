@@ -46,6 +46,13 @@ type Link struct {
 	headIdx, tailIdx int
 	completed        uint64
 
+	// The arrival FIFO: frames on the wire, in the key order of their
+	// deliveries, from air[airHead] to airTail[airTailIdx-1]. Only the
+	// head's delivery is an engine event; see pushArrival. air is nil
+	// while nothing is in flight.
+	air, airTail        *arrivalChunk
+	airHead, airTailIdx int
+
 	// Bytes counts payload+header bytes successfully transmitted; Drops
 	// counts frames lost to a full egress buffer.
 	Bytes stats.Counter
@@ -165,14 +172,81 @@ func (l *Link) Completions() uint64 {
 	return l.completed
 }
 
-// linkDeliver hands an arrived frame to the link's receiver (a0 is the
-// *Link, a1 the *Packet).
+// An arrival is a frame on the wire: the key its delivery event would
+// have carried, reserved when the frame was committed, and the frame.
+type arrival struct {
+	key sim.Key
+	p   *Packet
+}
+
+// arrivalChunk is one fixed-size block of a link's arrival FIFO. Blocks
+// come from arrivalPool and return to it once drained, the last one when
+// the link goes quiet, so idle links hold no arrival memory.
+type arrivalChunk struct {
+	recs [32]arrival
+	next *arrivalChunk
+}
+
+var arrivalPool = sync.Pool{New: func() any { return new(arrivalChunk) }}
+
+// pushArrival schedules p's delivery under k, a key just reserved for its
+// arrival. A frame that arrives no earlier than the FIFO's tail joins the
+// FIFO (its key orders after the tail's, which was reserved before it);
+// one that overtakes the tail — a fault's extra delay on an earlier frame
+// — is delivered by its own event. Either way it fires at k.
+func (l *Link) pushArrival(k sim.Key, p *Packet) {
+	switch {
+	case l.air == nil:
+		c := arrivalPool.Get().(*arrivalChunk)
+		l.air, l.airTail, l.airHead, l.airTailIdx = c, c, 0, 0
+		l.eng.AtKeyArg2(k, linkDeliver, l, nil)
+	case k.When() < l.airTail.recs[l.airTailIdx-1].key.When():
+		l.eng.AtKeyArg2(k, linkDeliver, l, p)
+		return
+	case l.airTailIdx == len(l.airTail.recs):
+		c := arrivalPool.Get().(*arrivalChunk)
+		l.airTail.next = c
+		l.airTail, l.airTailIdx = c, 0
+	}
+	l.airTail.recs[l.airTailIdx] = arrival{k, p}
+	l.airTailIdx++
+}
+
+// popArrival removes the FIFO's head frame, whose delivery is firing, and
+// schedules the next head's.
+func (l *Link) popArrival() *Packet {
+	c := l.air
+	r := &c.recs[l.airHead]
+	p := r.p
+	r.p = nil
+	l.airHead++
+	switch {
+	case c == l.airTail && l.airHead == l.airTailIdx:
+		l.air, l.airTail = nil, nil
+		arrivalPool.Put(c)
+		return p
+	case l.airHead == len(c.recs):
+		l.air, l.airHead = c.next, 0
+		c.next = nil
+		arrivalPool.Put(c)
+	}
+	l.eng.AtKeyArg2(l.air.recs[l.airHead].key, linkDeliver, l, nil)
+	return p
+}
+
+// linkDeliver hands an arrived frame to the link's receiver. a0 is the
+// *Link; a1 is the *Packet for a frame delivered by its own event, and nil
+// for the arrival FIFO's head.
 func linkDeliver(a0, a1 any) {
 	l := a0.(*Link)
+	p, _ := a1.(*Packet)
+	if p == nil {
+		p = l.popArrival()
+	}
 	if l.aud != nil {
 		l.audDelivered++
 	}
-	l.dst.Receive(a1.(*Packet))
+	l.dst.Receive(p)
 }
 
 // EnableAudit adopts every frame this link commits into the tracker and
@@ -230,12 +304,12 @@ func (l *Link) Send(p *Packet) bool {
 			return true // serialized, then lost on the medium
 		}
 	} else {
-		l.eng.AtArg2(arrival, linkDeliver, l, p)
+		l.pushArrival(l.eng.Reserve(arrival), p)
 	}
 	return true
 }
 
-// sendFaulty schedules delivery under the attached injector's verdict.
+// sendFaulty commits delivery under the attached injector's verdict.
 // It reports false when the frame was lost on the medium — the sender
 // still spent the serialization time and counts the bytes as
 // transmitted, exactly as with a physical-layer loss.
@@ -264,7 +338,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 		l.emitFault("delay", float64(act.ExtraDelay))
 		arrival += act.ExtraDelay
 	}
-	l.eng.AtArg2(arrival, linkDeliver, l, p)
+	l.pushArrival(l.eng.Reserve(arrival), p)
 	if act.Duplicate {
 		l.FaultDups.Inc()
 		l.emitFault("dup", float64(p.WireSize()))
@@ -281,7 +355,7 @@ func (l *Link) sendFaulty(p *Packet, arrival sim.Time) bool {
 			dup = AllocPacket()
 		}
 		*dup = *p
-		l.eng.AtArg2(arrival+l.serialization(p.WireSize()), linkDeliver, l, dup)
+		l.pushArrival(l.eng.Reserve(arrival+l.serialization(p.WireSize())), dup)
 	}
 	return true
 }

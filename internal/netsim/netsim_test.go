@@ -230,6 +230,44 @@ func TestSwitchDuplicatePortPanics(t *testing.T) {
 	sw.Attach(1, DefaultLinkConfig(), &sink{eng: eng})
 }
 
+// Ports lists node ports in ascending address order whatever the attach
+// order; Port is nil for an address never attached, in or beyond the
+// table; a second Attach of an address, or one beyond the table's bound,
+// panics.
+func TestSwitchPortsInAddressOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, 0)
+	byAddr := map[Addr]*Link{}
+	for _, a := range []Addr{7, 3, 12, 1} {
+		byAddr[a] = sw.Attach(a, DefaultLinkConfig(), &sink{eng: eng})
+	}
+	sw.AddRoute(40, sw.Connect(DefaultLinkConfig(), &sink{eng: eng}))
+	ports := sw.Ports()
+	for i, a := range []Addr{1, 3, 7, 12} {
+		if i >= len(ports) || ports[i] != byAddr[a] || sw.Port(a) != byAddr[a] {
+			t.Fatalf("Ports()[%d] is not the port toward %v (%d ports)", i, a, len(ports))
+		}
+	}
+	if len(ports) != 4 {
+		t.Fatalf("%d ports, want 4 (trunks are not ports)", len(ports))
+	}
+	for _, a := range []Addr{0, 2, 13, 40, maxAddr, maxAddr + 1, 1 << 31} {
+		if sw.Port(a) != nil {
+			t.Fatalf("Port(%v) is not nil", a)
+		}
+	}
+	for _, a := range []Addr{3, maxAddr + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Attach(%v) did not panic", a)
+				}
+			}()
+			sw.Attach(a, DefaultLinkConfig(), &sink{eng: eng})
+		}()
+	}
+}
+
 func TestKindAndAddrStrings(t *testing.T) {
 	if KindRequest.String() != "request" || KindResponse.String() != "response" || KindBulk.String() != "bulk" {
 		t.Fatal("Kind strings wrong")

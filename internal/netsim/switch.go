@@ -17,14 +17,20 @@ import (
 type Switch struct {
 	eng     *sim.Engine
 	fwDelay sim.Duration
-	ports   map[Addr]*Link
 
-	// routes maps destinations reachable through other switches to their
-	// equal-cost next-hop trunks; defaultRoutes catches everything not in
-	// ports or routes (a ToR's "anything remote goes up" rule). Both pick
-	// among multiple links by FlowHash, so a flow's frames stay on one
-	// path while distinct flows spread.
-	routes        map[Addr][]*Link
+	// ports holds the egress link toward each attached address, indexed
+	// by address (nil where none is attached). Addresses are small and
+	// dense — a compiled topology numbers its nodes from 1 — so a slice
+	// replaces a map lookup on every forwarded frame.
+	ports []*Link
+
+	// routes holds, indexed by address, the equal-cost next-hop trunks
+	// toward destinations reachable through other switches;
+	// defaultRoutes catches everything not in ports or routes (a ToR's
+	// "anything remote goes up" rule). Both pick among multiple links by
+	// FlowHash, so a flow's frames stay on one path while distinct flows
+	// spread.
+	routes        [][]*Link
 	defaultRoutes []*Link
 
 	// name labels the switch in violations and rollups ("" until SetName).
@@ -44,7 +50,23 @@ type Switch struct {
 
 // NewSwitch returns a switch with the given per-frame forwarding delay.
 func NewSwitch(eng *sim.Engine, fwDelay sim.Duration) *Switch {
-	return &Switch{eng: eng, fwDelay: fwDelay, ports: map[Addr]*Link{}}
+	return &Switch{eng: eng, fwDelay: fwDelay}
+}
+
+// maxAddr bounds the addresses a switch forwards to directly or by
+// route: its tables are slices indexed by address. It is far above
+// topology.MaxNodes, so every compiled topology fits.
+const maxAddr = 1 << 16
+
+// slot returns table's entry for addr, growing table to hold it.
+func slot[T any](table *[]T, addr Addr) *T {
+	if addr > maxAddr {
+		panic(fmt.Sprintf("netsim: switch table address %v beyond maxAddr (%d)", addr, maxAddr))
+	}
+	if n := int(addr) + 1; n > len(*table) {
+		*table = append(*table, make([]T, n-len(*table))...)
+	}
+	return &(*table)[addr]
 }
 
 // SetName labels the switch for rollups and audit violations.
@@ -60,12 +82,12 @@ func (s *Switch) SetUnroutableHook(fn func(p *Packet)) { s.onUnroutable = fn }
 // Attach registers an egress link from the switch toward addr, returning
 // it. The caller wires the node's own egress link back to the switch.
 func (s *Switch) Attach(addr Addr, cfg LinkConfig, node Receiver) *Link {
-	if _, dup := s.ports[addr]; dup {
+	port := slot(&s.ports, addr)
+	if *port != nil {
 		panic(fmt.Sprintf("netsim: duplicate switch port for %v", addr))
 	}
-	l := NewLink(s.eng, cfg, node)
-	s.ports[addr] = l
-	return l
+	*port = NewLink(s.eng, cfg, node)
+	return *port
 }
 
 // Connect creates an egress trunk toward a peer switch (or any receiver)
@@ -84,10 +106,8 @@ func (s *Switch) AddRoute(dst Addr, via ...*Link) {
 	if len(via) == 0 {
 		return
 	}
-	if s.routes == nil {
-		s.routes = map[Addr][]*Link{}
-	}
-	s.routes[dst] = append(s.routes[dst], via...)
+	r := slot(&s.routes, dst)
+	*r = append(*r, via...)
 }
 
 // SetDefaultRoutes installs the equal-cost next hops for every
@@ -97,16 +117,22 @@ func (s *Switch) SetDefaultRoutes(via ...*Link) { s.defaultRoutes = via }
 
 // Port returns the egress link toward addr (nil if not attached). Fault
 // injectors for the switch→node direction attach here.
-func (s *Switch) Port(addr Addr) *Link { return s.ports[addr] }
+func (s *Switch) Port(addr Addr) *Link {
+	if int(addr) < len(s.ports) {
+		return s.ports[addr]
+	}
+	return nil
+}
 
-// Ports returns every egress link this switch owns — node ports first
-// is not guaranteed; callers aggregating occupancy must not depend on
+// Ports returns every node port this switch owns, in ascending address
 // order. Trunks created with Connect are not included (the caller wired
 // and retained them).
 func (s *Switch) Ports() []*Link {
-	out := make([]*Link, 0, len(s.ports))
+	var out []*Link
 	for _, l := range s.ports {
-		out = append(out, l)
+		if l != nil {
+			out = append(out, l)
+		}
 	}
 	return out
 }
@@ -148,13 +174,16 @@ func switchForward(a0, a1 any) { a0.(*Link).Send(a1.(*Packet)) }
 // next hops). Unroutable frames are counted, reported to the audit hook,
 // and released.
 func (s *Switch) Receive(p *Packet) {
-	out, ok := s.ports[p.Dst]
-	if !ok {
-		if via, hit := s.routes[p.Dst]; hit {
-			out = pick(via, p)
-		} else if len(s.defaultRoutes) > 0 {
-			out = pick(s.defaultRoutes, p)
-		} else {
+	out := s.Port(p.Dst)
+	if out == nil {
+		var via []*Link
+		if int(p.Dst) < len(s.routes) {
+			via = s.routes[p.Dst]
+		}
+		if len(via) == 0 {
+			via = s.defaultRoutes
+		}
+		if len(via) == 0 {
 			s.Unroutable.Inc()
 			if s.onUnroutable != nil {
 				s.onUnroutable(p)
@@ -162,6 +191,7 @@ func (s *Switch) Receive(p *Packet) {
 			p.Release()
 			return
 		}
+		out = pick(via, p)
 	}
 	s.Forwarded.Inc()
 	if s.fwDelay > 0 {

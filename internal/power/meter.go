@@ -27,10 +27,13 @@ func (e *EnergyMeter) SetPower(now sim.Time, watts float64) {
 	e.watts = watts
 }
 
-// Joules returns the energy accumulated through now.
+// Joules returns the energy accumulated through now. It only reads: the
+// integration intervals end where SetPower and Reset put them, so a
+// mid-run reader (an audit epoch, a telemetry gauge) cannot split one and
+// move a later reading's last bits.
 func (e *EnergyMeter) Joules(now sim.Time) float64 {
-	e.accrue(now)
-	return e.joules
+	e.checkTime(now)
+	return e.joules + e.watts*(now-e.last).Seconds()
 }
 
 // Watts returns the current power level.
@@ -44,9 +47,13 @@ func (e *EnergyMeter) Reset(now sim.Time) {
 }
 
 func (e *EnergyMeter) accrue(now sim.Time) {
+	e.checkTime(now)
+	e.joules += e.watts * (now - e.last).Seconds()
+	e.last = now
+}
+
+func (e *EnergyMeter) checkTime(now sim.Time) {
 	if now < e.last {
 		panic(fmt.Sprintf("power: EnergyMeter time went backwards (%d < %d)", now, e.last))
 	}
-	e.joules += e.watts * (now - e.last).Seconds()
-	e.last = now
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAuditIntegrityCleanEngine: a queue churned through every structure
-// — near heap, wheel levels, overflow, cancellations, pooled reuse —
+// — near window, wheel levels, overflow, cancellations, pooled reuse —
 // passes the structural audit at multiple points, and the cursor the
 // audit returns never regresses.
 func TestAuditIntegrityCleanEngine(t *testing.T) {

@@ -18,7 +18,7 @@ const longDelay = 16 * sim.Millisecond
 // one Step at a time through its warmup and measured window. Over the
 // measured window it logs, with -v, the histogram of schedule delays in
 // power-of-two buckets, the same histogram for the events that fire, the
-// mean pending count split at longDelay, and the near heap's size
+// mean pending count split at longDelay, and the near window's size
 // distribution. It reads the queue after every step, so the engine needs
 // no recording hook.
 func TestStarDelayMix(t *testing.T) {
@@ -105,7 +105,7 @@ func TestStarDelayMix(t *testing.T) {
 	}
 	for b, v := range near {
 		if v > 0 {
-			t.Logf("near heap of [%d, %d) events: %5.2f%% of steps", (1<<b)>>1, 1<<b, 100*float64(v)/float64(steps))
+			t.Logf("near window of [%d, %d) events: %5.2f%% of steps", (1<<b)>>1, 1<<b, 100*float64(v)/float64(steps))
 		}
 	}
 }

@@ -18,7 +18,7 @@ type refEntry struct {
 }
 
 // wheelModel drives a random stream of schedules (closure and arg APIs,
-// delays spanning the near heap, every wheel level, and the overflow heap)
+// delays spanning the near window, every wheel level, and the overflow heap)
 // and cancellations against an engine, and keeps the reference model the
 // engine's fire order must match.
 type wheelModel struct {
@@ -79,7 +79,7 @@ func (m *wheelModel) op() {
 		}
 		return
 	}
-	// Schedule with a delay spanning 0ns to ~2^45ns so the near heap,
+	// Schedule with a delay spanning 0ns to ~2^45ns so the near window,
 	// every wheel level, and the overflow heap all see traffic.
 	d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
 	id := m.ord
