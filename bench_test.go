@@ -21,6 +21,7 @@ import (
 	"ncap/internal/cpu"
 	"ncap/internal/driver"
 	"ncap/internal/experiments"
+	"ncap/internal/governor"
 	"ncap/internal/netsim"
 	"ncap/internal/nic"
 	"ncap/internal/oskernel"
@@ -593,8 +594,9 @@ func BenchmarkLinkSaturation(b *testing.B) {
 }
 
 // Request-path layer benchmarks: the server's side of one request, a NAPI
-// poll, and one softirq run, each on a bare server node. The CI allocs
-// gate holds all three at zero allocs/op.
+// poll, one softirq run, each on a bare server node, and one core's sleep
+// cycle on a bare chip. The CI allocs gate holds all four at zero
+// allocs/op.
 
 // releaseSink is the far end of a link: it returns every frame to the pool.
 type releaseSink struct{}
@@ -671,6 +673,40 @@ func BenchmarkLayerSoftIRQRun(b *testing.B) {
 	}
 	if runs != b.N {
 		b.Fatalf("ran %d of %d", runs, b.N)
+	}
+}
+
+// BenchmarkLayerCoreTransitions is one sleep cycle of one core of a
+// 4-core chip under the menu governor: wake from the C-state the governor
+// chose, run a work item, complete it, and go idle again (the governor's
+// selection), with 200 µs of idle time before the next submission. Every
+// transition re-prices the core and feeds the package energy meter.
+func BenchmarkLayerCoreTransitions(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	tab := power.DefaultTable()
+	chip := cpu.New(eng, 4, tab, power.DefaultModel(), tab.Max())
+	menu := governor.NewMenu(chip, nil)
+	for _, c := range chip.Cores() {
+		c.SetIdleDecider(menu)
+	}
+	core0 := chip.Core(0)
+	runs := 0
+	w := &cpu.Work{Prio: cpu.PrioTask, OnDone: func() { runs++ }}
+	cycle := func() {
+		w.Cycles = 6200
+		core0.Submit(w)
+		eng.Run(eng.Now() + 200*sim.Microsecond)
+	}
+	cycle() // the first item finds core 0 polling; it sleeps afterwards
+	runs = 0
+	core0.Wakes.Reset()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	if runs != b.N || core0.Wakes.Value() != int64(b.N) || !core0.Sleeping() {
+		b.Fatalf("ran %d and woke %d times of %d (sleeping %v)", runs, core0.Wakes.Value(), b.N, core0.Sleeping())
 	}
 }
 

@@ -3,11 +3,14 @@
 // reset, the state meters must agree with the live hardware state (the
 // check that catches a dropped Transition call — the sum alone stays
 // correct while the meter accrues into a stale state), and package power
-// must stay within the model's physical bound.
+// must stay within the model's physical bound. Package power must also be
+// exactly what a fresh pricing of every core's live state sums to, which
+// catches a state change that skipped its core's re-price.
 package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"ncap/internal/audit"
 	"ncap/internal/power"
@@ -17,11 +20,20 @@ import (
 // auditCStates lists every state a core meter can accrue, C0 included.
 var auditCStates = []power.CState{power.C0, power.C1, power.C3, power.C6}
 
-// AuditAccounting verifies the residency invariants. since is the time of
-// the most recent ResetStats (0 before the measurement boundary).
+// AuditAccounting verifies the residency and package-power invariants.
+// since is the time of the most recent ResetStats (0 before the
+// measurement boundary).
 func (c *Chip) AuditAccounting(a *audit.Auditor, since sim.Time) {
 	now := c.eng.Now()
 	window := int64(now - since)
+	want := c.model.UncoreW
+	for _, core := range c.cores {
+		want += c.model.CorePower(core.dom.cur, core.cstate, core.running != nil, core.entryMV)
+	}
+	if got := c.meter.Watts(); math.Float64bits(got) != math.Float64bits(want) {
+		a.Report("cpu.chip", "package-power", int64(now),
+			fmt.Sprintf("%v W", want), fmt.Sprintf("%v W", got))
+	}
 	for _, core := range c.cores {
 		comp := fmt.Sprintf("cpu.core%d", core.id)
 		var sum sim.Duration

@@ -31,13 +31,14 @@ func TestAuditAccountingCleanChip(t *testing.T) {
 // TestAuditDetectsDroppedCStateTransition is the mutation the meter-state
 // cross-check exists for: flip the hardware sleep state without telling
 // the residency meter. The residency sum stays consistent (the meter
-// keeps accruing into the stale state), so only the meter-state check
-// can catch it.
+// keeps accruing into the stale state), and package power is re-priced as
+// on the real path, so only the meter-state check can catch it.
 func TestAuditDetectsDroppedCStateTransition(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := newChip(eng)
 	eng.Run(5 * sim.Millisecond)
 	chip.Core(0).cstate = power.C6 // dropped transition: no cMeter call
+	chip.Core(0).powerChanged()
 
 	a := audit.New()
 	chip.AuditAccounting(a, 0)
@@ -69,6 +70,44 @@ func TestAuditDetectsDroppedPStateTransition(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("dropped P-state transition not reported: %v", a.Violations())
+	}
+}
+
+// TestAuditDetectsMissedReprice: a state change that skips its core's
+// re-price leaves package power stale, which only the exact package-power
+// check sees — the sum of cached draws is the wrong float64, not an
+// approximately right one.
+func TestAuditDetectsMissedReprice(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Chip)
+	}{
+		{"cstate", func(c *Chip) {
+			core := c.Core(1)
+			core.cstate = power.C6
+			core.cMeter.Transition(c.eng.Now(), int(power.C6))
+		}},
+		{"pstate", func(c *Chip) {
+			d := c.Domains()[0]
+			d.cur = c.Table().Min()
+			d.pstateMeter.Transition(c.eng.Now(), d.cur.Index)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			chip := newChip(eng)
+			chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask})
+			eng.Run(100 * sim.Microsecond)
+			tc.mutate(chip)
+			chip.powerChanged() // a re-sum of the stale cached draws
+
+			a := audit.New()
+			chip.AuditAccounting(a, 0)
+			vs := a.Violations()
+			if len(vs) != 1 || vs[0].Component != "cpu.chip" || vs[0].Invariant != "package-power" {
+				t.Fatalf("violations = %v, want exactly the package-power mismatch", vs)
+			}
+		})
 	}
 }
 

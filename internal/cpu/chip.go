@@ -93,6 +93,7 @@ func build(eng *sim.Engine, nCores, nDomains int, table *power.Table, model *pow
 			cstate: power.C0,
 			cMeter: stats.NewStateMeter(eng.Now(), int(power.C0)),
 		}
+		core.reprice()
 		c.cores = append(c.cores, core)
 		dom.cores = append(dom.cores, core)
 	}
@@ -253,6 +254,11 @@ func (d *Domain) finishTransition() {
 			V: float64(d.cur.MHz), Detail: d.cur.String(),
 		})
 	}
+	// The new voltage and frequency re-price every core of the domain
+	// before any resumes, so each sum below sees only live states.
+	for _, core := range d.cores {
+		core.reprice()
+	}
 	// Every running core was stalled for the relock, so resuming them here
 	// naturally restarts their slices at the new frequency.
 	for _, core := range d.cores {
@@ -277,13 +283,14 @@ func (d *Domain) PStateTime(i int) sim.Duration {
 // PStateTime returns time the first domain spent at P-state index i.
 func (c *Chip) PStateTime(i int) sim.Duration { return c.domains[0].PStateTime(i) }
 
-// powerChanged recomputes package power after any core or domain state
-// change and feeds the energy meter.
+// powerChanged re-sums package power from the cores' cached draws after
+// any core or domain state change and feeds the energy meter. The sum runs
+// in core order from the uncore constant, so it is the same float64 a
+// fresh pricing of every core would give (AuditAccounting checks this).
 func (c *Chip) powerChanged() {
 	total := c.model.UncoreW
 	for _, core := range c.cores {
-		d := core.draw()
-		total += c.model.CorePower(core.dom.cur, d.C, d.Busy, d.EntryMV)
+		total += core.watts
 	}
 	c.meter.SetPower(c.eng.Now(), total)
 }

@@ -45,6 +45,11 @@ type Core struct {
 	entryMV   int // voltage when C1 was entered (C1 retains it)
 	decider   IdleDecider
 
+	// watts is the core's draw in its current state, priced by reprice
+	// wherever cstate, running, entryMV or the domain's P-state changes,
+	// so a package re-sum prices only the core that moved.
+	watts float64
+
 	busy   sim.Duration // accumulated execution time (excludes poll/sleep)
 	cMeter *stats.StateMeter
 
@@ -157,7 +162,7 @@ func (c *Core) beginWake() {
 	c.waking = true
 	c.cstate = power.C0
 	c.cMeter.Transition(now, int(power.C0))
-	c.chip.powerChanged()
+	c.powerChanged()
 	c.Wakes.Inc()
 	if c.chip.trace != nil {
 		c.chip.trace.Emit(telemetry.Event{
@@ -213,7 +218,7 @@ func (c *Core) start(w *Work) {
 	c.runFrom = now
 	c.Dispatched.Inc()
 	c.doneEv = c.chip.eng.ScheduleArg(cyclesToDur(w.Cycles, c.dom.cur.MHz), coreComplete, c)
-	c.chip.powerChanged()
+	c.powerChanged()
 }
 
 // coreComplete finishes the running work item (arg is the *Core).
@@ -225,7 +230,7 @@ func (c *Core) complete() {
 	c.busy += now - c.runFrom
 	c.running = nil
 	c.doneEv = sim.Handle{}
-	c.chip.powerChanged()
+	c.powerChanged()
 	w.held = false // the owner may resubmit or recycle w from OnDone on
 	if w.OnDone != nil {
 		w.OnDone()
@@ -252,7 +257,7 @@ func (c *Core) pauseRunning() {
 	c.running = nil
 	c.queues[w.Prio].pushFront(w)
 	c.Preempts.Inc()
-	c.chip.powerChanged()
+	c.powerChanged()
 }
 
 // enterIdle consults the cpuidle governor once per idle episode.
@@ -269,7 +274,7 @@ func (c *Core) enterIdle() {
 	c.sleepFrom = now
 	c.entryMV = c.dom.cur.MilliVolts
 	c.cMeter.Transition(now, int(target))
-	c.chip.powerChanged()
+	c.powerChanged()
 	if c.chip.trace != nil {
 		c.chip.trace.Emit(telemetry.Event{
 			T: now, Comp: "cpu", Kind: "cstate.enter", Core: c.id,
@@ -295,9 +300,16 @@ func (c *Core) endStall() {
 	}
 }
 
-// draw reports the core's current power-relevant state.
-func (c *Core) draw() power.CoreDraw {
-	return power.CoreDraw{C: c.cstate, Busy: c.running != nil, EntryMV: c.entryMV}
+// reprice caches the core's draw in its live state.
+func (c *Core) reprice() {
+	c.watts = c.chip.model.CorePower(c.dom.cur, c.cstate, c.running != nil, c.entryMV)
+}
+
+// powerChanged re-prices the core after a change of its own state and
+// feeds the new package power to the energy meter.
+func (c *Core) powerChanged() {
+	c.reprice()
+	c.chip.powerChanged()
 }
 
 // cyclesToDur converts a cycle budget to wall time at freq MHz (ceil).

@@ -34,9 +34,9 @@ type Menu struct {
 	coreOff []bool // per-core disable (multi-queue NCAP, Sec. 7)
 	perCore []menuCoreState
 
-	// Selections counts idle decisions per chosen state index; Disabled
-	// counts decisions made while NCAP had the governor off.
-	Selections map[power.CState]*stats.Counter
+	// Selections counts idle decisions per chosen state, indexed by the
+	// state; Disabled counts decisions made while NCAP had the governor off.
+	Selections [power.C6 + 1]stats.Counter
 	Disabled   stats.Counter
 }
 
@@ -48,18 +48,13 @@ type menuCoreState struct {
 
 // NewMenu builds a menu governor. hint may be nil (no timer bound).
 func NewMenu(chip *cpu.Chip, hint TimerHint) *Menu {
-	m := &Menu{
-		chip:       chip,
-		hint:       hint,
-		enabled:    true,
-		coreOff:    make([]bool, len(chip.Cores())),
-		perCore:    make([]menuCoreState, len(chip.Cores())),
-		Selections: map[power.CState]*stats.Counter{},
+	return &Menu{
+		chip:    chip,
+		hint:    hint,
+		enabled: true,
+		coreOff: make([]bool, len(chip.Cores())),
+		perCore: make([]menuCoreState, len(chip.Cores())),
 	}
-	for _, s := range []power.CState{power.C0, power.C1, power.C3, power.C6} {
-		m.Selections[s] = &stats.Counter{}
-	}
-	return m
 }
 
 // Enable re-enables deep-sleep selection (NCAP does this on the first

@@ -21,7 +21,7 @@ func (o *Ondemand) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 // a nil registry (telemetry off).
 func (m *Menu) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	for _, s := range []power.CState{power.C0, power.C1, power.C3, power.C6} {
-		ctr := m.Selections[s]
+		ctr := &m.Selections[s]
 		reg.Counter(prefix+".select."+strings.ToLower(s.String()), ctr.Value)
 	}
 	reg.Counter(prefix+".disabled_decisions", m.Disabled.Value)

@@ -49,7 +49,7 @@ func (e *Engine) watchdog(when Time) {
 // AuditIntegrity walks every queue structure and reports violations into
 // a: the live-event count across near window, overflow heap, and wheel
 // buckets must equal Pending(); each near-window slot must hold its own
-// events of the cursor's near page in (when, seq) order, under matching
+// events of the cursor's near window in (when, seq) order, under matching
 // occupancy bits; the overflow heap must satisfy the (when, seq) heap
 // property with correct back-indices; wheel events must sit in the
 // slot their fire time hashes to, with consistent intrusive links and
@@ -121,7 +121,8 @@ func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 }
 
 // auditNear verifies the near window: occupancy bits match the slots,
-// every event sits in its slot within the cursor's near page, and each
+// every event sits in its slot within the cursor's near window (at or
+// after the cursor and fewer than 64 slots ahead of its slot), and each
 // slot is in strict (when, seq) order with intact links. It adds the
 // window's events to total.
 func (e *Engine) auditNear(a *audit.Auditor, total *int64) {
@@ -137,9 +138,9 @@ func (e *Engine) auditNear(a *audit.Auditor, total *int64) {
 		var prev *Event
 		for ev := b.head; ev != nil; ev = ev.next {
 			*total++
-			if t := uint64(ev.when); ev.where != inNear || nearSlot(ev.when) != uint64(s) || t < e.cur || (t^e.cur)>>nearBits != 0 {
+			if t := uint64(ev.when); ev.where != inNear || nearSlot(ev.when) != uint64(s) || t < e.cur || !inNearWindow(t, e.cur) {
 				a.Report(comp, "near-event-location", now,
-					fmt.Sprintf("where=inNear in slot %d of the cursor's page (cursor %d)", s, e.cur),
+					fmt.Sprintf("where=inNear in slot %d of the cursor's window (cursor %d)", s, e.cur),
 					fmt.Sprintf("where=%d when=%d", ev.where, ev.when))
 			}
 			if ev.prev != prev || prev != nil && !prev.less(&ev.Key) {

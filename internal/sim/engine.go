@@ -6,13 +6,13 @@
 // streams (see rng.go) — makes every simulation bit-reproducible.
 //
 // The event queue is a hierarchical timer wheel (Varghese & Lauck, as in
-// kernel timers and Netty) in front of an exact near window. Events due in
-// the wheel cursor's near page (2^nearBits ns) live in the near window
-// (see near.go), 64 slots kept in exact (when, seq) order, which alone
-// decides fire order; farther events sit in O(1) wheel buckets and cascade
-// toward the near window as the cursor advances; events beyond the wheel
-// horizon (or behind the cursor) wait in an exact (when, seq) overflow
-// heap. The engine caches the earliest occupied wheel granule, so a pop
+// kernel timers and Netty) in front of an exact near window. Events due
+// within 2^nearBits ns of the wheel cursor's 64-ns slot live in the near
+// window (see near.go), 64 slots kept in exact (when, seq) order, which
+// alone decides fire order; farther events sit in O(1) wheel buckets and
+// cascade toward the near window as the cursor advances; events beyond
+// the wheel horizon (or behind the cursor) wait in an exact (when, seq)
+// overflow heap. The engine caches the earliest occupied wheel granule, so a pop
 // from the near window does constant wheel work; only a cascade, or a
 // cancel that empties a bucket, forces a rescan of the five levels. Fired
 // and canceled events return to a free list, so steady-state scheduling
@@ -67,11 +67,12 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis returns t as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Timer-wheel geometry. Events in the wheel cursor's near page (2^nearBits
-// ns ≈ 4 µs) go straight to the exact near window. Above that, five
-// levels of 64 slots each cover spans of 2^18, 2^24, 2^30, 2^36 and 2^42 ns
-// (the last ≈ 73 simulated minutes); anything farther — or behind the
-// cursor — lands in the overflow heap.
+// Timer-wheel geometry. Events in the 64 slots of 2^(nearBits−6) ns that
+// start at the wheel cursor's slot (≈ 4 µs) go straight to the exact near
+// window. Past the cursor's near page (2^nearBits ns), five levels of 64
+// slots each cover spans of 2^18, 2^24, 2^30, 2^36 and 2^42 ns (the last
+// ≈ 73 simulated minutes); anything farther — or behind the cursor —
+// lands in the overflow heap.
 const (
 	nearBits    = 12
 	levelBits   = 6
@@ -351,13 +352,14 @@ func (e *Engine) insert(ev *Event) {
 		e.overflow.push(ev)
 		return
 	}
-	diff := w ^ e.cur
-	if diff>>nearBits == 0 {
+	if inNearWindow(w, e.cur) {
 		ev.where = inNear
 		e.near.push(ev)
 		return
 	}
-	lvl := (bits.Len64(diff) - nearBits - 1) / levelBits
+	// Past the near window the event lies beyond the cursor's near page,
+	// so its time and the cursor differ at or above bit nearBits.
+	lvl := (bits.Len64(w^e.cur) - nearBits - 1) / levelBits
 	if lvl >= wheelLevels {
 		ev.where = inOverflow
 		e.overflow.push(ev)
@@ -465,7 +467,7 @@ func (e *Engine) wheelMin() granule {
 // window costs one TrailingZeros64, an unlink, and no wheel scan.
 func (e *Engine) popMin(limit Time) *Event {
 	for {
-		best, near := e.near.min(), true
+		best, near := e.near.min(e.cur), true
 		if o := e.overflow.min(); o != nil && (best == nil || o.less(&best.Key)) {
 			best, near = o, false
 		}

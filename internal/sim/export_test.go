@@ -16,7 +16,7 @@ func (e *Engine) Front() Key { return e.front }
 
 // NearLen returns the number of events in the near window.
 func (e *Engine) NearLen() (n int) {
-	e.near.each(func(*Event) { n++ })
+	e.near.each(e.cur, func(*Event) { n++ })
 	return n
 }
 
@@ -50,7 +50,7 @@ func (e *Engine) CountQueuedByClass(counts map[string]int, names map[uintptr]str
 
 // eachQueued calls fn with every queued event.
 func (e *Engine) eachQueued(fn func(*Event)) {
-	e.near.each(fn)
+	e.near.each(e.cur, fn)
 	for _, ev := range e.overflow {
 		fn(ev)
 	}

@@ -7,24 +7,37 @@ import (
 )
 
 // StateMeter accrues time spent in each of a small set of integer-labeled
-// states (C-states, P-states, busy/idle). Transitions are piecewise
+// states (C-states, P-state indices, busy/idle). Transitions are piecewise
 // constant: the meter charges the interval since the last transition to the
-// outgoing state.
+// outgoing state. Labels are small non-negative integers: the tallies are a
+// slice indexed by label, grown the first time a state is entered.
 type StateMeter struct {
-	last    sim.Time
-	state   int
-	accrued map[int]sim.Duration
-	entries map[int]int
+	last  sim.Time
+	state int
+	tally []stateTally
+}
+
+type stateTally struct {
+	accrued sim.Duration
+	entries int
 }
 
 // NewStateMeter returns a meter that is in initial state at time start.
 func NewStateMeter(start sim.Time, initial int) *StateMeter {
-	return &StateMeter{
-		last:    start,
-		state:   initial,
-		accrued: map[int]sim.Duration{},
-		entries: map[int]int{initial: 1},
+	m := &StateMeter{last: start, state: initial}
+	m.enter(initial)
+	return m
+}
+
+// enter counts an entry into state, growing the tallies to hold it.
+func (m *StateMeter) enter(state int) {
+	if state < 0 {
+		panic(fmt.Sprintf("stats: StateMeter state label %d is negative", state))
 	}
+	if state >= len(m.tally) {
+		m.tally = append(m.tally, make([]stateTally, state+1-len(m.tally))...)
+	}
+	m.tally[state].entries++
 }
 
 // Transition charges the elapsed interval to the current state and switches
@@ -33,10 +46,10 @@ func (m *StateMeter) Transition(now sim.Time, next int) {
 	if now < m.last {
 		panic(fmt.Sprintf("stats: StateMeter time went backwards (%d < %d)", now, m.last))
 	}
-	m.accrued[m.state] += now - m.last
+	m.tally[m.state].accrued += now - m.last
 	m.last = now
 	if next != m.state {
-		m.entries[next]++
+		m.enter(next)
 	}
 	m.state = next
 }
@@ -45,9 +58,12 @@ func (m *StateMeter) Transition(now sim.Time, next int) {
 func (m *StateMeter) State() int { return m.state }
 
 // Time returns the total time accrued in state, charging the open interval
-// through now.
+// through now. A state never entered reads 0.
 func (m *StateMeter) Time(now sim.Time, state int) sim.Duration {
-	t := m.accrued[state]
+	var t sim.Duration
+	if state < len(m.tally) {
+		t = m.tally[state].accrued
+	}
 	if state == m.state && now > m.last {
 		t += now - m.last
 	}
@@ -55,13 +71,19 @@ func (m *StateMeter) Time(now sim.Time, state int) sim.Duration {
 }
 
 // Entries returns how many times state was entered.
-func (m *StateMeter) Entries(state int) int { return m.entries[state] }
+func (m *StateMeter) Entries(state int) int {
+	if state < len(m.tally) {
+		return m.tally[state].entries
+	}
+	return 0
+}
 
-// Reset zeroes the accrued times (keeping the current state) — used at the
-// warmup/measurement boundary.
+// Reset zeroes the accrued times and entry counts in place (keeping the
+// current state, counted as entered once) — used at the warmup/measurement
+// boundary.
 func (m *StateMeter) Reset(now sim.Time) {
-	m.accrued = map[int]sim.Duration{}
-	m.entries = map[int]int{m.state: 1}
+	clear(m.tally)
+	m.tally[m.state].entries = 1
 	m.last = now
 }
 

@@ -144,6 +144,52 @@ func TestStateMeterReset(t *testing.T) {
 	}
 }
 
+// TestStateMeterDense covers the label-indexed tallies: a state never
+// entered reads 0 (below and above the entered labels), Reset clears in
+// place without allocating and keeps the current state entered once, and
+// a negative label panics.
+func TestStateMeterDense(t *testing.T) {
+	m := NewStateMeter(0, 2)
+	m.Transition(10, 5)
+	for _, s := range []int{0, 1, 3, 4, 9} {
+		if m.Time(20, s) != 0 || m.Entries(s) != 0 {
+			t.Fatalf("never-entered state %d reads time %v entries %d", s, m.Time(20, s), m.Entries(s))
+		}
+	}
+	if m.Time(20, 2) != 10 || m.Time(20, 5) != 10 || m.Entries(2) != 1 || m.Entries(5) != 1 {
+		t.Fatalf("entered states: time %v/%v entries %d/%d", m.Time(20, 2), m.Time(20, 5), m.Entries(2), m.Entries(5))
+	}
+	now := sim.Time(20)
+	if allocs := testing.AllocsPerRun(100, func() {
+		now++
+		m.Reset(now)
+	}); allocs != 0 {
+		t.Fatalf("Reset allocated %v times per call", allocs)
+	}
+	if m.Entries(5) != 1 || m.Entries(2) != 0 || m.Time(now, 2) != 0 || m.Time(now, 5) != 0 {
+		t.Fatalf("after Reset: entries %d/%d time %v/%v", m.Entries(2), m.Entries(5), m.Time(now, 2), m.Time(now, 5))
+	}
+	m.Transition(now+5, 2)
+	if m.Entries(2) != 1 || m.Time(now+5, 5) != 5 {
+		t.Fatalf("after Reset and a transition: entries(2) %d time(5) %v", m.Entries(2), m.Time(now+5, 5))
+	}
+	for name, f := range map[string]func(){
+		"new":        func() { NewStateMeter(0, -1) },
+		"transition": func() { m.Transition(now+5, -1) },
+		"time":       func() { m.Time(now+5, -1) },
+		"entries":    func() { m.Entries(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a negative label did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestStateMeterPanicsOnTimeTravel(t *testing.T) {
 	defer func() {
 		if recover() == nil {
