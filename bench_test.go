@@ -411,18 +411,6 @@ func BenchmarkRunnerParallel(b *testing.B) {
 
 // Substrate micro-benchmarks: the cost of the simulator itself.
 
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	b.ReportAllocs()
-	eng := sim.NewEngine()
-	var next func()
-	next = func() { eng.Schedule(sim.Microsecond, next) }
-	eng.Schedule(0, next)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
 // BenchmarkEngineScheduleArg is the closure-free fast path: steady-state
 // schedule+fire through the pooled-event trampoline API. The regression
 // gate holds this at zero allocs/op.

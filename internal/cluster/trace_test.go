@@ -128,7 +128,7 @@ func TestTraceCStateFractions(t *testing.T) {
 func TestTraceFreqTracksChip(t *testing.T) {
 	eng, chip, _, s := traceRig()
 	s.Start()
-	eng.Schedule(1500*sim.Microsecond, func() { chip.SetPState(chip.Table().Min()) })
+	eng.ScheduleArg(1500*sim.Microsecond, func(any) { chip.SetPState(chip.Table().Min()) }, nil)
 	eng.Run(3 * sim.Millisecond)
 	tr := buildTrace(s, 4)
 	if got := tr.Freq.Points[0].V; got != 3.1 {

@@ -32,8 +32,7 @@ type Core struct {
 	running *Work
 	runFrom sim.Time // when the current execution slice started
 
-	// Handles, not *sim.Event: the engine pools events, so only a Handle
-	// can be retained across fires without risking aliasing a reused one.
+	// The pending completion and wake-up events.
 	doneEv sim.Handle
 	wakeEv sim.Handle
 

@@ -61,9 +61,9 @@ func TestIRQPreemptsTask(t *testing.T) {
 	var order []string
 	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: func() { order = append(order, "task") }})
 	// Inject an IRQ midway through the task.
-	eng.Schedule(sim.Millisecond, func() {
+	eng.ScheduleArg(sim.Millisecond, func(any) {
 		core.Submit(&Work{Name: "irq", Cycles: 3100, Prio: PrioIRQ, OnDone: func() { order = append(order, "irq") }})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "irq" || order[1] != "task" {
 		t.Fatalf("order = %v", order)
@@ -81,9 +81,9 @@ func TestPreemptionPreservesTotalWork(t *testing.T) {
 	// 31e6 cycles = 10 ms at 3.1 GHz.
 	core.Submit(&Work{Name: "task", Cycles: 31_000_000, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
 	// 1 ms of IRQ work injected at t=2ms delays completion by ~1 ms.
-	eng.Schedule(2*sim.Millisecond, func() {
+	eng.ScheduleArg(2*sim.Millisecond, func(any) {
 		core.Submit(&Work{Name: "irq", Cycles: 3_100_000, Prio: PrioIRQ})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	lo, hi := sim.Time(10_990*sim.Microsecond), sim.Time(11_010*sim.Microsecond)
 	if doneAt < lo || doneAt > hi {
@@ -116,9 +116,9 @@ func TestSleepAndWakeLatency(t *testing.T) {
 	// Wake with new work at t=1ms: completion is delayed by the C6 exit
 	// latency (22 µs) + MWAIT overhead (2 µs) + 1 µs of execution.
 	var doneAt sim.Time
-	eng.At(sim.Millisecond, func() {
+	eng.AtArg(sim.Millisecond, func(any) {
 		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	want := sim.Time(sim.Millisecond + 22*sim.Microsecond + power.MwaitWakeOverhead + sim.Microsecond)
 	if doneAt != want {
@@ -146,9 +146,9 @@ func TestC0PollingWakesInstantly(t *testing.T) {
 		t.Fatalf("core should idle in C0, state=%v busy=%v", core.CState(), core.Busy())
 	}
 	var doneAt sim.Time
-	eng.At(sim.Millisecond, func() {
+	eng.AtArg(sim.Millisecond, func(any) {
 		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	if doneAt != sim.Millisecond+sim.Microsecond {
 		t.Fatalf("done at %v, want 1.001ms (no wake latency in C0)", doneAt)
@@ -200,7 +200,7 @@ func TestTransitionStallsExecution(t *testing.T) {
 	core.Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { doneAt = eng.Now() }})
 	// Mid-flight down-transition at t=0.5ms: 5µs stall, then the remaining
 	// ~0.5ms of cycles run at 0.8 GHz (3.875x slower).
-	eng.At(500*sim.Microsecond, func() { chip.SetPState(tab.Min()) })
+	eng.AtArg(500*sim.Microsecond, func(any) { chip.SetPState(tab.Min()) }, nil)
 	eng.Run(sim.Second)
 	// Remaining cycles at switch: 3.1e6 - 0.5ms*3.1GHz = 1.55e6 cycles.
 	// At 800 MHz that is 1.9375 ms; plus 0.5 ms elapsed plus 5 µs stall.
@@ -343,13 +343,13 @@ func TestSubmitDuringWakeCoalesces(t *testing.T) {
 	core.Submit(&Work{Cycles: 3100, Prio: PrioTask})
 	eng.Run(10 * sim.Microsecond) // now sleeping in C6
 	done := 0
-	eng.At(sim.Millisecond, func() {
+	eng.AtArg(sim.Millisecond, func(any) {
 		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done++ }})
-	})
+	}, nil)
 	// Second submission lands mid-wake; both must complete, one wake only.
-	eng.At(sim.Millisecond+5*sim.Microsecond, func() {
+	eng.AtArg(sim.Millisecond+5*sim.Microsecond, func(any) {
 		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done++ }})
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	if done != 2 {
 		t.Fatalf("done = %d, want 2", done)
@@ -426,7 +426,7 @@ func TestPerCoreTransitionStallsOnlyOwnCore(t *testing.T) {
 	chip.Core(0).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { done0 = eng.Now() }})
 	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask, OnDone: func() { done1 = eng.Now() }})
 	// Down-transition domain 0 mid-flight: only core 0 is stalled/slowed.
-	eng.At(500*sim.Microsecond, func() { chip.Core(0).Domain().SetPState(tab.Min()) })
+	eng.AtArg(500*sim.Microsecond, func(any) { chip.Core(0).Domain().SetPState(tab.Min()) }, nil)
 	eng.Run(sim.Second)
 	if done1 != sim.Millisecond {
 		t.Fatalf("core1 done at %v, want exactly 1ms (unaffected)", done1)
@@ -525,10 +525,10 @@ func TestKickIdleDoesNotLoseQueuedWork(t *testing.T) {
 	eng.Run(10 * sim.Microsecond)
 	// Work arrives and, in the same instant, a kick (IT_LOW racing rx).
 	done := false
-	eng.At(sim.Millisecond, func() {
+	eng.AtArg(sim.Millisecond, func(any) {
 		core.Submit(&Work{Cycles: 3100, Prio: PrioTask, OnDone: func() { done = true }})
 		core.KickIdle()
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	if !done {
 		t.Fatal("work lost around KickIdle")
@@ -549,11 +549,11 @@ func TestBusyConservationProperty(t *testing.T) {
 			}
 			core := chip.Core(int(r) % 4)
 			delay := sim.Duration(r%200) * 50 * sim.Microsecond
-			eng.At(sim.Time(delay), func() {
+			eng.AtArg(sim.Time(delay), func(any) {
 				submitted++
 				core.Submit(&Work{Cycles: int64(r%1000)*1000 + 1, Prio: PrioTask,
 					OnDone: func() { completed++ }})
-			})
+			}, nil)
 		}
 		eng.Run(100 * sim.Millisecond)
 		var busy sim.Duration

@@ -187,9 +187,9 @@ func TestSoftwareNCAPBoostsViaTimer(t *testing.T) {
 	// 60 GETs within one 1 ms window: 60 K RPS > RHT.
 	for i := 0; i < 60; i++ {
 		d := sim.Duration(i) * 10 * sim.Microsecond
-		r.eng.Schedule(d, func() {
+		r.eng.ScheduleArg(d, func(any) {
 			r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
-		})
+		}, nil)
 	}
 	r.eng.Run(5 * sim.Millisecond)
 	if boosts == 0 {
@@ -215,9 +215,9 @@ func TestSoftwareNCAPChargesInspectionCycles(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			d := sim.Duration(i) * 5 * sim.Microsecond
-			r.eng.Schedule(d, func() {
+			r.eng.ScheduleArg(d, func(any) {
 				r.dev.Receive(netsim.NewRequest(2, 1, 1, []byte("GET /")))
-			})
+			}, nil)
 		}
 		r.eng.Run(20 * sim.Millisecond)
 		return r.chip.Core(0).BusyTime()
@@ -313,10 +313,10 @@ func TestDeliveryLatencyMatchesPaper(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		id := uint64(i)
 		d := sim.Duration(i) * 150 * sim.Nanosecond
-		r.eng.Schedule(d, func() {
+		r.eng.ScheduleArg(d, func(any) {
 			stamps[id] = &stamp{rx: r.eng.Now()}
 			r.dev.Receive(netsim.NewRequest(2, 1, id, []byte("GET /index.html")))
-		})
+		}, nil)
 	}
 	r.eng.Run(10 * sim.Millisecond)
 	var total sim.Duration
@@ -385,12 +385,12 @@ func TestUrgentWakeStartsSecondPollChainMidBatch(t *testing.T) {
 		r.dev.Receive(netsim.NewRequest(2, 1, uint64(i), []byte("PUT /")))
 	}
 	var midBatch int
-	r.eng.At(60*sim.Microsecond, func() {
+	r.eng.AtArg(60*sim.Microsecond, func(any) {
 		midBatch = len(r.rx)
 		for i := 100; i < 103; i++ {
 			r.dev.Receive(netsim.NewRequest(2, 1, uint64(i), []byte("GET /")))
 		}
-	})
+	}, nil)
 	r.eng.Run(sim.Millisecond)
 
 	if midBatch == 0 || midBatch >= 40 {

@@ -64,9 +64,9 @@ func TestOndemandReactionDelay(t *testing.T) {
 		}
 	})
 	// Burst starts at t=11ms, right after the 10ms tick.
-	eng.At(11*sim.Millisecond, func() {
+	eng.AtArg(11*sim.Millisecond, func(any) {
 		chip.Core(0).Submit(&cpu.Work{Cycles: 1 << 40, Prio: cpu.PrioTask})
-	})
+	}, nil)
 	eng.Run(100 * sim.Millisecond)
 	if boostedAt < 20*sim.Millisecond {
 		t.Fatalf("boost at %v, want >= 20ms (next tick)", boostedAt)
@@ -101,7 +101,7 @@ func TestOndemandInhibit(t *testing.T) {
 	o.Start()
 	// Idle chip would be scaled down at t=10ms; an NCAP inhibit at t=9ms
 	// must hold P0 through that tick.
-	eng.At(9*sim.Millisecond, o.Inhibit)
+	eng.AtArg(9*sim.Millisecond, func(any) { o.Inhibit() }, nil)
 	eng.Run(15 * sim.Millisecond)
 	if chip.Target() != tab.Max() {
 		t.Fatalf("inhibited governor still changed state to %v", chip.Target())

@@ -124,7 +124,7 @@ func runTieHeavyHops(t *testing.T, seed uint64) {
 		}
 		id++
 		p := NewRequest(1, 2, id, make([]byte, size))
-		eng.At(at, func() { h.send(p) })
+		eng.AtArg(at, func(any) { h.send(p) }, nil)
 	}
 
 	refFired := func() (n uint64) {

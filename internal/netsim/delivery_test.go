@@ -143,7 +143,7 @@ func runFaultyHops(t *testing.T, seed uint64) (overtakes int) {
 		id++
 		payload := make([]byte, size)
 		pl, pr := NewRequest(1, 2, id, payload), NewRequest(1, 2, id, payload)
-		eng.At(at, func() {
+		eng.AtArg(at, func(any) {
 			refs[hop].sendFrame(pr)
 			l := links[hop]
 			lost := l.Drops.Value() + l.FaultDrops.Value()
@@ -151,7 +151,7 @@ func runFaultyHops(t *testing.T, seed uint64) (overtakes int) {
 			if l.Drops.Value()+l.FaultDrops.Value() == lost && !l.inArrivalFIFO(pl) {
 				overtakes++
 			}
-		})
+		}, nil)
 	}
 	eng.Run(sim.Second)
 
@@ -162,8 +162,8 @@ func runFaultyHops(t *testing.T, seed uint64) (overtakes int) {
 		if len(linkLogs[i]) == 0 {
 			t.Fatalf("seed %d hop %d: nothing delivered", seed, i)
 		}
-		if links[i].air != nil {
-			t.Fatalf("seed %d hop %d: arrival FIFO not released at quiescence", seed, i)
+		if !links[i].arrivals.empty() {
+			t.Fatalf("seed %d hop %d: arrival FIFO not empty at quiescence", seed, i)
 		}
 	}
 	if eng.Pending() != 0 {
@@ -178,13 +178,14 @@ func sendVia(l *Link) func(*Packet) { return func(p *Packet) { l.Send(p) } }
 
 // inArrivalFIFO reports whether p waits in the link's arrival FIFO.
 func (l *Link) inArrivalFIFO(p *Packet) bool {
-	for c, i := l.air, l.airHead; c != nil; c, i = c.next, 0 {
+	q := &l.arrivals
+	for c, i := q.head, q.headIdx; c != nil; c, i = c.next, 0 {
 		end := len(c.recs)
-		if c == l.airTail {
-			end = l.airTailIdx
+		if c == q.tail {
+			end = q.tailIdx
 		}
 		for ; i < end; i++ {
-			if c.recs[i].p == p {
+			if c.recs[i].val == p {
 				return true
 			}
 		}

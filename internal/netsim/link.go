@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"sync"
-
 	"ncap/internal/audit"
 	"ncap/internal/fault"
 	"ncap/internal/sim"
@@ -39,19 +37,20 @@ type Link struct {
 	peak    int // high-water mark of queued over the whole run
 
 	// The completion FIFO: one record per committed frame, in
-	// serialization order, from head[headIdx] to tail[tailIdx-1]. A record
-	// leaves (freeing its bytes from queued) once the engine has passed
-	// its key; see drain. completed counts records retired over the run.
-	head, tail       *completionChunk
-	headIdx, tailIdx int
-	completed        uint64
+	// serialization order, keyed by the key a dequeue event scheduled at
+	// Send would have carried and holding the bytes the frame occupies in
+	// the egress buffer. Keeping completions as records instead of events
+	// halves the engine events per frame hop; the key keeps them exact. A
+	// record leaves (freeing its bytes from queued) once the engine has
+	// passed its key; see drain. completed counts records retired over the
+	// run.
+	completions keyedFIFO[int]
+	completed   uint64
 
-	// The arrival FIFO: frames on the wire, in the key order of their
-	// deliveries, from air[airHead] to airTail[airTailIdx-1]. Only the
-	// head's delivery is an engine event; see pushArrival. air is nil
-	// while nothing is in flight.
-	air, airTail        *arrivalChunk
-	airHead, airTailIdx int
+	// The arrival FIFO: committed frames, keyed by the delivery key
+	// reserved at Send, in key order. Only the head's delivery is an
+	// engine event; see pushArrival.
+	arrivals keyedFIFO[*Packet]
 
 	// Bytes counts payload+header bytes successfully transmitted; Drops
 	// counts frames lost to a full egress buffer.
@@ -93,7 +92,11 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 	if dst == nil {
 		panic("netsim: link destination must not be nil")
 	}
-	return &Link{eng: eng, cfg: cfg, dst: dst}
+	return &Link{
+		eng: eng, cfg: cfg, dst: dst,
+		completions: keyedFIFO[int]{pool: &completionChunks},
+		arrivals:    keyedFIFO[*Packet]{pool: &arrivalChunks},
+	}
 }
 
 // SetInjector attaches a fault injector to the link; nil detaches it.
@@ -104,64 +107,20 @@ func (l *Link) SetInjector(inj *fault.Injector) { l.inj = inj }
 // Injector returns the attached fault injector (nil on a perfect link).
 func (l *Link) Injector() *fault.Injector { return l.inj }
 
-// A completion is a committed frame's end of serialization: the engine key
-// a dequeue event scheduled at Send would have carried, and the bytes the
-// frame holds in the egress buffer until then. Keeping completions as
-// records instead of events halves the engine events per frame hop; the
-// key keeps them exact (see drain).
-type completion struct {
-	key sim.Key
-	ws  int
-}
-
-// completionChunk is one fixed-size block of a link's completion FIFO.
-// Blocks beyond a link's first come from chunkPool and return to it once
-// drained, so the memory a burst needs is shared across links instead of
-// each link keeping its own peak.
-type completionChunk struct {
-	recs [32]completion
-	next *completionChunk
-}
-
-var chunkPool = sync.Pool{New: func() any { return new(completionChunk) }}
-
-// pushCompletion appends a record to the completion FIFO.
-func (l *Link) pushCompletion(key sim.Key, ws int) {
-	switch {
-	case l.tail == nil:
-		l.head = chunkPool.Get().(*completionChunk)
-		l.tail = l.head
-	case l.tailIdx == len(l.tail.recs):
-		c := chunkPool.Get().(*completionChunk)
-		l.tail.next = c
-		l.tail, l.tailIdx = c, 0
-	}
-	l.tail.recs[l.tailIdx] = completion{key, ws}
-	l.tailIdx++
-}
-
 // drain retires every completion the engine has passed, freeing its bytes
 // from queued. It runs wherever queued is read, and gives exactly the
 // value the per-frame dequeue events would have left: a record is retired
 // iff its dequeue event would have fired before the current one.
 func (l *Link) drain() {
 	for l.queued > 0 { // every record holds bytes, so queued > 0 iff any remain
-		if l.headIdx == len(l.head.recs) {
-			c := l.head
-			l.head, l.headIdx = c.next, 0
-			c.next = nil
-			chunkPool.Put(c)
-		}
-		r := &l.head.recs[l.headIdx]
+		r := l.completions.front()
 		if !l.eng.Passed(r.key) {
 			return
 		}
-		l.queued -= r.ws
+		l.queued -= r.val
 		l.completed++
-		l.headIdx++
+		l.completions.pop()
 	}
-	// Empty: head == tail; keep that chunk and refill it from the start.
-	l.headIdx, l.tailIdx = 0, 0
 }
 
 // Completions returns the number of frames that have finished serializing
@@ -172,23 +131,6 @@ func (l *Link) Completions() uint64 {
 	return l.completed
 }
 
-// An arrival is a frame on the wire: the key its delivery event would
-// have carried, reserved when the frame was committed, and the frame.
-type arrival struct {
-	key sim.Key
-	p   *Packet
-}
-
-// arrivalChunk is one fixed-size block of a link's arrival FIFO. Blocks
-// come from arrivalPool and return to it once drained, the last one when
-// the link goes quiet, so idle links hold no arrival memory.
-type arrivalChunk struct {
-	recs [32]arrival
-	next *arrivalChunk
-}
-
-var arrivalPool = sync.Pool{New: func() any { return new(arrivalChunk) }}
-
 // pushArrival schedules p's delivery under k, a key just reserved for its
 // arrival. A frame that arrives no earlier than the FIFO's tail joins the
 // FIFO (its key orders after the tail's, which was reserved before it);
@@ -196,41 +138,25 @@ var arrivalPool = sync.Pool{New: func() any { return new(arrivalChunk) }}
 // — is delivered by its own event. Either way it fires at k.
 func (l *Link) pushArrival(k sim.Key, p *Packet) {
 	switch {
-	case l.air == nil:
-		c := arrivalPool.Get().(*arrivalChunk)
-		l.air, l.airTail, l.airHead, l.airTailIdx = c, c, 0, 0
+	case l.arrivals.empty():
 		l.eng.AtKeyArg2(k, linkDeliver, l, nil)
-	case k.When() < l.airTail.recs[l.airTailIdx-1].key.When():
+	case k.When() < l.arrivals.back().key.When():
 		l.eng.AtKeyArg2(k, linkDeliver, l, p)
 		return
-	case l.airTailIdx == len(l.airTail.recs):
-		c := arrivalPool.Get().(*arrivalChunk)
-		l.airTail.next = c
-		l.airTail, l.airTailIdx = c, 0
 	}
-	l.airTail.recs[l.airTailIdx] = arrival{k, p}
-	l.airTailIdx++
+	l.arrivals.push(k, p)
 }
 
 // popArrival removes the FIFO's head frame, whose delivery is firing, and
 // schedules the next head's.
 func (l *Link) popArrival() *Packet {
-	c := l.air
-	r := &c.recs[l.airHead]
-	p := r.p
-	r.p = nil
-	l.airHead++
-	switch {
-	case c == l.airTail && l.airHead == l.airTailIdx:
-		l.air, l.airTail = nil, nil
-		arrivalPool.Put(c)
-		return p
-	case l.airHead == len(c.recs):
-		l.air, l.airHead = c.next, 0
-		c.next = nil
-		arrivalPool.Put(c)
+	r := l.arrivals.front()
+	p := r.val
+	r.val = nil
+	l.arrivals.pop()
+	if !l.arrivals.empty() {
+		l.eng.AtKeyArg2(l.arrivals.front().key, linkDeliver, l, nil)
 	}
-	l.eng.AtKeyArg2(l.air.recs[l.airHead].key, linkDeliver, l, nil)
 	return p
 }
 
@@ -298,7 +224,7 @@ func (l *Link) Send(p *Packet) bool {
 	l.busyTil += txTime
 	arrival := l.busyTil + l.cfg.Latency
 	l.Bytes.Add(int64(ws))
-	l.pushCompletion(l.eng.Reserve(l.busyTil), ws)
+	l.completions.push(l.eng.Reserve(l.busyTil), ws)
 	if l.inj != nil {
 		if !l.sendFaulty(p, arrival) {
 			return true // serialized, then lost on the medium

@@ -55,7 +55,7 @@ func TestAITTBoundsBurstDelay(t *testing.T) {
 	// still fire within ~100 µs of the first DMA completion.
 	for i := 0; i < 30; i++ {
 		d := sim.Duration(i) * 10 * sim.Microsecond
-		eng.At(d, func() { n.Receive(req("GET /")) })
+		eng.AtArg(d, func(any) { n.Receive(req("GET /")) }, nil)
 	}
 	eng.Run(400 * sim.Microsecond)
 	if len(irqAt) == 0 {
@@ -155,7 +155,7 @@ func TestNCAPHighOnBurst(t *testing.T) {
 	// MITT expiry (50µs) is 200K RPS > RHT.
 	for i := 0; i < 10; i++ {
 		d := sim.Duration(i) * 2 * sim.Microsecond
-		eng.At(d, func() { n.Receive(req("GET /x")) })
+		eng.AtArg(d, func(any) { n.Receive(req("GET /x")) }, nil)
 	}
 	eng.Run(60 * sim.Microsecond)
 

@@ -63,7 +63,7 @@ func TestIRQPreemptsRunningTask(t *testing.T) {
 	var irqDone, taskDone sim.Time
 	k.SubmitTaskOn(0, work("task", 31_000_000, func() { taskDone = eng.Now() })) // 10 ms
 	irq := k.NewIRQ("nic", 3100, func() { irqDone = eng.Now() })
-	eng.At(sim.Millisecond, func() { irq.Assert() })
+	eng.AtArg(sim.Millisecond, func(any) { irq.Assert() }, nil)
 	eng.Run(sim.Second)
 	if irqDone == 0 || irqDone > 1010*sim.Microsecond {
 		t.Fatalf("irq done at %v, want ~1.001ms", irqDone)
@@ -101,7 +101,7 @@ func TestSoftIRQYieldsToIRQ(t *testing.T) {
 	s := k.NewSoftIRQ("net_rx", 0, 3_100_000, func() { order = append(order, "softirq") }) // 1 ms
 	irq := k.NewIRQ("nic", 3100, func() { order = append(order, "irq") })
 	s.Raise()
-	eng.At(100*sim.Microsecond, func() { irq.Assert() })
+	eng.AtArg(100*sim.Microsecond, func(any) { irq.Assert() }, nil)
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "irq" {
 		t.Fatalf("order = %v, want irq first", order)
@@ -269,9 +269,9 @@ func TestSubmitSoftIRQOnPreemptsTasks(t *testing.T) {
 	// A long task queue, then softirq work submitted behind it.
 	k.SubmitTaskOn(1, work("t1", 3_100_000, func() { order = append(order, "t1") }))
 	k.SubmitTaskOn(1, work("t2", 3_100_000, func() { order = append(order, "t2") }))
-	eng.Schedule(100*sim.Microsecond, func() {
+	eng.ScheduleArg(100*sim.Microsecond, func(any) {
 		k.SubmitSoftIRQOn(1, work("net_tx", 3100, func() { order = append(order, "tx") }))
-	})
+	}, nil)
 	eng.Run(sim.Second)
 	// net_tx preempts t1's remainder? No: softirq preempts only QUEUED
 	// tasks; the running slice t1 is lower priority so it IS preempted.

@@ -79,7 +79,7 @@ func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 					fmt.Sprintf("level %d slot %d bit=%v", lvl, slot, b.head != nil),
 					fmt.Sprintf("bit=%v", occ))
 			}
-			var prev *Event
+			var prev *event
 			for ev := b.head; ev != nil; ev = ev.next {
 				total++
 				if ev.where != inWheel || int(ev.level) != lvl || int(ev.slot) != slot {
@@ -135,7 +135,7 @@ func (e *Engine) auditNear(a *audit.Auditor, total *int64) {
 			a.Report(comp, "near-occupied-bit", now,
 				fmt.Sprintf("slot %d bit=%v", s, b.head != nil), fmt.Sprintf("bit=%v", occ))
 		}
-		var prev *Event
+		var prev *event
 		for ev := b.head; ev != nil; ev = ev.next {
 			*total++
 			if t := uint64(ev.when); ev.where != inNear || nearSlot(ev.when) != uint64(s) || t < e.cur || !inNearWindow(t, e.cur) {

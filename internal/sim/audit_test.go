@@ -16,12 +16,12 @@ func TestAuditIntegrityCleanEngine(t *testing.T) {
 	fired := 0
 	for i := 0; i < 200; i++ {
 		// Spread across near (sub-4096ns), wheel and overflow horizons.
-		eng.Schedule(Duration(1+i*37), func() { fired++ })
-		eng.Schedule(Duration(10_000+i*911), func() { fired++ })
-		eng.Schedule(Duration(int64(1)<<40)+Duration(i), func() { fired++ })
+		eng.ScheduleArg(Duration(1+i*37), func(any) { fired++ }, nil)
+		eng.ScheduleArg(Duration(10_000+i*911), func(any) { fired++ }, nil)
+		eng.ScheduleArg(Duration(int64(1)<<40)+Duration(i), func(any) { fired++ }, nil)
 	}
 	for i := 0; i < 50; i++ {
-		h := eng.Schedule(Duration(5_000+i), func() { t.Error("canceled event fired") })
+		h := eng.ScheduleArg(Duration(5_000+i), func(any) { t.Error("canceled event fired") }, nil)
 		h.Cancel()
 	}
 	var cursor uint64
@@ -52,9 +52,9 @@ func TestLivelockWatchdogTrips(t *testing.T) {
 		count, at = c, when
 		eng.Stop()
 	})
-	var spin func()
-	spin = func() { eng.Schedule(0, spin) }
-	eng.At(42, spin)
+	var spin func(any)
+	spin = func(any) { eng.ScheduleArg(0, spin, nil) }
+	eng.AtArg(42, spin, nil)
 	eng.Run(Second)
 	if count != 1000 {
 		t.Fatalf("watchdog count = %d, want the limit (1000)", count)
@@ -72,13 +72,13 @@ func TestLivelockWatchdogQuietOnProgress(t *testing.T) {
 		t.Fatal("watchdog tripped on a progressing simulation")
 	})
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		if n++; n < 10_000 {
-			eng.Schedule(1, tick)
+			eng.ScheduleArg(1, tick, nil)
 		}
 	}
-	eng.Schedule(1, tick)
+	eng.ScheduleArg(1, tick, nil)
 	eng.Run(Time(20_000))
 	if n != 10_000 {
 		t.Fatalf("ran %d ticks", n)

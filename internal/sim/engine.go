@@ -82,7 +82,7 @@ const (
 )
 
 // Where an event currently lives. Only inFree events may be handed out by
-// the pool, and Cancel/Pending treat inFree as "not scheduled".
+// the pool, and a Handle treats inFree as "not scheduled".
 const (
 	inFree uint8 = iota
 	inNear
@@ -112,12 +112,9 @@ func (k *Key) less(b *Key) bool {
 	return k.seq < b.seq
 }
 
-// Event is a scheduled callback, owned by the engine's free-list pool.
-// The scheduling methods return *Event for transient cancellation only:
-// once the event has fired or been canceled the pointer may be recycled
-// for an unrelated callback, so callers that retain a reference across
-// fires must hold a Handle (see Schedule*/At* Handle variants) instead.
-type Event struct {
+// event is a scheduled callback, owned by the engine's free-list pool.
+// Callers refer to it only through a Handle, which detects recycling.
+type event struct {
 	Key
 	gen uint64 // incremented on recycle; validates Handles
 
@@ -125,13 +122,12 @@ type Event struct {
 	// doubly-linked slot list for inNear, the same list plus (level, slot)
 	// for inWheel. The free list reuses next.
 	index       int
-	next, prev  *Event
+	next, prev  *event
 	level, slot uint8
 	where       uint8
 
-	// Exactly one callback form is set: fn (closure path), afn+a0
-	// (one-argument fast path), or afn2+a0+a1 (two-argument fast path).
-	fn   func()
+	// Exactly one callback form is set: afn+a0 (one argument) or
+	// afn2+a0+a1 (two arguments).
 	afn  func(any)
 	afn2 func(any, any)
 	a0   any
@@ -140,40 +136,12 @@ type Event struct {
 	eng *Engine
 }
 
-// Cancel prevents the event from firing, unlinks it from the queue
-// immediately, and recycles it. Canceling an already-fired or
-// already-canceled event is a no-op. Cancel reports whether the event was
-// still pending.
-func (e *Event) Cancel() bool {
-	if e == nil || e.where == inFree {
-		return false
-	}
-	eng := e.eng
-	switch e.where {
-	case inNear:
-		eng.near.remove(e)
-	case inOverflow:
-		eng.overflow.remove(e.index)
-	case inWheel:
-		eng.unlinkBucket(e)
-	}
-	eng.pending--
-	eng.recycle(e)
-	return true
-}
-
-// Pending reports whether the event is scheduled and not canceled. After
-// the event fires the underlying storage may be reused; prefer Handle for
-// references held across fires.
-func (e *Event) Pending() bool { return e != nil && e.where != inFree }
-
-// Handle is a safe, value-type reference to a scheduled event. Unlike a
-// retained *Event it detects recycling: once the event fires or is
-// canceled, the handle reports not-pending forever, even after the pooled
-// storage is reused for an unrelated event. The zero Handle is valid and
-// not pending.
+// Handle is a safe, value-type reference to a scheduled event. It detects
+// recycling: once the event fires or is canceled, the handle reports
+// not-pending forever, even after the pooled storage is reused for an
+// unrelated event. The zero Handle is valid and not pending.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	gen uint64
 }
 
@@ -191,20 +159,32 @@ func (h Handle) When() Time {
 	return h.ev.when
 }
 
-// Cancel cancels the referenced event if it is still pending and reports
-// whether it was.
+// Cancel prevents the referenced event from firing, unlinking it from the
+// queue immediately, and reports whether it was still pending. Canceling
+// an already-fired or already-canceled event is a no-op.
 func (h Handle) Cancel() bool {
 	if !h.live() {
 		return false
 	}
-	return h.ev.Cancel()
+	ev, eng := h.ev, h.ev.eng
+	switch ev.where {
+	case inNear:
+		eng.near.remove(ev)
+	case inOverflow:
+		eng.overflow.remove(ev.index)
+	case inWheel:
+		eng.unlinkBucket(ev)
+	}
+	eng.pending--
+	eng.recycle(ev)
+	return true
 }
 
 // bucket is an intrusive doubly-linked event list: one timer-wheel slot,
 // whose order is irrelevant (the near window restores the exact (when,
 // seq) order before anything fires), or one near-window slot, kept in it.
 type bucket struct {
-	head, tail *Event
+	head, tail *event
 }
 
 // wheelLevel is one ring of the hierarchical wheel. occupied has bit s set
@@ -254,7 +234,7 @@ type Engine struct {
 	// insert lowers it; cascade and unlinkBucket invalidate it.
 	wmin granule
 
-	free *Event // free-list of recycled events, linked through next
+	free *event // free-list of recycled events, linked through next
 
 	// Livelock watchdog (see SetLivelockWatchdog): when wdLimit > 0, Run
 	// counts consecutive events firing at the same instant and trips once
@@ -282,28 +262,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // are unlinked eagerly and never counted.
 func (e *Engine) Pending() int { return e.pending }
 
-// alloc hands out a pooled (or fresh) event for time t.
-func (e *Engine) alloc(t Time) *Event {
-	ev := e.take()
-	ev.Key = e.Reserve(t)
-	return ev
-}
-
-// take hands out a pooled (or fresh) event with no key yet.
-func (e *Engine) take() *Event {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-	} else {
-		ev = &Event{eng: e}
-	}
-	return ev
-}
-
 // Reserve claims the key an event scheduled now for time t (clamped at
 // the current time) would carry, without scheduling anything: the
-// sequence number is consumed exactly as At would consume it, so every
+// sequence number is consumed exactly as AtArg would consume it, so every
 // real event keeps the key it would have had. A component that only
 // needs to know when such an event would have fired — and not to run a
 // callback then — keeps the key and asks Passed.
@@ -327,10 +288,9 @@ func (e *Engine) Passed(k Key) bool { return k.less(&e.front) }
 
 // recycle returns a no-longer-queued event to the free list, invalidating
 // outstanding Handles and dropping callback references.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.where = inFree
-	ev.fn = nil
 	ev.afn = nil
 	ev.afn2 = nil
 	ev.a0 = nil
@@ -343,7 +303,7 @@ func (e *Engine) recycle(ev *Event) {
 // insert places an allocated event into the near window, a wheel bucket, or
 // the overflow heap, according to its distance from the wheel cursor.
 // Callers account for pending.
-func (e *Engine) insert(ev *Event) {
+func (e *Engine) insert(ev *event) {
 	w := uint64(ev.when)
 	if w < e.cur {
 		// Behind the cursor. The cursor never passes the clock (see cur),
@@ -388,7 +348,7 @@ func (e *Engine) insert(ev *Event) {
 }
 
 // unlinkBucket removes an inWheel event from its bucket list.
-func (e *Engine) unlinkBucket(ev *Event) {
+func (e *Engine) unlinkBucket(ev *event) {
 	b := &e.levels[ev.level].slots[ev.slot]
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -465,7 +425,7 @@ func (e *Engine) wheelMin() granule {
 // it could hold the minimum; the exact (when, seq) comparator is the only
 // thing that ever decides order between events. A pop from the near
 // window costs one TrailingZeros64, an unlink, and no wheel scan.
-func (e *Engine) popMin(limit Time) *Event {
+func (e *Engine) popMin(limit Time) *event {
 	for {
 		best, near := e.near.min(e.cur), true
 		if o := e.overflow.min(); o != nil && (best == nil || o.less(&best.Key)) {
@@ -509,87 +469,70 @@ func (e *Engine) popMin(limit Time) *Event {
 // fire recycles ev and runs its callback. Recycling first keeps the pool
 // hot when the callback immediately reschedules; Handles cannot observe
 // the reuse thanks to the generation counter.
-func (e *Engine) fire(ev *Event) {
-	fn, afn, afn2, a0, a1 := ev.fn, ev.afn, ev.afn2, ev.a0, ev.a1
+func (e *Engine) fire(ev *event) {
+	afn, afn2, a0, a1 := ev.afn, ev.afn2, ev.a0, ev.a1
 	e.recycle(ev)
 	e.fired++
-	switch {
-	case fn != nil:
-		fn()
-	case afn != nil:
+	if afn != nil {
 		afn(a0)
-	default:
+	} else {
 		afn2(a0, a1)
 	}
 }
 
-// Schedule runs fn after delay. A negative delay is treated as zero (fires
-// at the current time, after already-queued events for that time).
-func (e *Engine) Schedule(delay Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
+// schedule is every scheduling method's body: it takes a pooled (or
+// fresh) event, gives it a key and one of the two callback forms, and
+// queues it. It panics if the callback is nil. k is either a key from
+// Reserve, whose sequence number is below e.seq, or a new event's time
+// paired with e.seq, which schedule turns into a key as Reserve does.
+// Reserving here rather than in AtArg keeps AtArg and ScheduleArg small
+// enough to inline, so a schedule costs one call.
+func (e *Engine) schedule(k Key, afn func(any), afn2 func(any, any), a0, a1 any) Handle {
+	if afn == nil && afn2 == nil {
+		panic("sim: nil callback")
 	}
-	return e.At(e.now+delay, fn)
-}
-
-// At runs fn at the absolute time t. If t is in the past it fires at the
-// current time.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: At called with nil fn")
+	if k.seq == e.seq {
+		k = e.Reserve(k.when)
 	}
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.insert(ev)
-	e.pending++
-	return ev
-}
-
-// ScheduleArg runs fn(arg) after delay (clamped at zero). Because fn is
-// typically a package-level function and arg a pointer, this path does not
-// allocate in steady state — unlike Schedule, whose closure usually does.
-func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) Handle {
-	if delay < 0 {
-		delay = 0
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
+		ev.next = nil
+	} else {
+		ev = &event{eng: e}
 	}
-	return e.AtArg(e.now+delay, fn, arg)
-}
-
-// AtArg runs fn(arg) at the absolute time t (clamped at the current time).
-func (e *Engine) AtArg(t Time, fn func(any), arg any) Handle {
-	if fn == nil {
-		panic("sim: AtArg called with nil fn")
-	}
-	ev := e.alloc(t)
-	ev.afn = fn
-	ev.a0 = arg
+	ev.Key = k
+	ev.afn, ev.afn2 = afn, afn2
+	ev.a0, ev.a1 = a0, a1
 	e.insert(ev)
 	e.pending++
 	return Handle{ev: ev, gen: ev.gen}
 }
 
+// ScheduleArg runs fn(arg) after delay. A negative delay is treated as
+// zero (fires at the current time, after already-queued events for that
+// time). Because fn is typically a package-level function and arg a
+// pointer, scheduling does not allocate in steady state.
+func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) Handle {
+	return e.AtArg(e.now+delay, fn, arg) // AtArg clamps a negative delay
+}
+
+// AtArg runs fn(arg) at the absolute time t. If t is in the past it fires
+// at the current time.
+func (e *Engine) AtArg(t Time, fn func(any), arg any) Handle {
+	return e.schedule(Key{when: t, seq: e.seq}, fn, nil, arg, nil)
+}
+
 // ScheduleArg2 runs fn(a0, a1) after delay (clamped at zero), for
 // callbacks needing a receiver plus one argument without a closure.
 func (e *Engine) ScheduleArg2(delay Duration, fn func(any, any), a0, a1 any) Handle {
-	if delay < 0 {
-		delay = 0
-	}
 	return e.AtArg2(e.now+delay, fn, a0, a1)
 }
 
 // AtArg2 runs fn(a0, a1) at the absolute time t (clamped at the current
 // time).
 func (e *Engine) AtArg2(t Time, fn func(any, any), a0, a1 any) Handle {
-	if fn == nil {
-		panic("sim: AtArg2 called with nil fn")
-	}
-	ev := e.alloc(t)
-	ev.afn2 = fn
-	ev.a0 = a0
-	ev.a1 = a1
-	e.insert(ev)
-	e.pending++
-	return Handle{ev: ev, gen: ev.gen}
+	return e.schedule(Key{when: t, seq: e.seq}, nil, fn, a0, a1)
 }
 
 // AtKeyArg2 runs fn(a0, a1) under k, a key from Reserve: the event fires
@@ -598,20 +541,10 @@ func (e *Engine) AtArg2(t Time, fn func(any, any), a0, a1 any) Handle {
 // frames in flight) reserves each key when it commits to the callback and
 // schedules only the earliest. It panics if k has already passed.
 func (e *Engine) AtKeyArg2(k Key, fn func(any, any), a0, a1 any) Handle {
-	if fn == nil {
-		panic("sim: AtKeyArg2 called with nil fn")
-	}
 	if e.Passed(k) {
 		panic(fmt.Sprintf("sim: AtKeyArg2 with key (%v, %d) already passed", k.when, k.seq))
 	}
-	ev := e.take()
-	ev.Key = k
-	ev.afn2 = fn
-	ev.a0 = a0
-	ev.a1 = a1
-	e.insert(ev)
-	e.pending++
-	return Handle{ev: ev, gen: ev.gen}
+	return e.schedule(k, nil, fn, a0, a1)
 }
 
 // Run executes events until the queue drains or the clock would pass until.
@@ -691,17 +624,17 @@ func (e *Engine) Halted() bool { return e.halt.Load() }
 
 // eventHeap is a binary min-heap of events ordered by (when, seq), with
 // index maintenance for O(log n) removal by position.
-type eventHeap []*Event
+type eventHeap []*event
 
 // min returns the earliest event without removing it, or nil.
-func (h eventHeap) min() *Event {
+func (h eventHeap) min() *event {
 	if len(h) == 0 {
 		return nil
 	}
 	return h[0]
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
 	h.siftUp(ev.index)

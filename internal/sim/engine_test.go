@@ -10,7 +10,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Duration{5, 1, 3, 2, 4} {
 		d := d
-		e.Schedule(d*Microsecond, func() { got = append(got, e.Now()) })
+		e.ScheduleArg(d*Microsecond, func(any) { got = append(got, e.Now()) }, nil)
 	}
 	e.Run(Second)
 	want := []Time{1 * Microsecond, 2 * Microsecond, 3 * Microsecond, 4 * Microsecond, 5 * Microsecond}
@@ -29,7 +29,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(42, func() { order = append(order, i) })
+		e.AtArg(42, func(any) { order = append(order, i) }, nil)
 	}
 	e.Run(Second)
 	for i, v := range order {
@@ -42,7 +42,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 func TestEngineRunUntilStopsClock(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.Schedule(2*Millisecond, func() { fired = true })
+	e.ScheduleArg(2*Millisecond, func(any) { fired = true }, nil)
 	e.Run(1 * Millisecond)
 	if fired {
 		t.Fatal("event beyond until fired")
@@ -62,7 +62,7 @@ func TestEngineRunUntilStopsClock(t *testing.T) {
 func TestEngineEventAtUntilBoundaryFires(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(5*Millisecond, func() { fired = true })
+	e.AtArg(5*Millisecond, func(any) { fired = true }, nil)
 	e.Run(5 * Millisecond)
 	if !fired {
 		t.Fatal("event exactly at until did not fire")
@@ -72,14 +72,14 @@ func TestEngineEventAtUntilBoundaryFires(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(Millisecond, func() { fired = true })
-	if !ev.Pending() {
+	h := e.ScheduleArg(Millisecond, func(any) { fired = true }, nil)
+	if !h.Pending() {
 		t.Fatal("event not pending after schedule")
 	}
-	if !ev.Cancel() {
+	if !h.Cancel() {
 		t.Fatal("Cancel returned false for pending event")
 	}
-	if ev.Cancel() {
+	if h.Cancel() {
 		t.Fatal("second Cancel returned true")
 	}
 	e.Run(Second)
@@ -91,14 +91,14 @@ func TestEventCancel(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse func(any)
+	recurse = func(any) {
 		depth++
 		if depth < 100 {
-			e.Schedule(Microsecond, recurse)
+			e.ScheduleArg(Microsecond, recurse, nil)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleArg(0, recurse, nil)
 	e.Run(Second)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -110,12 +110,12 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(Millisecond, func() {
-		ev := e.Schedule(-5*Millisecond, func() {})
-		if ev.When() != e.Now() {
-			t.Errorf("negative delay scheduled at %v, want now (%v)", ev.When(), e.Now())
+	e.ScheduleArg(Millisecond, func(any) {
+		h := e.ScheduleArg(-5*Millisecond, func(any) {}, nil)
+		if h.When() != e.Now() {
+			t.Errorf("negative delay scheduled at %v, want now (%v)", h.When(), e.Now())
 		}
-	})
+	}, nil)
 	e.Run(Second)
 }
 
@@ -123,12 +123,12 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Millisecond, func() {
+		e.ScheduleArg(Duration(i)*Millisecond, func(any) {
 			count++
 			if count == 3 {
 				e.Stop()
 			}
-		})
+		}, nil)
 	}
 	e.Run(Second)
 	if count != 3 {
@@ -147,12 +147,12 @@ func TestEngineHaltSticks(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Millisecond, func() {
+		e.ScheduleArg(Duration(i)*Millisecond, func(any) {
 			count++
 			if count == 3 {
 				e.Halt()
 			}
-		})
+		}, nil)
 	}
 	e.Run(Second)
 	if count != 3 || !e.Halted() {
@@ -169,8 +169,8 @@ func TestEngineHaltSticks(t *testing.T) {
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Schedule(Millisecond, func() { n++ })
-	e.Schedule(2*Millisecond, func() { n++ })
+	e.ScheduleArg(Millisecond, func(any) { n++ }, nil)
+	e.ScheduleArg(2*Millisecond, func(any) { n++ }, nil)
 	if !e.Step() || n != 1 {
 		t.Fatalf("first Step: n=%d", n)
 	}
@@ -188,12 +188,12 @@ func TestEngineStep(t *testing.T) {
 func TestEngineStepRefusesNesting(t *testing.T) {
 	e := NewEngine()
 	var inner any
-	e.Schedule(Millisecond, func() {
+	e.ScheduleArg(Millisecond, func(any) {
 		defer func() { inner = recover() }()
 		e.Step()
-	})
+	}, nil)
 	n := 0
-	e.Schedule(2*Millisecond, func() { n++ })
+	e.ScheduleArg(2*Millisecond, func(any) { n++ }, nil)
 	e.Run(Millisecond)
 	if inner == nil {
 		t.Fatal("Step inside Run did not panic")
@@ -213,7 +213,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for _, d := range delays {
-			e.Schedule(Duration(d)*Microsecond, func() { fired = append(fired, e.Now()) })
+			e.ScheduleArg(Duration(d)*Microsecond, func(any) { fired = append(fired, e.Now()) }, nil)
 		}
 		e.Run(Second)
 		if len(fired) != len(delays) {

@@ -16,28 +16,23 @@ func (e *Engine) Front() Key { return e.front }
 
 // NearLen returns the number of events in the near window.
 func (e *Engine) NearLen() (n int) {
-	e.near.each(e.cur, func(*Event) { n++ })
+	e.near.each(e.cur, func(*event) { n++ })
 	return n
 }
 
 // ForEachQueued calls fn with the key of every queued event.
 func (e *Engine) ForEachQueued(fn func(Key)) {
-	e.eachQueued(func(ev *Event) { fn(ev.Key) })
+	e.eachQueued(func(ev *event) { fn(ev.Key) })
 }
 
 // CountQueuedByClass adds one to counts[name] for every queued event,
-// where name is the event's callback function (closures included).
+// where name is the event's callback function.
 // names caches a callback's name by its code pointer.
 func (e *Engine) CountQueuedByClass(counts map[string]int, names map[uintptr]string) {
-	e.eachQueued(func(ev *Event) {
-		var pc uintptr
-		switch {
-		case ev.fn != nil:
-			pc = reflect.ValueOf(ev.fn).Pointer()
-		case ev.afn != nil:
+	e.eachQueued(func(ev *event) {
+		pc := reflect.ValueOf(ev.afn2).Pointer()
+		if ev.afn != nil {
 			pc = reflect.ValueOf(ev.afn).Pointer()
-		default:
-			pc = reflect.ValueOf(ev.afn2).Pointer()
 		}
 		name, ok := names[pc]
 		if !ok {
@@ -49,7 +44,7 @@ func (e *Engine) CountQueuedByClass(counts map[string]int, names map[uintptr]str
 }
 
 // eachQueued calls fn with every queued event.
-func (e *Engine) eachQueued(fn func(*Event)) {
+func (e *Engine) eachQueued(fn func(*event)) {
 	e.near.each(e.cur, fn)
 	for _, ev := range e.overflow {
 		fn(ev)

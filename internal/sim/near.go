@@ -41,7 +41,7 @@ func inNearWindow(w, cur uint64) bool { return w>>nearSlotShift-cur>>nearSlotShi
 
 // min returns the earliest event in the window of cursor cur without
 // removing it, or nil.
-func (w *nearWindow) min(cur uint64) *Event {
+func (w *nearWindow) min(cur uint64) *event {
 	if w.occupied == 0 {
 		return nil
 	}
@@ -51,7 +51,7 @@ func (w *nearWindow) min(cur uint64) *Event {
 }
 
 // push adds ev, which must lie in the cursor's near window.
-func (w *nearWindow) push(ev *Event) {
+func (w *nearWindow) push(ev *event) {
 	s := nearSlot(ev.when)
 	b := &w.slots[s]
 	p := b.tail
@@ -75,7 +75,7 @@ func (w *nearWindow) push(ev *Event) {
 }
 
 // remove unlinks ev from its slot.
-func (w *nearWindow) remove(ev *Event) {
+func (w *nearWindow) remove(ev *event) {
 	s := nearSlot(ev.when)
 	b := &w.slots[s]
 	if ev.prev != nil {
@@ -96,7 +96,7 @@ func (w *nearWindow) remove(ev *Event) {
 
 // each calls fn for every event in the window of cursor cur, in fire
 // order.
-func (w *nearWindow) each(cur uint64, fn func(*Event)) {
+func (w *nearWindow) each(cur uint64, fn func(*event)) {
 	rot := cur >> nearSlotShift
 	for occ := bits.RotateLeft64(w.occupied, -int(rot)); occ != 0; occ &= occ - 1 {
 		s := (rot + uint64(bits.TrailingZeros64(occ))) & (nearSlots - 1)

@@ -106,7 +106,7 @@ func (m *nearModel) audit() {
 		m.t.Fatalf("seed %d: integrity audit: %v", m.seed, vs)
 	}
 	page := m.e.cur >> nearBits
-	m.e.near.each(m.e.cur, func(ev *Event) {
+	m.e.near.each(m.e.cur, func(ev *event) {
 		if uint64(ev.when)>>nearBits != page {
 			m.inNear++
 		}

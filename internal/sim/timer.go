@@ -4,9 +4,7 @@ package sim
 // hardware countdown timer or a kernel hrtimer. The zero value is not
 // usable: create timers with NewTimer, or Init one embedded in an owner.
 //
-// Timers hold a Handle, not an *Event: the engine pools events, so a
-// retained pointer could outlive its scheduling and alias an unrelated
-// event. They also schedule through the argument fast path, so arming a
+// Timers schedule through the one-argument callback form, so arming a
 // timer does not allocate.
 type Timer struct {
 	eng *Engine

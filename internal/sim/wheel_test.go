@@ -17,7 +17,8 @@ type refEntry struct {
 	id   int
 }
 
-// wheelModel drives a random stream of schedules (closure and arg APIs,
+// wheelModel drives a random stream of schedules (one- and two-argument
+// callbacks,
 // delays spanning the near window, every wheel level, and the overflow heap)
 // and cancellations against an engine, and keeps the reference model the
 // engine's fire order must match.
@@ -30,10 +31,8 @@ type wheelModel struct {
 	ref  []refEntry
 	ord  int
 
-	// Cancelable events. A raw *Event is only safe to cancel while the
-	// event is still pending (the pool recycles fired events), so the
-	// closure-API entries are dropped once they fire; Handles stay
-	// cancelable forever and must report dead after firing.
+	// Cancelable events. Handles stay cancelable forever and must report
+	// dead after firing.
 	lives []liveEvent
 	dead  map[int]bool
 }
@@ -44,9 +43,8 @@ type firing struct {
 }
 
 type liveEvent struct {
-	id     int
-	handle bool
-	cancel func() bool
+	id int
+	h  Handle
 }
 
 func newWheelModel(t *testing.T, seed uint64) *wheelModel {
@@ -63,7 +61,7 @@ func (m *wheelModel) op() {
 		m.lives[i] = m.lives[len(m.lives)-1]
 		m.lives = m.lives[:len(m.lives)-1]
 		if m.dead[v.id] {
-			if v.handle && v.cancel() {
+			if v.h.Cancel() {
 				m.t.Errorf("seed %d: Cancel succeeded on fired handle %d", m.seed, v.id)
 			}
 			return
@@ -74,7 +72,7 @@ func (m *wheelModel) op() {
 				break
 			}
 		}
-		if !v.cancel() {
+		if !v.h.Cancel() {
 			m.t.Errorf("seed %d: Cancel failed for pending event %d", m.seed, v.id)
 		}
 		return
@@ -89,13 +87,13 @@ func (m *wheelModel) op() {
 		m.got = append(m.got, firing{id, e.Now()})
 		m.dead[id] = true
 	}
+	var h Handle
 	if rng.Bool(0.5) {
-		ev := e.Schedule(d, record)
-		m.lives = append(m.lives, liveEvent{id, false, ev.Cancel})
+		h = e.ScheduleArg(d, func(any) { record() }, nil)
 	} else {
-		h := e.ScheduleArg(d, func(any) { record() }, nil)
-		m.lives = append(m.lives, liveEvent{id, true, h.Cancel})
+		h = e.ScheduleArg2(d, func(any, any) { record() }, nil, nil)
 	}
+	m.lives = append(m.lives, liveEvent{id, h})
 }
 
 // advance draws an uneven clock step; zero keeps several ops at one
@@ -138,16 +136,16 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 	prop := func(seed uint64) bool {
 		m := newWheelModel(t, seed)
 		remaining := wheelModelOps
-		var step func()
-		step = func() {
+		var step func(any)
+		step = func(any) {
 			if remaining == 0 {
 				return
 			}
 			remaining--
 			m.op()
-			m.e.Schedule(m.advance(), step)
+			m.e.ScheduleArg(m.advance(), step, nil)
 		}
-		m.e.Schedule(0, step)
+		m.e.ScheduleArg(0, step, nil)
 		m.e.Run(maxTime - 1)
 		return m.check()
 	}
@@ -201,11 +199,11 @@ func TestWheelFarFutureOrdering(t *testing.T) {
 	far := Time(1) << 50 // far past the wheel horizon
 	for i := 0; i < 32; i++ {
 		i := i
-		e.At(far, func() { order = append(order, i) })
+		e.AtArg(far, func(any) { order = append(order, i) }, nil)
 	}
 	// Intermediate traffic drags the cursor across every level.
 	for lvl := uint(0); lvl < 50; lvl += 3 {
-		e.At(Time(1)<<lvl, func() {})
+		e.AtArg(Time(1)<<lvl, func(any) {}, nil)
 	}
 	e.Run(far)
 	if len(order) != 32 {
@@ -222,15 +220,15 @@ func TestWheelFarFutureOrdering(t *testing.T) {
 // schedule, cancel, and fire.
 func TestEnginePendingExact(t *testing.T) {
 	e := NewEngine()
-	var evs []*Event
+	var hs []Handle
 	for i := 0; i < 10; i++ {
-		evs = append(evs, e.Schedule(Duration(i)*Millisecond, func() {}))
+		hs = append(hs, e.ScheduleArg(Duration(i)*Millisecond, func(any) {}, nil))
 	}
 	if got := e.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
 	}
-	evs[3].Cancel()
-	evs[7].Cancel()
+	hs[3].Cancel()
+	hs[7].Cancel()
 	if got := e.Pending(); got != 8 {
 		t.Fatalf("Pending after cancels = %d, want 8", got)
 	}
@@ -245,7 +243,7 @@ func TestEnginePendingExact(t *testing.T) {
 }
 
 // TestHandleSurvivesReuse verifies a Handle to a fired event stays dead
-// even after the engine recycles the underlying Event for new work.
+// even after the engine recycles the underlying event for new work.
 func TestHandleSurvivesReuse(t *testing.T) {
 	e := NewEngine()
 	h := e.ScheduleArg(Millisecond, func(any) {}, nil)
@@ -253,7 +251,7 @@ func TestHandleSurvivesReuse(t *testing.T) {
 	if h.Pending() {
 		t.Fatal("handle pending after its event fired")
 	}
-	// Recycle the pooled Event into fresh events; the old handle must not
+	// Recycle the pooled event into fresh events; the old handle must not
 	// alias them.
 	for i := 0; i < 8; i++ {
 		e.ScheduleArg(Duration(i+3)*Millisecond, func(any) {}, nil)

@@ -22,9 +22,9 @@ func TestSamplerDeltasAndGauges(t *testing.T) {
 
 	count, busy = 10, 100 // before Start: part of the baseline
 	s := reg.Sampler(eng, sim.Millisecond, "g", "c", "m")
-	eng.Schedule(500*sim.Microsecond, func() { s.Start() })
-	eng.Schedule(1200*sim.Microsecond, func() { count, busy, level = 13, 400, 2 })
-	eng.Schedule(2200*sim.Microsecond, func() { level = 0 })
+	eng.ScheduleArg(500*sim.Microsecond, func(any) { s.Start() }, nil)
+	eng.ScheduleArg(1200*sim.Microsecond, func(any) { count, busy, level = 13, 400, 2 }, nil)
+	eng.ScheduleArg(2200*sim.Microsecond, func(any) { level = 0 }, nil)
 	eng.Run(3600 * sim.Microsecond)
 
 	wantT := []sim.Time{1500 * sim.Microsecond, 2500 * sim.Microsecond, 3500 * sim.Microsecond}
@@ -46,7 +46,7 @@ func TestSamplerWakeMarkers(t *testing.T) {
 	reg.Counter("wakes", func() int64 { return wakes })
 	s := reg.Sampler(eng, sim.Millisecond, "wakes")
 	s.Start()
-	eng.Schedule(1500*sim.Microsecond, func() { wakes = 3 })
+	eng.ScheduleArg(1500*sim.Microsecond, func(any) { wakes = 3 }, nil)
 	eng.Run(3 * sim.Millisecond)
 	if want := [][]float64{{0}, {3}, {0}}; !reflect.DeepEqual(s.Rows, want) {
 		t.Fatalf("rows = %v, want %v", s.Rows, want)
