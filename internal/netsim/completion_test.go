@@ -9,7 +9,9 @@ import (
 // refLink is the reference model for a link's egress-buffer accounting:
 // the event-driven scheme Link used before serialization completions were
 // folded into records. Every committed frame schedules a dequeue event at
-// the end of its serialization, which frees its bytes.
+// the end of its serialization, which frees its bytes. The tie rule: a
+// dequeue comes before every send at its instant, so settle fires the
+// dequeues due now before the buffer is offered a frame or read.
 type refLink struct {
 	eng     *sim.Engine
 	cfg     LinkConfig
@@ -17,21 +19,39 @@ type refLink struct {
 	queued  int
 	peak    int
 	drops   int
-	deq     []int
-	fired   uint64 // dequeue events fired
+	deq     []refDeq // pending dequeues, in serialization order
+	fired   uint64   // dequeues applied
 }
 
-func refDequeue(arg any) {
-	r := arg.(*refLink)
-	r.queued -= r.deq[0]
+// refDeq is one pending dequeue: its event and the bytes it frees.
+type refDeq struct {
+	at sim.Time
+	ws int
+	h  sim.Handle
+}
+
+func refDequeue(arg any) { arg.(*refLink).dequeue() }
+
+// dequeue frees the oldest pending frame's bytes.
+func (r *refLink) dequeue() {
+	r.queued -= r.deq[0].ws
 	r.deq = r.deq[1:]
 	r.fired++
+}
+
+// settle fires, ahead of their events, the dequeues due at or before now.
+func (r *refLink) settle() {
+	for len(r.deq) > 0 && r.deq[0].at <= r.eng.Now() {
+		r.deq[0].h.Cancel()
+		r.dequeue()
+	}
 }
 
 func (r *refLink) send(ws int) bool {
 	if now := r.eng.Now(); r.busyTil < now {
 		r.busyTil = now
 	}
+	r.settle()
 	if r.queued+ws > r.cfg.QueueBytes && r.queued > 0 {
 		r.drops++
 		return false
@@ -41,16 +61,13 @@ func (r *refLink) send(ws int) bool {
 		r.peak = r.queued
 	}
 	r.busyTil += sim.Duration(int64(ws) * 8 * int64(sim.Second) / r.cfg.BandwidthBps)
-	r.deq = append(r.deq, ws)
-	r.eng.AtArg(r.busyTil, refDequeue, r)
+	r.deq = append(r.deq, refDeq{r.busyTil, ws, r.eng.AtArg(r.busyTil, refDequeue, r)})
 	return true
 }
 
 // hop is one link under test with its reference model beside it. Every
 // frame offered to the link is offered to the reference first, at the same
-// instant, so the reference's dequeue event takes the sequence number just
-// before the link's reserved completion key: no other event can order
-// between the two.
+// instant.
 type hop struct {
 	t    *testing.T
 	link *Link
@@ -69,6 +86,7 @@ func (h *hop) send(p *Packet) {
 func (h *hop) compare(where string) {
 	h.t.Helper()
 	l, r := h.link, h.ref
+	r.settle()
 	if l.QueuedBytes() != r.queued || l.PeakQueuedBytes() != r.peak || int(l.Drops.Value()) != r.drops {
 		h.t.Fatalf("%s at %v: queued/peak/drops = %d/%d/%d, reference %d/%d/%d", where, r.eng.Now(),
 			l.QueuedBytes(), l.PeakQueuedBytes(), l.Drops.Value(), r.queued, r.peak, r.drops)
@@ -127,23 +145,7 @@ func runTieHeavyHops(t *testing.T, seed uint64) {
 		eng.AtArg(at, func(any) { h.send(p) }, nil)
 	}
 
-	refFired := func() (n uint64) {
-		for _, h := range hops {
-			n += h.ref.fired
-		}
-		return n
-	}
-	for {
-		before := refFired()
-		if !eng.Step() {
-			break
-		}
-		// Right after a reference dequeue fires, the engine's frontier
-		// sits between it and the link's key, which comes next in the
-		// order; every other point compares exactly.
-		if refFired() != before {
-			continue
-		}
+	for eng.Step() {
 		for _, h := range hops {
 			h.compare("after step")
 		}
