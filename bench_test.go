@@ -731,15 +731,32 @@ func BenchmarkFullSystemSimSecond(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetE14 is the fleet end-to-end row: one 96-node E14 run
-// (64 servers and 32 clients across 4 racks and 2 spines, NcapCons).
+// BenchmarkFleetE14 is the lightly loaded fleet row: one run of E14's
+// 96-node fleet shape (64 servers and 32 clients across 4 racks and 2
+// spines, NcapCons) at 1500 RPS per server, 1/16 of the load E14 runs.
+// Its event mix is timer-heavy (MITT ticks are a quarter of its events);
+// BenchmarkE14Cell is the row at E14's own load.
 func BenchmarkFleetE14(b *testing.B) {
+	benchFleet(b, 1500, 20*sim.Millisecond, 60*sim.Millisecond, 20*sim.Millisecond)
+}
+
+// BenchmarkE14Cell is one fleet4x16 Apache ncap.cons cell of E14 at its
+// per-server load (the paper's low load, 24k RPS per server, 1.536M RPS
+// across the fleet), on windows short enough for CI. At this load frame
+// hops dominate: link deliveries and switch forwards are most of what the
+// engine fires.
+func BenchmarkE14Cell(b *testing.B) {
+	benchFleet(b, cluster.LoadRPS("apache", cluster.LowLoad), 10*sim.Millisecond, 20*sim.Millisecond, 5*sim.Millisecond)
+}
+
+// benchFleet runs the E14 fleet shape (topology.Fleet(4, 2, 16, 8)) with
+// Apache under NcapCons at perServer RPS per server, on the given windows.
+func benchFleet(b *testing.B, perServer float64, warmup, measure, drain sim.Duration) {
 	b.ReportAllocs()
-	cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 1500*64)
-	cfg.Warmup = 20 * sim.Millisecond
-	cfg.Measure = 60 * sim.Millisecond
-	cfg.Drain = 20 * sim.Millisecond
-	cfg.Topology = topology.Fleet(4, 2, 16, 8)
+	spec := topology.Fleet(4, 2, 16, 8)
+	cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), perServer*float64(spec.Servers()))
+	cfg.Warmup, cfg.Measure, cfg.Drain = warmup, measure, drain
+	cfg.Topology = spec
 	var res cluster.Result
 	for i := 0; i < b.N; i++ {
 		res = cluster.New(cfg).Run()
