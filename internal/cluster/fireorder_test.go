@@ -52,12 +52,14 @@ func fireOrderConfigs() (names []string, cfgs []Config) {
 }
 
 // stepRun runs c through Cluster.Run's phases one event at a time,
-// folding every fired (when, seq) key into an FNV-64a digest.
-func stepRun(c *Cluster) (Result, string) {
+// folding every fired (when, seq) key into an FNV-64a digest. measured
+// counts the events stepped through in the warmup and measure phases.
+func stepRun(c *Cluster) (res Result, digest string, measured uint64) {
 	h := fnv.New64a()
 	var buf [16]byte
 	eng := c.Engine()
-	res := c.run(func(until sim.Time) uint64 {
+	phase := 0
+	res = c.run(func(until sim.Time) uint64 {
 		var n uint64
 		for {
 			k, ok := eng.StepUntil(until)
@@ -72,22 +74,26 @@ func stepRun(c *Cluster) (Result, string) {
 		if extra := eng.Run(until); extra != 0 {
 			panic(fmt.Sprintf("Run(%v) fired %d events after stepping", until, extra))
 		}
+		if phase++; phase <= 2 {
+			measured += n
+		}
 		return n
 	})
-	return res, fmt.Sprintf("%016x", h.Sum64())
+	return res, fmt.Sprintf("%016x", h.Sum64()), measured
 }
 
 // TestFireOrderDigest pins the engine's fire order itself, which output
 // hashes only cover through the Results: every config of the panel is
 // stepped through Run's phases and the digest of its fired keys must match
 // the pin. The stepped Result must deep-equal Run's, so the stepped run
-// cannot drift from the real phases. An audited build adds epoch events
-// to the stream, so it checks the parity alone.
+// cannot drift from the real phases, and its Events must be the events
+// stepped through up to the measurement window's end. An audited build
+// adds epoch events to the stream, so it checks the parity alone.
 func TestFireOrderDigest(t *testing.T) {
 	want := readDigests(t, fireOrderDigests)
 	names, cfgs := fireOrderConfigs()
 	for i, name := range names {
-		stepped, got := stepRun(New(cfgs[i]))
+		stepped, got, measured := stepRun(New(cfgs[i]))
 		t.Logf("%s: %d events, %d completed, fault drops/dups/delays %d/%d/%d", name, stepped.Events, stepped.Completed,
 			stepped.FaultDrops, stepped.FaultDups, stepped.FaultDelays)
 		if run := New(cfgs[i]).Run(); !reflect.DeepEqual(stepped, run) {
@@ -98,6 +104,9 @@ func TestFireOrderDigest(t *testing.T) {
 		}
 		if want[name] != got {
 			t.Errorf("%s: fire-order digest %s, pinned %q", name, got, want[name])
+		}
+		if stepped.Events != measured {
+			t.Errorf("%s: Result.Events = %d, but warmup and measure stepped %d events", name, stepped.Events, measured)
 		}
 	}
 }

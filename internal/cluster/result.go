@@ -111,12 +111,13 @@ type Result struct {
 	Switches   []SwitchStats `json:",omitempty"`
 	Unroutable int64         `json:",omitempty"`
 
-	// Events is the simulator event count (progress metric): the events
-	// the engine fired plus one per frame serialization a link completed
-	// (the dequeue events links once scheduled, now folded into records),
-	// one per switch forward, and one per frame inside its forwarding
-	// delay (see firedEvents). Audit epoch ticks, trace sampler ticks and,
-	// under intended-send accounting, client pacing fires are excluded.
+	// Events counts the events the engine fired through the measurement
+	// window's end, warmup included: the simulator's work, and what
+	// ncapsim reports as Mevents/s. Work a component keeps as records
+	// instead of events (a link's serialization completions, a switch's
+	// forwards) is not in it. Audit epoch ticks, trace sampler ticks and,
+	// under intended-send accounting, client pacing fires are excluded,
+	// so observing a run or replaying its recording leaves it unchanged.
 	Events uint64
 }
 
@@ -337,13 +338,10 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 		res.Groups = append(res.Groups, gr)
 	}
 	for swi, sw := range c.Switches() {
-		// Frames inside their forwarding delay count as switched, as
-		// when the switch routed them on arrival (see Switch.Held).
-		fwd, unroutable := sw.Held()
 		st := SwitchStats{
 			Name:       sw.Name(),
-			Forwarded:  sw.Forwarded.Value() + fwd,
-			Unroutable: sw.Unroutable.Value() + unroutable,
+			Forwarded:  sw.Forwarded.Value(),
+			Unroutable: sw.Unroutable.Value(),
 		}
 		for _, l := range sw.Ports() {
 			if l.PeakQueuedBytes() > st.PeakQueueBytes {
@@ -369,37 +367,13 @@ func (c *Cluster) totalEnergyJ() float64 {
 	return e
 }
 
-// firedEvents counts executed engine events plus the events folded away,
-// so the count — and every stored Result — is unchanged by the folding:
-//   - every link's serialization completions, each standing for the
-//     dequeue event it once fired (the access links, faultLinks, and the
-//     trunks are every link in the fabric);
-//   - every switch's forwards, each standing for the forwarding event
-//     that once carried the delay the ingress delivery now pays;
-//   - every frame inside its forwarding delay (Switch.Held), whose
-//     arrival was once an event of its own.
-func (c *Cluster) firedEvents() uint64 {
-	n := c.eng.Fired()
-	for _, l := range c.faultLinks {
-		n += l.Completions()
-	}
-	for _, l := range c.trunks {
-		n += l.Completions()
-	}
-	for _, sw := range c.Switches() {
-		fwd, unroutable := sw.Held()
-		n += uint64(sw.Forwarded.Value() + fwd + unroutable)
-	}
-	return n
-}
-
 func (c *Cluster) collect(energyJ float64) Result {
 	cfg := c.cfg
 	// The audit epoch ticker and the trace sampler fire as ordinary
 	// engine events; subtracting them keeps Events — and with it the
 	// whole Result — byte-identical between observed and unobserved runs
 	// (the ticks are pure observation).
-	events := c.firedEvents()
+	events := c.eng.Fired()
 	if c.aud != nil {
 		events -= c.aud.ticks
 	}

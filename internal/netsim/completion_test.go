@@ -20,7 +20,6 @@ type refLink struct {
 	peak    int
 	drops   int
 	deq     []refDeq // pending dequeues, in serialization order
-	fired   uint64   // dequeues applied
 }
 
 // refDeq is one pending dequeue: its event and the bytes it frees.
@@ -36,7 +35,6 @@ func refDequeue(arg any) { arg.(*refLink).dequeue() }
 func (r *refLink) dequeue() {
 	r.queued -= r.deq[0].ws
 	r.deq = r.deq[1:]
-	r.fired++
 }
 
 // settle fires, ahead of their events, the dequeues due at or before now.
@@ -158,11 +156,6 @@ func runTieHeavyHops(t *testing.T, seed uint64) {
 	}
 	if hops[1].link.Drops.Value() == 0 {
 		t.Fatalf("seed %d: the merging hop never dropped; the buffer is not exercised", seed)
-	}
-	for i, h := range hops {
-		if got, want := h.link.Completions(), h.ref.fired; got != want {
-			t.Fatalf("seed %d hop %d: %d completions, reference fired %d dequeue events", seed, i, got, want)
-		}
 	}
 }
 

@@ -177,10 +177,18 @@ func runFaultyHops(t *testing.T, seed uint64) (overtakes int) {
 func sendVia(l *Link) func(*Packet) { return func(p *Packet) { l.Send(p) } }
 
 // inArrivalFIFO reports whether p waits in the link's arrival FIFO.
-func (l *Link) inArrivalFIFO(p *Packet) (found bool) {
-	l.arrivals.each(func(r *keyed[*Packet]) bool {
-		found = r.val == p
-		return !found
-	})
-	return found
+func (l *Link) inArrivalFIFO(p *Packet) bool {
+	q := &l.arrivals
+	for c, i := q.head, q.headIdx; c != nil; c, i = c.next, 0 {
+		end := len(c.recs)
+		if c == q.tail {
+			end = q.tailIdx
+		}
+		for ; i < end; i++ {
+			if c.recs[i].val == p {
+				return true
+			}
+		}
+	}
+	return false
 }

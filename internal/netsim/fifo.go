@@ -77,22 +77,6 @@ func (q *keyedFIFO[T]) grow() {
 	q.tail, q.tailIdx = c, 0
 }
 
-// each calls fn on the records from oldest to newest until fn returns
-// false.
-func (q *keyedFIFO[T]) each(fn func(r *keyed[T]) bool) {
-	for c, i := q.head, q.headIdx; c != nil; c, i = c.next, 0 {
-		end := len(c.recs)
-		if c == q.tail {
-			end = q.tailIdx
-		}
-		for ; i < end; i++ {
-			if !fn(&c.recs[i]) {
-				return
-			}
-		}
-	}
-}
-
 // pop removes the oldest record; the FIFO must not be empty. The record's
 // payload stays in the chunk until overwritten, so a caller whose payload
 // is a pointer clears it first.

@@ -28,7 +28,9 @@ type LinkConfig struct {
 // serialize back-to-back at the link rate and arrive after the propagation
 // delay. The egress buffer is drop-tail. A link into a switch also pays
 // the switch's forwarding delay: it delivers each frame that much after
-// its arrival, and the switch forwards it at once.
+// its arrival, and the switch forwards it at once. A busy link costs the
+// engine one event per delivered frame: serialization completions are
+// records, not events.
 type Link struct {
 	eng     *sim.Engine
 	cfg     LinkConfig
@@ -45,17 +47,13 @@ type Link struct {
 	// the egress buffer. Keeping completions as records instead of events
 	// halves the engine events per frame hop. A record leaves (freeing its
 	// bytes from queued) once the clock reaches the end of its
-	// serialization; see drain. completed counts records retired over the
-	// run.
+	// serialization; see drain.
 	completions keyedFIFO[int]
-	completed   uint64
 
 	// The arrival FIFO: committed frames, keyed by the delivery key
 	// reserved at Send, in key order. Only the head's delivery is an
-	// engine event; see pushArrival. own holds the frames delivered by
-	// their own event instead, in no order, so eachHeld sees them too.
+	// engine event; see pushArrival.
 	arrivals keyedFIFO[*Packet]
-	own      []keyed[*Packet]
 
 	// Bytes counts payload+header bytes successfully transmitted; Drops
 	// counts frames lost to a full egress buffer.
@@ -90,8 +88,7 @@ type Link struct {
 }
 
 // NewLink connects a new link to the destination receiver. A link into a
-// *Switch takes on the switch's forwarding delay and registers with it as
-// an ingress link.
+// *Switch takes on the switch's forwarding delay.
 func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 	if cfg.BandwidthBps <= 0 {
 		panic("netsim: link bandwidth must be positive")
@@ -106,7 +103,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 	}
 	if sw, ok := dst.(*Switch); ok {
 		l.hold = sw.fwDelay
-		sw.ingress = append(sw.ingress, l)
 	}
 	return l
 }
@@ -132,31 +128,21 @@ func (l *Link) drain() {
 			return
 		}
 		l.queued -= r.val
-		l.completed++
 		l.completions.pop()
 	}
-}
-
-// Completions returns the number of frames that have finished serializing
-// over the whole run: the dequeue events a per-frame scheduler would have
-// fired by the end of the current instant.
-func (l *Link) Completions() uint64 {
-	l.drain()
-	return l.completed
 }
 
 // pushArrival schedules p's delivery under k, a key just reserved for it.
 // A frame that arrives no earlier than the FIFO's tail joins the FIFO (its
 // key orders after the tail's, which was reserved before it); one that
 // overtakes the tail — a fault's extra delay on an earlier frame — is
-// delivered by its own event and listed in own. Either way it fires at k.
+// delivered by its own event. Either way it fires at k.
 func (l *Link) pushArrival(k sim.Key, p *Packet) {
 	switch {
 	case l.arrivals.empty():
 		l.eng.AtKeyArg2(k, linkDeliver, l, nil)
 	case k.When() < l.arrivals.back().key.When():
 		l.eng.AtKeyArg2(k, linkDeliver, l, p)
-		l.own = append(l.own, keyed[*Packet]{k, p})
 		return
 	}
 	l.arrivals.push(k, p)
@@ -183,47 +169,11 @@ func linkDeliver(a0, a1 any) {
 	p, _ := a1.(*Packet)
 	if p == nil {
 		p = l.popArrival()
-	} else {
-		l.dropOwn(p)
 	}
 	if l.aud != nil {
 		l.audDelivered++
 	}
 	l.dst.Receive(p)
-}
-
-// dropOwn removes p, whose own delivery event is firing, from own.
-func (l *Link) dropOwn(p *Packet) {
-	last := len(l.own) - 1
-	for i := range l.own {
-		if l.own[i].val == p {
-			l.own[i] = l.own[last]
-			l.own[last] = keyed[*Packet]{}
-			l.own = l.own[:last]
-			return
-		}
-	}
-}
-
-// eachHeld calls fn on every frame that has arrived by now but whose
-// delivery, held back by the switch's forwarding delay, has not fired.
-func (l *Link) eachHeld(fn func(*Packet)) {
-	if l.hold == 0 {
-		return
-	}
-	due := l.eng.Now() + l.hold // deliveries due by then arrived by now
-	l.arrivals.each(func(r *keyed[*Packet]) bool {
-		if r.key.When() > due {
-			return false
-		}
-		fn(r.val)
-		return true
-	})
-	for _, r := range l.own {
-		if r.key.When() <= due {
-			fn(r.val)
-		}
-	}
 }
 
 // EnableAudit adopts every frame this link commits into the tracker and

@@ -17,15 +17,13 @@ import (
 //
 // The forwarding delay is paid by the ingress links: a link into a switch
 // delivers each frame fwDelay after its arrival (see NewLink), and Receive
-// forwards it at once, so a switch hop costs one engine event, not two.
-// The switch keeps its engine for the links that Attach and Connect make.
+// forwards it at once, so a switch hop costs one engine event, not two. A
+// frame counts as forwarded (or unroutable) when that delivery fires, not
+// when it arrives. The switch keeps its engine for the links that Attach
+// and Connect make.
 type Switch struct {
 	eng     *sim.Engine
 	fwDelay sim.Duration
-
-	// ingress lists the links delivering into this switch (NewLink
-	// registers them), for Held.
-	ingress []*Link
 
 	// ports holds the egress link toward each attached address, indexed
 	// by address (nil where none is attached). Addresses are small and
@@ -209,23 +207,4 @@ func (s *Switch) Receive(p *Packet) {
 	}
 	s.Forwarded.Inc()
 	out.Send(p)
-}
-
-// Held counts the frames that have reached the switch (their arrival on
-// an ingress link is at or before now) but that the switch has not yet
-// received, because their ingress delivery waits out the forwarding
-// delay: fwd will be forwarded and unroutable dropped. Forwarded+fwd and
-// Unroutable+unroutable count every frame from the instant it reaches
-// the switch.
-func (s *Switch) Held() (fwd, unroutable int64) {
-	for _, l := range s.ingress {
-		l.eachHeld(func(p *Packet) {
-			if s.route(p) != nil {
-				fwd++
-			} else {
-				unroutable++
-			}
-		})
-	}
-	return fwd, unroutable
 }

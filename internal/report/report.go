@@ -201,6 +201,8 @@ type Run struct {
 	// unroutable frames dropped in a compiled switch fabric.
 	Warnings []string `json:"warnings,omitempty"`
 
+	// Events is cluster.Result.Events: the events the simulation engine
+	// fired through the measurement window's end, observer ticks excluded.
 	Events uint64 `json:"sim_events,omitempty"`
 
 	// Violations are the invariant violations an audited run collected

