@@ -428,7 +428,7 @@ func BenchmarkEngineScheduleArg(b *testing.B) {
 
 // BenchmarkEngineCancelStorm measures eager cancellation: every op
 // schedules and immediately cancels a spread of events across the near
-// heap and several wheel levels — the NIC ITR / client RTO rearm pattern.
+// window and several wheel levels — the NIC ITR / client RTO rearm pattern.
 func BenchmarkEngineCancelStorm(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
@@ -451,8 +451,9 @@ func BenchmarkEngineCancelStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMixedHorizonDrain schedules a burst spanning every wheel
-// level plus the overflow heap, then drains it — the cascade cost.
+// BenchmarkEngineMixedHorizonDrain schedules a burst spanning 1 ns to
+// 2^46 ns (the near window up to wheel levels 5–6), then drains it — the
+// cascade cost.
 func BenchmarkEngineMixedHorizonDrain(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()

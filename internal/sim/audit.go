@@ -1,8 +1,8 @@
 // Audit hooks for the event queue: a livelock watchdog that fires when
 // simulated time stops advancing while events keep executing, and a full
-// structural walk of the near window, overflow heap, wheel buckets, and
-// free list that cross-checks Pending(). Both are opt-in; the engine's hot
-// path pays a single integer test when they are off.
+// structural walk of the near window, wheel buckets, and free list that
+// cross-checks Pending(). Both are opt-in; the engine's hot path pays a
+// single integer test when they are off.
 package sim
 
 import (
@@ -47,17 +47,16 @@ func (e *Engine) watchdog(when Time) {
 }
 
 // AuditIntegrity walks every queue structure and reports violations into
-// a: the live-event count across near window, overflow heap, and wheel
-// buckets must equal Pending(); each near-window slot must hold its own
-// events of the cursor's near window in (when, seq) order, under matching
-// occupancy bits; the overflow heap must satisfy the (when, seq) heap
-// property with correct back-indices; wheel events must sit in the
-// slot their fire time hashes to, with consistent intrusive links and
-// occupied bits; a valid cached earliest granule must match a fresh scan
-// of the five levels; free-list entries must be marked inFree; and the
-// wheel cursor must not have moved backward since lastCursor (pass 0 on the
-// first call). It returns the current cursor for the next call. The walk
-// is O(pending + free) and runs only from audit epochs.
+// a: the live-event count across near window and wheel buckets must
+// equal Pending(); each near-window slot must hold its own events of the
+// cursor's near window in (when, seq) order, under matching occupancy
+// bits; wheel events must sit in the slot their fire time hashes to, with
+// consistent intrusive links and occupied bits; a valid cached earliest
+// granule must match a fresh scan of the nine levels; free-list entries
+// must be marked inFree; and the wheel cursor must not have moved
+// backward since lastCursor (pass 0 on the first call). It returns the
+// current cursor for the next call. The walk is O(pending + free) and
+// runs only from audit epochs.
 func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 	const comp = "sim.engine"
 	now := int64(e.now)
@@ -67,7 +66,6 @@ func (e *Engine) AuditIntegrity(a *audit.Auditor, lastCursor uint64) uint64 {
 	}
 	var total int64
 	e.auditNear(a, &total)
-	e.auditHeap(a, "overflow", e.overflow, inOverflow, &total)
 	for lvl := range e.levels {
 		l := &e.levels[lvl]
 		shift := uint(nearBits + lvl*levelBits)
@@ -153,31 +151,6 @@ func (e *Engine) auditNear(a *audit.Auditor, total *int64) {
 		if b.tail != prev {
 			a.Report(comp, "near-slot-order", now,
 				fmt.Sprintf("tail matches last event in slot %d", s), "stale tail")
-		}
-	}
-}
-
-// auditHeap verifies one heap's ordering, indices, and location labels,
-// adding its size to total.
-func (e *Engine) auditHeap(a *audit.Auditor, name string, h eventHeap, where uint8, total *int64) {
-	const comp = "sim.engine"
-	now := int64(e.now)
-	for i, ev := range h {
-		*total++
-		if ev.where != where {
-			a.Report(comp, "heap-event-location", now,
-				fmt.Sprintf("%s heap where=%d", name, where), fmt.Sprintf("where=%d", ev.where))
-		}
-		if ev.index != i {
-			a.Report(comp, "heap-index", now,
-				fmt.Sprintf("%s heap index %d", name, i), fmt.Sprintf("%d", ev.index))
-		}
-		if i > 0 {
-			if parent := h[(i-1)/2]; ev.less(&parent.Key) {
-				a.Report(comp, "heap-order", now,
-					fmt.Sprintf("%s heap parent (when=%d seq=%d) <= child", name, parent.when, parent.seq),
-					fmt.Sprintf("child (when=%d seq=%d) earlier", ev.when, ev.seq))
-			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAuditIntegrityCleanEngine: a queue churned through every structure
-// — near window, wheel levels, overflow, cancellations, pooled reuse —
+// — near window, low and high wheel levels, cancellations, pooled reuse —
 // passes the structural audit at multiple points, and the cursor the
 // audit returns never regresses.
 func TestAuditIntegrityCleanEngine(t *testing.T) {
@@ -15,7 +15,7 @@ func TestAuditIntegrityCleanEngine(t *testing.T) {
 	a := audit.New()
 	fired := 0
 	for i := 0; i < 200; i++ {
-		// Spread across near (sub-4096ns), wheel and overflow horizons.
+		// Spread across near (sub-4096ns), level-0/1 and level-4 horizons.
 		eng.ScheduleArg(Duration(1+i*37), func(any) { fired++ }, nil)
 		eng.ScheduleArg(Duration(10_000+i*911), func(any) { fired++ }, nil)
 		eng.ScheduleArg(Duration(int64(1)<<40)+Duration(i), func(any) { fired++ }, nil)

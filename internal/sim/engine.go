@@ -9,14 +9,13 @@
 // kernel timers and Netty) in front of an exact near window. Events due
 // within 2^nearBits ns of the wheel cursor's 64-ns slot live in the near
 // window (see near.go), 64 slots kept in exact (when, seq) order, which
-// alone decides fire order; farther events sit in O(1) wheel buckets and
-// cascade toward the near window as the cursor advances; events beyond
-// the wheel horizon (or behind the cursor) wait in an exact (when, seq)
-// overflow heap. The engine caches the earliest occupied wheel granule, so a pop
-// from the near window does constant wheel work; only a cascade, or a
-// cancel that empties a bucket, forces a rescan of the five levels. Fired
-// and canceled events return to a free list, so steady-state scheduling
-// does not allocate.
+// alone decides fire order; every farther event, up to the largest Time,
+// sits in an O(1) wheel bucket and cascades toward the near window as the
+// cursor advances. The engine caches the earliest occupied wheel granule,
+// so a pop from the near window does constant wheel work; only a cascade,
+// or a cancel that empties a bucket, forces a rescan, which stops at the
+// lowest occupied level. Fired and canceled events return to a free list,
+// so steady-state scheduling does not allocate.
 package sim
 
 import (
@@ -69,15 +68,16 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // Timer-wheel geometry. Events in the 64 slots of 2^(nearBits−6) ns that
 // start at the wheel cursor's slot (≈ 4 µs) go straight to the exact near
-// window. Past the cursor's near page (2^nearBits ns), five levels of 64
-// slots each cover spans of 2^18, 2^24, 2^30, 2^36 and 2^42 ns (the last
-// ≈ 73 simulated minutes); anything farther — or behind the cursor —
-// lands in the overflow heap.
+// window. Past the cursor's near page (2^nearBits ns), nine levels of 64
+// slots each cover spans of 2^18, 2^24, …, 2^60 ns; the top level uses
+// only its first 8 slots. An event at w ≥ cursor first differs from the
+// cursor at a bit below 63, so its level (bits.Len64(w^cur) − 13)/6 is
+// at most 8: the wheel reaches every Time.
 const (
 	nearBits    = 12
 	levelBits   = 6
 	wheelSlots  = 1 << levelBits
-	wheelLevels = 5
+	wheelLevels = 9
 	maxTime     = Time(math.MaxInt64)
 )
 
@@ -87,7 +87,6 @@ const (
 	inFree uint8 = iota
 	inNear
 	inWheel
-	inOverflow
 )
 
 // Key is an event's position in the engine's fire order: events fire in
@@ -118,10 +117,9 @@ type event struct {
 	Key
 	gen uint64 // incremented on recycle; validates Handles
 
-	// Container linkage: heap index for inOverflow, intrusive
-	// doubly-linked slot list for inNear, the same list plus (level, slot)
-	// for inWheel. The free list reuses next.
-	index       int
+	// Container linkage: intrusive doubly-linked slot list for inNear,
+	// the same list plus (level, slot) for inWheel. The free list reuses
+	// next.
 	next, prev  *event
 	level, slot uint8
 	where       uint8
@@ -167,12 +165,9 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	ev, eng := h.ev, h.ev.eng
-	switch ev.where {
-	case inNear:
+	if ev.where == inNear {
 		eng.near.remove(ev)
-	case inOverflow:
-		eng.overflow.remove(ev.index)
-	case inWheel:
+	} else {
 		eng.unlinkBucket(ev)
 	}
 	eng.pending--
@@ -217,18 +212,19 @@ type Engine struct {
 
 	// front is the engine's frontier in the fire order: the key of the
 	// event firing (or last fired), or, once Run(until) returns without
-	// Stop, a key just past every event at or before until. Passed
-	// compares reserved keys against it.
+	// Stop or StepUntil(until) reports false, a key just past every event
+	// at or before until. Passed compares reserved keys against it.
 	front Key
 
-	// cur is the wheel cursor: a lower bound on every event reachable via
-	// the near window or wheel. It never passes the clock once popMin
-	// returns: a cascade moves it only to a granule start at or before
-	// the limit, and a pop only to the popped event's time.
-	cur      uint64
-	near     nearWindow
-	overflow eventHeap
-	levels   [wheelLevels]wheelLevel
+	// cur is the wheel cursor: a lower bound on every queued event. It
+	// never passes the clock once Run, Step or StepUntil returns: a pop
+	// moves it only to the popped event's time, and a cascade only to a
+	// granule start at or before the limit, which the clock then settles
+	// at when nothing more is due. So no event is ever scheduled behind
+	// it.
+	cur    uint64
+	near   nearWindow
+	levels [wheelLevels]wheelLevel
 
 	// wmin caches the earliest occupied wheel granule (see wheelMin).
 	// insert lowers it; cascade and unlinkBucket invalidate it.
@@ -300,17 +296,15 @@ func (e *Engine) recycle(ev *event) {
 	e.free = ev
 }
 
-// insert places an allocated event into the near window, a wheel bucket, or
-// the overflow heap, according to its distance from the wheel cursor.
-// Callers account for pending.
+// insert places an allocated event into the near window or a wheel
+// bucket, according to its distance from the wheel cursor. Callers
+// account for pending.
 func (e *Engine) insert(ev *event) {
 	w := uint64(ev.when)
 	if w < e.cur {
-		// Behind the cursor. The cursor never passes the clock (see cur),
-		// so this is a guard: the overflow heap accepts any time.
-		ev.where = inOverflow
-		e.overflow.push(ev)
-		return
+		// The cursor never passes the clock (see cur), and every event is
+		// due at or after the clock, so only a bug reaches this.
+		panic(fmt.Sprintf("sim: event at %v behind the wheel cursor %d", ev.when, e.cur))
 	}
 	if inNearWindow(w, e.cur) {
 		ev.where = inNear
@@ -318,13 +312,9 @@ func (e *Engine) insert(ev *event) {
 		return
 	}
 	// Past the near window the event lies beyond the cursor's near page,
-	// so its time and the cursor differ at or above bit nearBits.
+	// so its time and the cursor differ at or above bit nearBits, and
+	// below bit 63 (see wheelLevels).
 	lvl := (bits.Len64(w^e.cur) - nearBits - 1) / levelBits
-	if lvl >= wheelLevels {
-		ev.where = inOverflow
-		e.overflow.push(ev)
-		return
-	}
 	shift := uint(nearBits + lvl*levelBits)
 	slot := (w >> shift) & (wheelSlots - 1)
 	// The event shares the cursor's bits above its level, so its bucket's
@@ -387,31 +377,31 @@ func (e *Engine) cascade(lvl, slot int) {
 	}
 }
 
-// scanWheel finds the earliest occupied wheel granule by scanning all five
-// levels. A level's occupied slots all lie in the cursor's page of that
-// level, so its earliest bucket is one TrailingZeros64 away.
+// scanWheel finds the earliest occupied wheel granule: the first occupied
+// slot of the lowest occupied level. A level's occupied slots all lie in
+// the cursor's page of that level, so its earliest bucket is one
+// TrailingZeros64 away. A level-l event shares the cursor's bits above
+// its level and sits in a later slot than the cursor's, while a higher
+// level's event has a set bit above level l where the cursor has a clear
+// one, so every event on a lower level fires before every granule on a
+// higher one.
 func (e *Engine) scanWheel() granule {
-	g := granule{start: math.MaxUint64, lvl: -1, valid: true}
 	for lvl := 0; lvl < wheelLevels; lvl++ {
-		occ := e.levels[lvl].occupied
-		if occ == 0 {
-			continue
-		}
-		shift := uint(nearBits + lvl*levelBits)
-		tz := bits.TrailingZeros64(occ)
-		start := ((e.cur>>shift)&^(wheelSlots-1) | uint64(tz)) << shift
-		if start < g.start {
-			g.start, g.lvl, g.slot = start, lvl, tz
+		if occ := e.levels[lvl].occupied; occ != 0 {
+			shift := uint(nearBits + lvl*levelBits)
+			tz := bits.TrailingZeros64(occ)
+			start := ((e.cur>>shift)&^(wheelSlots-1) | uint64(tz)) << shift
+			return granule{start: start, lvl: lvl, slot: tz, valid: true}
 		}
 	}
-	return g
+	return granule{start: math.MaxUint64, lvl: -1, valid: true}
 }
 
 // wheelMin returns the earliest occupied wheel granule, rescanning only
-// when the cache is invalid. Popping the near window's first event or the
-// overflow heap's root never invalidates it: the popped event orders
-// before the granule start, so raising the cursor to it keeps the cursor
-// in every occupied bucket's page, and every granule start is unchanged.
+// when the cache is invalid. Popping the near window's first event never
+// invalidates it: the popped event orders before the granule start, so
+// raising the cursor to it keeps the cursor in every occupied bucket's
+// page, and every granule start is unchanged.
 func (e *Engine) wheelMin() granule {
 	if !e.wmin.valid {
 		e.wmin = e.scanWheel()
@@ -420,18 +410,14 @@ func (e *Engine) wheelMin() granule {
 }
 
 // popMin removes and returns the earliest event with when ≤ limit, or nil.
-// It compares the near window's first event and the overflow heap's root
-// against the cached earliest wheel granule and cascades that bucket when
-// it could hold the minimum; the exact (when, seq) comparator is the only
-// thing that ever decides order between events. A pop from the near
-// window costs one TrailingZeros64, an unlink, and no wheel scan.
+// It compares the near window's first event against the cached earliest
+// wheel granule and cascades that bucket when it could hold the minimum;
+// the near window's exact (when, seq) order is the only thing that ever
+// decides order between events. A pop from the near window costs one
+// TrailingZeros64, an unlink, and no wheel scan.
 func (e *Engine) popMin(limit Time) *event {
 	for {
-		best, near := e.near.min(e.cur), true
-		if o := e.overflow.min(); o != nil && (best == nil || o.less(&best.Key)) {
-			best, near = o, false
-		}
-
+		best := e.near.min(e.cur)
 		if g := e.wheelMin(); g.lvl >= 0 && (best == nil || g.start <= uint64(best.when)) {
 			// The earliest wheel bucket may hold the true minimum; its
 			// granule start is ≤ every event inside it, so advancing the
@@ -441,26 +427,18 @@ func (e *Engine) popMin(limit Time) *event {
 			if Time(g.start) > limit && (best == nil || best.when > limit) {
 				return nil
 			}
-			// Raise-only: the cursor never moves backward, which keeps it
-			// in the same wheel page as every occupied bucket (the
-			// invariant scanWheel relies on).
-			if g.start > e.cur {
-				e.cur = g.start
-			}
+			// The bucket lies in a later slot of its level than the
+			// cursor's (see scanWheel), so this raises the cursor, and
+			// keeps it in the page of every other occupied bucket.
+			e.cur = g.start
 			e.cascade(g.lvl, g.slot)
 			continue
 		}
 		if best == nil || best.when > limit {
 			return nil
 		}
-		if near {
-			e.near.remove(best)
-		} else {
-			e.overflow.popRoot()
-		}
-		if c := uint64(best.when); c > e.cur {
-			e.cur = c
-		}
+		e.near.remove(best)
+		e.cur = uint64(best.when)
 		e.pending--
 		return best
 	}
@@ -570,14 +548,22 @@ func (e *Engine) Run(until Time) uint64 {
 		e.fire(ev)
 		fired++
 	}
-	if !e.stopped && !e.halt.Load() && until >= e.now {
-		// Everything at or before until has fired, including keys
-		// reserved for until; anything reserved from here on has not.
-		e.now = until
-		e.front = Key{when: until, seq: e.seq}
+	if !e.stopped && !e.halt.Load() {
+		e.settle(until)
 	}
 	e.stopped = false
 	return fired
+}
+
+// settle moves the clock to until once every event at or before until
+// has fired. Keys reserved for until then count as passed, and anything
+// reserved from here on does not. An until before the clock changes
+// nothing.
+func (e *Engine) settle(until Time) {
+	if until >= e.now {
+		e.now = until
+		e.front = Key{when: until, seq: e.seq}
+	}
 }
 
 // Step executes the single next pending event, if any, and reports whether
@@ -585,17 +571,30 @@ func (e *Engine) Run(until Time) uint64 {
 // as Run does: a nested Step would fire events out from under the running
 // one. Step does not mark the engine running itself (that would cost a
 // deferred reset per step), so a callback Step executes is not checked.
+// Unlike StepUntil, it leaves the clock at the last event fired.
 func (e *Engine) Step() bool {
-	_, ok := e.StepUntil(maxTime)
+	_, ok := e.step(maxTime)
 	return ok
 }
 
 // StepUntil executes the next pending event if it is due at or before
-// limit, and returns its key; it panics inside Run, as Step does.
-// Stepping until it reports false, then calling Run(limit) (which fires
-// nothing more), leaves the engine exactly as Run(limit) alone would, so a
-// test can observe every event of a run without changing it.
+// limit, and returns its key; it panics inside Run, as Step does. When
+// nothing more is due by limit it reports false and moves the clock to
+// limit, as Run(limit) does. So stepping until it reports false leaves
+// the engine exactly as Run(limit) alone would (a Run(limit) after it
+// fires nothing), and a test can observe every event of a run without
+// changing it.
 func (e *Engine) StepUntil(limit Time) (Key, bool) {
+	k, ok := e.step(limit)
+	if !ok {
+		e.settle(limit)
+	}
+	return k, ok
+}
+
+// step is Step and StepUntil's body: it fires the next event due at or
+// before limit, if any, without settling the clock.
+func (e *Engine) step(limit Time) (Key, bool) {
 	if e.running {
 		panic("sim: Step called inside Run")
 	}
@@ -621,95 +620,3 @@ func (e *Engine) Halt() { e.halt.Store(true) }
 
 // Halted reports whether Halt has been called.
 func (e *Engine) Halted() bool { return e.halt.Load() }
-
-// eventHeap is a binary min-heap of events ordered by (when, seq), with
-// index maintenance for O(log n) removal by position.
-type eventHeap []*event
-
-// min returns the earliest event without removing it, or nil.
-func (h eventHeap) min() *event {
-	if len(h) == 0 {
-		return nil
-	}
-	return h[0]
-}
-
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.siftUp(ev.index)
-}
-
-// popRoot removes the minimum (the heap must be non-empty): the last entry
-// moves to the root and sifts down, never up.
-func (h *eventHeap) popRoot() {
-	old := *h
-	n := len(old) - 1
-	old[0].index = -1
-	if n > 0 {
-		old[0] = old[n]
-	}
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-}
-
-// remove deletes the event at heap position i.
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	old[i].index = -1
-	if i != n {
-		old[i] = old[n]
-		old[i].index = i
-	}
-	old[n] = nil
-	*h = old[:n]
-	if i != n {
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
-	}
-}
-
-func (h eventHeap) siftUp(i int) {
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.less(&h[parent].Key) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].index = i
-		i = parent
-	}
-	h[i] = ev
-	ev.index = i
-}
-
-// siftDown reports whether the element moved (so remove can try siftUp).
-func (h eventHeap) siftDown(i int) bool {
-	ev := h[i]
-	start := i
-	n := len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].less(&h[child].Key) {
-			child = r
-		}
-		if !h[child].less(&ev.Key) {
-			break
-		}
-		h[i] = h[child]
-		h[i].index = i
-		i = child
-	}
-	h[i] = ev
-	ev.index = i
-	return i > start
-}

@@ -320,21 +320,6 @@ func TestTickerPeriodic(t *testing.T) {
 	}
 }
 
-func TestTickerSetPeriod(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	tk := NewTicker(e, 10*Millisecond, func() { n++ })
-	tk.Start()
-	e.Run(10 * Millisecond)
-	tk.SetPeriod(5 * Millisecond)
-	e.Run(30 * Millisecond)
-	// The t=10ms tick rearmed itself at the old 10ms period (SetPeriod ran
-	// after Run returned), so ticks land at 10, 20, 25, 30.
-	if n != 4 {
-		t.Fatalf("ticks = %d, want 4", n)
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a := NewRand(1, "nic")
 	b := NewRand(1, "nic")

@@ -46,9 +46,6 @@ func (e *Engine) CountQueuedByClass(counts map[string]int, names map[uintptr]str
 // eachQueued calls fn with every queued event.
 func (e *Engine) eachQueued(fn func(*event)) {
 	e.near.each(e.cur, fn)
-	for _, ev := range e.overflow {
-		fn(ev)
-	}
 	for lvl := range e.levels {
 		for occ := e.levels[lvl].occupied; occ != 0; occ &= occ - 1 {
 			for ev := e.levels[lvl].slots[bits.TrailingZeros64(occ)].head; ev != nil; ev = ev.next {

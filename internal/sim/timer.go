@@ -107,17 +107,3 @@ func (t *Ticker) Stop() {
 	t.h.Cancel()
 	t.h = Handle{}
 }
-
-// Running reports whether the ticker is active.
-func (t *Ticker) Running() bool { return t.h.Pending() }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Duration { return t.period }
-
-// SetPeriod changes the period; it takes effect at the next rearm.
-func (t *Ticker) SetPeriod(p Duration) {
-	if p <= 0 {
-		panic("sim: SetPeriod must be positive")
-	}
-	t.period = p
-}

@@ -18,9 +18,8 @@ type refEntry struct {
 }
 
 // wheelModel drives a random stream of schedules (one- and two-argument
-// callbacks,
-// delays spanning the near window, every wheel level, and the overflow heap)
-// and cancellations against an engine, and keeps the reference model the
+// callbacks, delays spanning the near window and every wheel level) and
+// cancellations against an engine, and keeps the reference model the
 // engine's fire order must match.
 type wheelModel struct {
 	t    *testing.T
@@ -77,9 +76,9 @@ func (m *wheelModel) op() {
 		}
 		return
 	}
-	// Schedule with a delay spanning 0ns to ~2^45ns so the near window,
-	// every wheel level, and the overflow heap all see traffic.
-	d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(46))) - 1))
+	// Schedule with a delay spanning 0ns to ~2^62ns so the near window
+	// and every wheel level see traffic.
+	d := Duration(rng.Uint64() & ((1 << uint(rng.Intn(63))) - 1))
 	id := m.ord
 	m.ref = append(m.ref, refEntry{when: e.Now() + Time(d), ord: m.ord, id: id})
 	m.ord++
@@ -154,26 +153,27 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesReferenceModelBoundedRuns drives the same stream from
-// outside the engine, between a series of bounded Run(until) calls, so
-// every op lands on a queue that a bounded Run left mid-wheel: cascades
-// stopped short of their events, a cached earliest granule, and events
-// pending on every level. After each run the structural audit (including
-// the earliest-granule cache) must be clean, and the wheel cursor must not
-// have run ahead of the clock — an insert behind the cursor would have to
-// take the overflow heap's fallback path.
-func TestWheelMatchesReferenceModelBoundedRuns(t *testing.T) {
+// checkBoundedAdvances drives the model's stream from outside the engine,
+// between a series of bounded advances to limit, so every op lands on a
+// queue that an advance left mid-wheel: cascades stopped short of their
+// events, a cached earliest granule, and events pending on every level.
+// After each advance the clock must read limit, the structural audit
+// (including the earliest-granule cache) must be clean, and the wheel
+// cursor must not have run ahead of the clock, where the next insert
+// would land behind it.
+func checkBoundedAdvances(t *testing.T, advance func(e *Engine, limit Time)) {
 	prop := func(seed uint64) bool {
 		m := newWheelModel(t, seed)
 		a := audit.New()
 		var cursor uint64
 		for i := 0; i < wheelModelOps; i++ {
 			m.op()
-			m.e.Run(m.e.Now() + m.advance())
+			limit := m.e.Now() + m.advance()
+			advance(m.e, limit)
 			cursor = m.e.AuditIntegrity(a, cursor)
-			if m.e.cur > uint64(m.e.Now()) {
-				t.Errorf("seed %d: wheel cursor %d ahead of the clock %v after a bounded Run",
-					seed, m.e.cur, m.e.Now())
+			if m.e.Now() != limit || m.e.cur > uint64(m.e.Now()) {
+				t.Errorf("seed %d: clock %v and wheel cursor %d after advancing to %v",
+					seed, m.e.Now(), m.e.cur, limit)
 				return false
 			}
 		}
@@ -190,28 +190,63 @@ func TestWheelMatchesReferenceModelBoundedRuns(t *testing.T) {
 	}
 }
 
-// TestWheelFarFutureOrdering pins the overflow path: events beyond the
-// wheel horizon migrate inward as the clock advances and still fire in
-// exact schedule order at equal times.
+// TestWheelMatchesReferenceModelBoundedRuns advances with Run(limit).
+func TestWheelMatchesReferenceModelBoundedRuns(t *testing.T) {
+	checkBoundedAdvances(t, func(e *Engine, limit Time) { e.Run(limit) })
+}
+
+// TestWheelMatchesReferenceModelBoundedSteps advances by calling
+// StepUntil(limit) until it reports false, which must leave the clock at
+// limit, as Run(limit) does, with the cursor no later.
+func TestWheelMatchesReferenceModelBoundedSteps(t *testing.T) {
+	checkBoundedAdvances(t, func(e *Engine, limit Time) {
+		for {
+			if _, ok := e.StepUntil(limit); !ok {
+				return
+			}
+		}
+	})
+}
+
+// TestWheelFarFutureOrdering pins the top of the wheel: ties at instants
+// up to maxTime−1, on levels as high as the last, migrate inward as the
+// clock advances and still fire in exact schedule order, with the
+// structural audit clean at every stop.
 func TestWheelFarFutureOrdering(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	far := Time(1) << 50 // far past the wheel horizon
+	a := audit.New()
+	type tie struct {
+		at Time
+		i  int
+	}
+	var got []tie
+	fars := []Time{1 << 50, 1 << 61, 1 << 62, maxTime - 1}
+	// Interleave the ties' scheduling so that sequence numbers alone do
+	// not sort them.
 	for i := 0; i < 32; i++ {
-		i := i
-		e.AtArg(far, func(any) { order = append(order, i) }, nil)
+		for _, far := range fars {
+			e.AtArg(far, func(any) { got = append(got, tie{far, i}) }, nil)
+		}
 	}
 	// Intermediate traffic drags the cursor across every level.
-	for lvl := uint(0); lvl < 50; lvl += 3 {
+	for lvl := uint(0); lvl < 63; lvl += 3 {
 		e.AtArg(Time(1)<<lvl, func(any) {}, nil)
 	}
-	e.Run(far)
-	if len(order) != 32 {
-		t.Fatalf("fired %d far-future events, want 32", len(order))
+	var cursor uint64
+	for _, far := range fars {
+		e.Run(far)
+		cursor = e.AuditIntegrity(a, cursor)
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("far-future events fired out of order: %v", order)
+	if vs := a.Violations(); len(vs) != 0 {
+		t.Fatalf("integrity audit: %v", vs)
+	}
+	if len(got) != 32*len(fars) || e.Pending() != 0 {
+		t.Fatalf("fired %d far-future events with %d pending, want %d and 0",
+			len(got), e.Pending(), 32*len(fars))
+	}
+	for k, v := range got {
+		if want := (tie{fars[k/32], k % 32}); v != want {
+			t.Fatalf("firing %d = %+v, want %+v", k, v, want)
 		}
 	}
 }
