@@ -184,7 +184,7 @@ func BenchmarkHeadline_EnergySavings(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sla, _ := experiments.MeasuredSLA(o, prof)
 				rows := experiments.Comparison(o, prof, sla)
-				h = experiments.Headline(prof.Name, sla, rows)
+				h = experiments.Headline(sla, rows)
 			}
 			printOnce("headline-"+prof.Name, func() {
 				fmt.Printf("\n# E9 — headline claims, %s (SLA %.3fms)\n", prof.Name, h.SLA.Millis())

@@ -185,9 +185,6 @@ func NewClient(eng *sim.Engine, addr, server netsim.Addr, uplink *netsim.Link, p
 	}
 }
 
-// Addr returns the client's network address.
-func (c *Client) Addr() netsim.Addr { return c.addr }
-
 // Latency returns the client's RTT recorder.
 func (c *Client) Latency() *stats.LatencyRecorder { return c.lat }
 
@@ -369,7 +366,6 @@ type ReplayItem struct {
 	// Sched is the trace's intended send time; At the actual (pacing
 	// may push it later). Latency is charged from Sched.
 	Sched, At sim.Time
-	Flow      int
 	ReqBytes  int
 	RespHint  int
 	Bulk      bool

@@ -49,9 +49,6 @@ func NewClosedLoopClient(eng *sim.Engine, addr, server netsim.Addr, uplink *nets
 	}
 }
 
-// Addr returns the client's network address.
-func (c *ClosedLoopClient) Addr() netsim.Addr { return c.addr }
-
 // Latency returns the RTT recorder.
 func (c *ClosedLoopClient) Latency() *stats.LatencyRecorder { return c.lat }
 

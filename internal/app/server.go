@@ -99,12 +99,6 @@ func NewServer(k *oskernel.Kernel, drv *driver.Driver, profile Profile, rng *sim
 	return s
 }
 
-// Profile returns the workload profile.
-func (s *Server) Profile() Profile { return s.profile }
-
-// Disk returns the storage model (nil for memory-resident profiles).
-func (s *Server) Disk() *Disk { return s.disk }
-
 // reqJob carries one request through the server: the application task
 // (its embedded Work, placed on a core that is known only once the task is
 // submitted), the optional disk read, and the hand-off of the response to
@@ -268,9 +262,6 @@ func (s *Server) dedup() *servedMemory {
 	}
 	return s.dup
 }
-
-// DedupLen returns the served-response memory's current size (tests).
-func (s *Server) DedupLen() int { return s.dedup().Len() }
 
 // DedupRing returns the served-response memory's live size and its rings'
 // total length (tests: both must stay bounded under a retry storm).

@@ -9,7 +9,10 @@
 // historical output and the bench gate stays green.
 package audit
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Violation is one detected invariant breach. The JSON names are part of
 // the ncap-report-v1 document and must stay stable.
@@ -35,6 +38,8 @@ func (v Violation) String() string {
 
 // MaxViolations bounds the collected slice so a systemic breach (one
 // violation per epoch for hours of simulated time) cannot balloon memory.
+// Violations past the bound are counted, and Violations reports the count
+// as one final "violations-dropped" entry.
 const MaxViolations = 1024
 
 // Auditor collects violations for one simulation run. A nil *Auditor is
@@ -42,15 +47,13 @@ const MaxViolations = 1024
 // unconditionally on cold paths. The simulator is single-threaded, so the
 // Auditor is not locked.
 type Auditor struct {
-	vs      []Violation
-	dropped int
+	vs        []Violation
+	dropped   int
+	droppedAt int64 // simulated time of the last dropped violation
 }
 
 // New returns an empty Auditor.
 func New() *Auditor { return &Auditor{} }
-
-// Enabled reports whether auditing is active (the receiver is non-nil).
-func (a *Auditor) Enabled() bool { return a != nil }
 
 // Report records one violation.
 func (a *Auditor) Report(component, invariant string, simTimeNs int64, expected, got string) {
@@ -59,6 +62,7 @@ func (a *Auditor) Report(component, invariant string, simTimeNs int64, expected,
 	}
 	if len(a.vs) >= MaxViolations {
 		a.dropped++
+		a.droppedAt = simTimeNs
 		return
 	}
 	a.vs = append(a.vs, Violation{
@@ -81,18 +85,22 @@ func (a *Auditor) CheckInt(component, invariant string, simTimeNs, expected, got
 	return false
 }
 
-// Violations returns the collected violations in report order.
+// Violations returns the collected violations in report order. When
+// more than MaxViolations were reported, a final entry (component
+// "audit", invariant "violations-dropped", expected 0) gives how many
+// were discarded, so a truncated list never reads as the whole count.
 func (a *Auditor) Violations() []Violation {
 	if a == nil {
 		return nil
 	}
-	return a.vs
-}
-
-// Dropped reports how many violations were discarded past MaxViolations.
-func (a *Auditor) Dropped() int {
-	if a == nil {
-		return 0
+	if a.dropped == 0 {
+		return a.vs
 	}
-	return a.dropped
+	return append(a.vs[:len(a.vs):len(a.vs)], Violation{
+		Component: "audit",
+		Invariant: "violations-dropped",
+		Expected:  "0",
+		Got:       strconv.Itoa(a.dropped),
+		SimTimeNs: a.droppedAt,
+	})
 }

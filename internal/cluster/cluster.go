@@ -38,7 +38,6 @@ func ClientAddr(i int) netsim.Addr { return firstClientAddr + netsim.Addr(i) }
 // its spec; the paper's star has exactly one.
 type Node struct {
 	addr  netsim.Addr
-	group string // rollup group name
 	label string // RNG-stream and telemetry prefix ("server", "server1", ...)
 	rack  int
 
@@ -200,10 +199,10 @@ func (c *Cluster) clientConfig(period sim.Duration, i, total int) app.ClientConf
 // addServerNode builds one fully modeled server — chip, kernel, NIC,
 // governors, driver, application, NCAP embodiment — and appends it to the
 // node list. The caller wires its NIC to the fabric.
-func (c *Cluster) addServerNode(group, label string, rack int, addr netsim.Addr,
+func (c *Cluster) addServerNode(label string, rack int, addr netsim.Addr,
 	cores int, nicCfg nic.Config, drvCfg driver.Config) *Node {
 	cfg, eng := c.cfg, c.eng
-	n := &Node{addr: addr, group: group, label: label, rack: rack}
+	n := &Node{addr: addr, label: label, rack: rack}
 
 	// Processor and kernel (Table 1).
 	tab := power.DefaultTable()
@@ -372,6 +371,3 @@ func (c *Cluster) Switches() []*netsim.Switch {
 // Nodes returns every fully modeled server node in declaration order;
 // on the paper's star, Nodes()[0] is its one server.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
-
-// Config returns the experiment configuration.
-func (c *Cluster) Config() Config { return c.cfg }

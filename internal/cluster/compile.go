@@ -149,7 +149,7 @@ func (c *Cluster) compile() {
 			if g.Driver != nil {
 				drvCfg = *g.Driver
 			}
-			n := c.addServerNode(g.Name, serverLabel(si), pl.rack, pl.addr, cores, nicCfg, drvCfg)
+			n := c.addServerNode(serverLabel(si), pl.rack, pl.addr, cores, nicCfg, drvCfg)
 			n.NIC.SetLink(attach(pl, link, n.NIC))
 			c.groups[gi].servers = append(c.groups[gi].servers, len(c.nodes)-1)
 			serversByGroup[g.Name] = append(serversByGroup[g.Name], n)

@@ -3,13 +3,7 @@ package cluster
 import (
 	"fmt"
 	"strings"
-
-	"ncap/internal/telemetry"
 )
-
-// Telemetry returns the sink the cluster was assembled with (nil when
-// telemetry is off).
-func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
 
 // registerTelemetry wires every component's metrics and event trace into
 // the config's sink under stable dotted prefixes. Each cluster needs its

@@ -83,7 +83,7 @@ func (c *Cluster) scheduleReplay() {
 		items[i] = app.ReplayItem{
 			C:     c.Clients[r.Client],
 			Sched: r.T, At: at,
-			Flow: r.Flow, ReqBytes: r.Req, RespHint: r.Resp,
+			ReqBytes: r.Req, RespHint: r.Resp,
 			Bulk: r.Class == workload.ClassBulk,
 		}
 	}

@@ -35,9 +35,8 @@ type ChipState interface {
 // transitions (Sec. 4.3). Two events drive it: MITT expiry (rate
 // evaluation) and request detection (the CIT speculation path).
 type DecisionEngine struct {
-	cfg   Config
-	chip  ChipState
-	start sim.Time
+	cfg  Config
+	chip ChipState
 
 	lastInterrupt sim.Time
 	lowSince      sim.Time // -1 when rates are not in a low run
@@ -61,7 +60,6 @@ func NewDecisionEngine(cfg Config, chip ChipState, now sim.Time) *DecisionEngine
 	return &DecisionEngine{
 		cfg:           cfg,
 		chip:          chip,
-		start:         now,
 		lastInterrupt: now,
 		lowSince:      -1,
 	}

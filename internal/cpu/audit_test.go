@@ -15,7 +15,7 @@ func TestAuditAccountingCleanChip(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := newChip(eng)
 	chip.Core(0).Submit(&Work{Cycles: 6_200_000, Prio: PrioTask})
-	chip.SetPStateIndex(0)
+	chip.SetPState(chip.Table().ByIndex(0))
 	eng.Run(5 * sim.Millisecond)
 	chip.Boost()
 	chip.Core(1).Submit(&Work{Cycles: 3_100_000, Prio: PrioTask})

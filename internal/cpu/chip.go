@@ -126,18 +126,12 @@ func (c *Chip) Current() power.PState { return c.domains[0].Current() }
 // Target returns the first domain's latched transition target.
 func (c *Chip) Target() power.PState { return c.domains[0].Target() }
 
-// Transitioning reports whether the first domain is mid-transition.
-func (c *Chip) Transitioning() bool { return c.domains[0].transitioning }
-
 // SetPState requests a transition of every domain to ps.
 func (c *Chip) SetPState(ps power.PState) {
 	for _, d := range c.domains {
 		d.SetPState(ps)
 	}
 }
-
-// SetPStateIndex requests a transition of every domain to table index i.
-func (c *Chip) SetPStateIndex(i int) { c.SetPState(c.table.ByIndex(i)) }
 
 // Boost requests an immediate transition of every domain to P0.
 func (c *Chip) Boost() { c.SetPState(c.table.Max()) }
@@ -178,9 +172,6 @@ func (c *Chip) exitLatency(s power.CState) sim.Duration {
 
 // ID returns the domain's index.
 func (d *Domain) ID() int { return d.id }
-
-// Cores returns the domain's cores.
-func (d *Domain) Cores() []*Core { return d.cores }
 
 // Current returns the P-state in effect.
 func (d *Domain) Current() power.PState { return d.cur }
@@ -274,14 +265,6 @@ func (d *Domain) finishTransition() {
 		d.SetPState(p)
 	}
 }
-
-// PStateTime returns time the domain spent at P-state index i.
-func (d *Domain) PStateTime(i int) sim.Duration {
-	return d.pstateMeter.Time(d.chip.eng.Now(), i)
-}
-
-// PStateTime returns time the first domain spent at P-state index i.
-func (c *Chip) PStateTime(i int) sim.Duration { return c.domains[0].PStateTime(i) }
 
 // powerChanged re-sums package power from the cores' cached draws after
 // any core or domain state change and feeds the energy meter. The sum runs

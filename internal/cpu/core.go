@@ -32,9 +32,8 @@ type Core struct {
 	running *Work
 	runFrom sim.Time // when the current execution slice started
 
-	// The pending completion and wake-up events.
+	// The pending completion event.
 	doneEv sim.Handle
-	wakeEv sim.Handle
 
 	cstate    power.CState
 	waking    bool
@@ -62,18 +61,12 @@ type Core struct {
 // ID returns the core's index within its chip.
 func (c *Core) ID() int { return c.id }
 
-// Chip returns the owning chip.
-func (c *Core) Chip() *Chip { return c.chip }
-
 // Domain returns the core's DVFS domain.
 func (c *Core) Domain() *Domain { return c.dom }
 
 // SetIdleDecider installs the cpuidle governor hook. A nil decider keeps
 // the core polling in C0 when idle (C-states disabled).
 func (c *Core) SetIdleDecider(d IdleDecider) { c.decider = d }
-
-// IdleDecider returns the installed cpuidle hook (nil when disabled).
-func (c *Core) IdleDecider() IdleDecider { return c.decider }
 
 // CState returns the core's current sleep state (C0 while executing,
 // polling, waking or stalled).
@@ -170,7 +163,7 @@ func (c *Core) beginWake() {
 		})
 	}
 	c.lastSlept = slept
-	c.wakeEv = c.chip.eng.ScheduleArg(exit+power.MwaitWakeOverhead, coreFinishWake, c)
+	c.chip.eng.ScheduleArg(exit+power.MwaitWakeOverhead, coreFinishWake, c)
 }
 
 // coreFinishWake completes a C-state exit (arg is the *Core).

@@ -183,9 +183,6 @@ func New(k *oskernel.Kernel, dev *nic.NIC, cfg Config, hooks PowerHooks, deliver
 	return d
 }
 
-// Device returns the driven NIC.
-func (d *Driver) Device() *nic.NIC { return d.dev }
-
 // QueueCore returns the core serving NIC queue q.
 func (d *Driver) QueueCore(q int) int { return d.ctxs[q].coreID }
 

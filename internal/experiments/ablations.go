@@ -105,9 +105,8 @@ func AblationFCONS(o Options, prof app.Profile, lvl cluster.LoadLevel) []FConsRo
 // NCAP's energy saving vs the perf baseline, and vs the most
 // energy-efficient SLA-satisfying conventional policy, at each load.
 type HeadlineClaims struct {
-	Workload string
-	SLA      sim.Duration
-	Rows     []HeadlineRow
+	SLA  sim.Duration
+	Rows []HeadlineRow
 }
 
 // HeadlineRow is one load level's summary.
@@ -124,8 +123,8 @@ type HeadlineRow struct {
 }
 
 // Headline computes the claims from a comparison table.
-func Headline(workload string, sla sim.Duration, rows []PolicyRow) HeadlineClaims {
-	h := HeadlineClaims{Workload: workload, SLA: sla}
+func Headline(sla sim.Duration, rows []PolicyRow) HeadlineClaims {
+	h := HeadlineClaims{SLA: sla}
 	byLevel := map[cluster.LoadLevel][]PolicyRow{}
 	for _, r := range rows {
 		byLevel[r.Level] = append(byLevel[r.Level], r)

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"ncap/internal/app"
 	"ncap/internal/cluster"
@@ -103,9 +102,9 @@ func DegradedNetwork(o Options, prof app.Profile, lvl cluster.LoadLevel) []Degra
 
 // runBatchOutcomes executes a batch like runBatch but surfaces each
 // job's error instead of flattening it away, so callers can render
-// per-job failure rows. The serial (no pool) path gets the same panic
-// isolation the pool provides: one pathological configuration must not
-// abort the rest of the sweep.
+// per-job failure rows: one pathological configuration must not abort
+// the rest of the sweep. A nil o.Runner runs the batch through a
+// one-worker pool, which isolates failures the same way.
 func runBatchOutcomes(o Options, exp string, cfgs []cluster.Config) []runner.Outcome {
 	jobs := make([]runner.Job, len(cfgs))
 	for i, cfg := range cfgs {
@@ -114,25 +113,9 @@ func runBatchOutcomes(o Options, exp string, cfgs []cluster.Config) []runner.Out
 			Config: cfg,
 		}
 	}
-	if o.Runner != nil {
-		return o.Runner.Run(jobs)
+	pool := o.Runner
+	if pool == nil {
+		pool = runner.New(runner.Options{Jobs: 1})
 	}
-	out := make([]runner.Outcome, len(jobs))
-	for i, job := range jobs {
-		out[i] = runSerial(job)
-	}
-	return out
-}
-
-// runSerial executes one job inline with panic recovery.
-func runSerial(job runner.Job) (oc runner.Outcome) {
-	oc.Job = job
-	oc.Attempts = 1
-	defer func() {
-		if r := recover(); r != nil {
-			oc.Err = fmt.Errorf("experiments: job %q panicked: %v\n%s", job.Tag, r, debug.Stack())
-		}
-	}()
-	oc.Result = cluster.New(job.Config).Run()
-	return oc
+	return pool.Run(jobs)
 }

@@ -105,10 +105,9 @@ func TestDegradedNetworkGrid(t *testing.T) {
 }
 
 // TestDegradedNetworkWorkerCountParity: the E11 grid is byte-identical
-// at any -jobs value and on the serial (pool-less) path.
+// at any -jobs value.
 func TestDegradedNetworkWorkerCountParity(t *testing.T) {
 	prof := app.MemcachedProfile()
-	serial := DegradedNetwork(e11tiny(), prof, cluster.LowLoad)
 
 	o1 := e11tiny()
 	o1.Runner = runner.New(runner.Options{Jobs: 1})
@@ -121,13 +120,10 @@ func TestDegradedNetworkWorkerCountParity(t *testing.T) {
 	if !reflect.DeepEqual(j1, j8) {
 		t.Fatal("E11 rows differ between -jobs 1 and -jobs 8")
 	}
-	if !reflect.DeepEqual(serial, j1) {
-		t.Fatal("E11 rows differ between serial and pooled execution")
-	}
 }
 
 // TestRunBatchOutcomesIsolatesFailures: one pathological configuration
-// becomes a failure row; the rest of the batch completes (serial path).
+// becomes a failure row; the rest of the batch completes (nil Runner).
 func TestRunBatchOutcomesIsolatesFailures(t *testing.T) {
 	o := e11tiny()
 	good := configFor(o, cluster.Perf, app.MemcachedProfile(), 35_000, nil)
@@ -138,7 +134,7 @@ func TestRunBatchOutcomesIsolatesFailures(t *testing.T) {
 		t.Fatalf("broken config error = %v, want a recovered panic", out[0].Err)
 	}
 	if out[0].Attempts != 1 {
-		t.Fatalf("serial attempts = %d, want 1", out[0].Attempts)
+		t.Fatalf("attempts = %d, want 1", out[0].Attempts)
 	}
 	if out[1].Err != nil {
 		t.Fatalf("healthy config failed alongside: %v", out[1].Err)

@@ -42,11 +42,11 @@ type Options struct {
 	// across the fleet rather than multiplying with it.
 	Topology *topology.Spec
 
-	// Runner, when non-nil, executes every simulation batch through the
-	// shared worker pool (parallelism, caching, isolation). A nil Runner
-	// runs batches serially inline — same results, one at a time. Either
-	// way rows aggregate in submission order, so tables are byte-identical
-	// at any worker count.
+	// Runner executes every simulation batch through a shared worker pool
+	// (parallelism, caching, isolation). A nil Runner runs each batch
+	// through a fresh one-worker, uncached pool — same results, one at a
+	// time. Either way rows aggregate in submission order, so tables are
+	// byte-identical at any worker count.
 	Runner *runner.Pool
 }
 
@@ -355,7 +355,6 @@ func MeasuredSLA(o Options, prof app.Profile) (sim.Duration, []CurvePoint) {
 type PolicyRow struct {
 	Policy   cluster.Policy
 	Level    cluster.LoadLevel
-	LoadRPS  float64
 	Latency  [4]sim.Duration // p50, p90, p95, p99
 	EnergyJ  float64
 	NormP95  float64 // P95 / SLA
@@ -383,7 +382,6 @@ func Comparison(o Options, prof app.Profile, sla sim.Duration, levels ...cluster
 
 	var rows []PolicyRow
 	for li, lvl := range levels {
-		load := cluster.LoadRPS(prof.Name, lvl)
 		var perfEnergy float64
 		for pi, pol := range pols {
 			res := results[li*len(pols)+pi]
@@ -393,7 +391,6 @@ func Comparison(o Options, prof app.Profile, sla sim.Duration, levels ...cluster
 			row := PolicyRow{
 				Policy:  pol,
 				Level:   lvl,
-				LoadRPS: load,
 				Latency: [4]sim.Duration{res.Latency.P50, res.Latency.P90, res.Latency.P95, res.Latency.P99},
 				EnergyJ: res.EnergyJ,
 			}

@@ -199,7 +199,7 @@ func TestHeadlineComputation(t *testing.T) {
 		mk(cluster.OndIdle, 35, false),
 		mk(cluster.NcapAggr, 45, true),
 	}
-	h := Headline("apache", sim.Millisecond, rows)
+	h := Headline(sim.Millisecond, rows)
 	if len(h.Rows) != 1 {
 		t.Fatalf("rows = %d", len(h.Rows))
 	}
@@ -293,7 +293,7 @@ func TestTraceSnapshotsProduceBothPolicies(t *testing.T) {
 
 // TestRunnerParityWithSerial pins the determinism guarantee at the
 // experiments layer: attaching a parallel runner pool must not change a
-// single row relative to inline serial execution.
+// single row relative to serial execution (a nil Runner).
 func TestRunnerParityWithSerial(t *testing.T) {
 	serial := tiny()
 	parallel := tiny()

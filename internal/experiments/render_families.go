@@ -12,82 +12,6 @@ import (
 	"ncap/internal/cluster"
 )
 
-// familyRenderers maps each registered family name to its renderer. The
-// "all" entry is nil: Render resolves it by running every other family in
-// registry order. TestRenderCoversFamilies pins this map to Families(),
-// so a new family cannot land without a renderer (or vice versa).
-var familyRenderers = map[string]func(w io.Writer, o Options, profiles []app.Profile){
-	"lvl": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderLatencyVsLoad(w, o, prof)
-		}
-	},
-	"policies": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderPolicies(w, o, prof)
-		}
-	},
-	"fig2": func(w io.Writer, o Options, profiles []app.Profile) {
-		RenderFig2(w, o)
-	},
-	"headline": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderHeadline(w, o, prof)
-		}
-	},
-	"ablations": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderAblations(w, o, prof)
-		}
-	},
-	"extensions": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderExtensions(w, o, prof)
-		}
-	},
-	"e11": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderDegraded(w, o, prof)
-		}
-	},
-	"e12": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderScenarios(w, o, prof)
-		}
-	},
-	"e13": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderOverload(w, o, prof)
-		}
-	},
-	"e14": func(w io.Writer, o Options, profiles []app.Profile) {
-		for _, prof := range profiles {
-			RenderTopology(w, o, prof)
-		}
-	},
-	"all": nil, // resolved by Render: every other family in registry order
-}
-
-// Render runs one experiment family (or "all") and writes its tables to
-// w. An unknown family is an error, never a panic — callers include the
-// ncapd submission path, which must reject bad input gracefully.
-func Render(w io.Writer, family string, o Options, profiles []app.Profile) error {
-	r, ok := familyRenderers[family]
-	if !ok {
-		return fmt.Errorf("unknown experiment family %q (want one of: %s)", family, FamilyNames())
-	}
-	if r != nil {
-		r(w, o, profiles)
-		return nil
-	}
-	for _, f := range Families() {
-		if g := familyRenderers[f.Name]; g != nil {
-			g(w, o, profiles)
-		}
-	}
-	return nil
-}
-
 // RenderLatencyVsLoad writes the Fig. 7 latency-versus-load curve and the
 // derived SLA for one workload (ncapsweep -exp lvl).
 func RenderLatencyVsLoad(w io.Writer, o Options, prof app.Profile) {
@@ -112,8 +36,8 @@ func RenderPolicies(w io.Writer, o Options, prof app.Profile) {
 }
 
 // RenderFig2 writes the ondemand invocation-period sweep (ncapsweep -exp
-// fig2).
-func RenderFig2(w io.Writer, o Options) {
+// fig2). The figure is Apache's whatever workloads are selected.
+func RenderFig2(w io.Writer, o Options, _ []app.Profile) {
 	fmt.Fprintln(w, "# Fig. 2 — Apache p95 latency vs ondemand invocation period")
 	fmt.Fprintf(w, "%-10s %-8s %10s\n", "period", "load", "p95(ms)")
 	for _, r := range Fig2(o) {
@@ -127,7 +51,7 @@ func RenderFig2(w io.Writer, o Options) {
 func RenderHeadline(w io.Writer, o Options, prof app.Profile) {
 	sla, _ := MeasuredSLA(o, prof)
 	rows := Comparison(o, prof, sla)
-	h := Headline(prof.Name, sla, rows)
+	h := Headline(sla, rows)
 	fmt.Fprintf(w, "# Headline claims — %s (SLA %.3f ms)\n", prof.Name, sla.Millis())
 	for _, r := range h.Rows {
 		best := "n/a: none meets SLA"

@@ -6,25 +6,6 @@ import (
 	"testing"
 )
 
-// TestRenderCoversFamilies: the renderer map and the Families registry
-// name exactly the same set — the guard that used to live in ncapsweep's
-// checkHandlers, now enforced where the map is defined.
-func TestRenderCoversFamilies(t *testing.T) {
-	fams := Families()
-	if len(familyRenderers) != len(fams) {
-		t.Fatalf("%d renderers but %d registered families", len(familyRenderers), len(fams))
-	}
-	for _, f := range fams {
-		r, ok := familyRenderers[f.Name]
-		if !ok {
-			t.Fatalf("registered family %q has no renderer", f.Name)
-		}
-		if (r == nil) != (f.Name == "all") {
-			t.Fatalf("family %q: only \"all\" may map to a nil renderer", f.Name)
-		}
-	}
-}
-
 // TestRenderUnknownFamily: bad input is an error with the family list,
 // never a panic — ncapd routes client-submitted names through here.
 func TestRenderUnknownFamily(t *testing.T) {

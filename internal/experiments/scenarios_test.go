@@ -15,24 +15,32 @@ import (
 )
 
 func TestFamiliesRegistry(t *testing.T) {
-	fams := Families()
 	seen := map[string]bool{}
-	for _, f := range fams {
-		if f.Name == "" || f.Desc == "" {
-			t.Fatalf("family %+v incomplete", f)
+	for i, f := range families {
+		if f.name == "" {
+			t.Fatalf("family %d has no name", i)
 		}
-		if seen[f.Name] {
-			t.Fatalf("family %q registered twice", f.Name)
+		if seen[f.name] {
+			t.Fatalf("family %q registered twice", f.name)
 		}
-		seen[f.Name] = true
+		seen[f.name] = true
+		if (f.render == nil) != (f.name == "all") {
+			t.Fatalf("family %q: only \"all\" may have no renderer", f.name)
+		}
+		if !IsFamily(f.name) {
+			t.Fatalf("IsFamily(%q) = false", f.name)
+		}
 	}
 	for _, want := range []string{"e11", "e12", "all", "policies"} {
 		if !seen[want] {
 			t.Fatalf("registry missing %q", want)
 		}
 	}
-	if fams[len(fams)-1].Name != "all" {
+	if families[len(families)-1].name != "all" {
 		t.Fatal("'all' must close the registry (it runs everything before it)")
+	}
+	if IsFamily("nonsense") {
+		t.Fatal("IsFamily accepted an unregistered name")
 	}
 	names := FamilyNames()
 	for name := range seen {

@@ -56,9 +56,6 @@ type Window struct {
 	End   sim.Time `json:"end"`
 }
 
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
-
 // Direction selects which of a node's two unidirectional links a
 // LinkFault applies to.
 type Direction int
@@ -350,9 +347,6 @@ func mergeWindows(ws []Window) []Window {
 	}
 	return merged
 }
-
-// Model returns the injector's resolved model.
-func (in *Injector) Model() Model { return in.model }
 
 // Judge decides one frame's fate at simulated time now. Draw order is
 // fixed (loss state, loss, corruption, duplication, reordering) so the

@@ -1,7 +1,7 @@
 // Package governor reimplements the Linux power-management policies the
-// paper evaluates: the cpufreq governors (performance, powersave,
-// userspace, ondemand) and the cpuidle governors (menu, ladder), plus the
-// enable/disable hooks NCAP uses to assist them (Sec. 4.3).
+// paper evaluates: the performance and ondemand cpufreq governors and the
+// menu cpuidle governor, plus the enable/disable hooks NCAP uses to assist
+// them (Sec. 4.3).
 package governor
 
 import (
@@ -148,9 +148,3 @@ func (o *Ondemand) decide(dom *cpu.Domain, util float64) {
 
 // Performance pins the chip at P0 — the SLA-safe baseline policy.
 func Performance(chip *cpu.Chip) { chip.SetPState(chip.Table().Max()) }
-
-// Powersave pins the chip at the deepest P-state.
-func Powersave(chip *cpu.Chip) { chip.SetPState(chip.Table().Min()) }
-
-// Userspace sets an operator-chosen fixed P-state index.
-func Userspace(chip *cpu.Chip, index int) { chip.SetPStateIndex(index) }

@@ -65,9 +65,6 @@ func (m *Menu) Enable() { m.enabled = true }
 // prevent short C-state transitions during a BW(Rx) surge).
 func (m *Menu) Disable() { m.enabled = false }
 
-// Enabled reports whether deep-sleep selection is active globally.
-func (m *Menu) Enabled() bool { return m.enabled }
-
 // DisableCore restricts one core to a C1 halt — the per-core governor
 // control of the multi-queue extension (Sec. 7): a burst on queue q
 // disables deep sleep only for q's target core.
@@ -170,61 +167,4 @@ func (m *Menu) predict(coreID int) sim.Duration {
 		pred = bound
 	}
 	return pred
-}
-
-// Ladder is the simpler cpuidle governor: it deepens one state at a time
-// while sleeps keep exceeding the next state's residency and backs off
-// after a short sleep.
-type Ladder struct {
-	chip    *cpu.Chip
-	enabled bool
-	level   []int // per-core index into chip.CStates(); -1 = C1 only
-}
-
-// NewLadder builds a ladder governor.
-func NewLadder(chip *cpu.Chip) *Ladder {
-	return &Ladder{
-		chip:    chip,
-		enabled: true,
-		level:   make([]int, len(chip.Cores())),
-	}
-}
-
-// Enable and Disable mirror the menu governor's NCAP hooks.
-func (l *Ladder) Enable() { l.enabled = true }
-
-// Disable restricts idle cores to C1.
-func (l *Ladder) Disable() { l.enabled = false }
-
-// SelectIdleState implements cpu.IdleDecider.
-func (l *Ladder) SelectIdleState(c *cpu.Core) power.CState {
-	if !l.enabled {
-		return power.C1
-	}
-	states := l.chip.CStates()
-	lvl := l.level[c.ID()]
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl >= len(states) {
-		lvl = len(states) - 1
-	}
-	return states[lvl].State
-}
-
-// OnWake implements cpu.IdleDecider: promote after a long-enough sleep,
-// demote after a sleep shorter than the current state's residency.
-func (l *Ladder) OnWake(c *cpu.Core, slept sim.Duration) {
-	states := l.chip.CStates()
-	lvl := l.level[c.ID()]
-	if lvl > len(states)-1 {
-		lvl = len(states) - 1
-	}
-	cur := states[lvl]
-	switch {
-	case slept < cur.Residency && lvl > 0:
-		l.level[c.ID()] = lvl - 1
-	case lvl+1 < len(states) && slept >= states[lvl+1].Residency:
-		l.level[c.ID()] = lvl + 1
-	}
 }

@@ -149,16 +149,6 @@ func TestStaticGovernors(t *testing.T) {
 	if chip.Current() != tab.Max() {
 		t.Fatalf("performance -> %v", chip.Current())
 	}
-	Powersave(chip)
-	eng.Run(2 * sim.Millisecond)
-	if chip.Current() != tab.Min() {
-		t.Fatalf("powersave -> %v", chip.Current())
-	}
-	Userspace(chip, 3)
-	eng.Run(3 * sim.Millisecond)
-	if chip.Current().Index != 3 {
-		t.Fatalf("userspace -> %v", chip.Current())
-	}
 }
 
 func TestMenuPicksDeepStateForLongIdle(t *testing.T) {
@@ -271,47 +261,6 @@ func TestMenuIntegrationWithCore(t *testing.T) {
 	eng.Run(50 * sim.Millisecond)
 	if got := core.CTime(power.C6); got < 49*sim.Millisecond {
 		t.Fatalf("C6 residency = %v, want ~50ms", got)
-	}
-}
-
-func TestLadderProgression(t *testing.T) {
-	eng := sim.NewEngine()
-	chip := newChip(eng)
-	l := NewLadder(chip)
-	core := chip.Core(0)
-	if got := l.SelectIdleState(core); got != power.C1 {
-		t.Fatalf("initial ladder state = %v, want C1", got)
-	}
-	// Long sleeps promote step by step.
-	l.OnWake(core, 10*sim.Millisecond)
-	if got := l.SelectIdleState(core); got != power.C3 {
-		t.Fatalf("after 1 long sleep = %v, want C3", got)
-	}
-	l.OnWake(core, 10*sim.Millisecond)
-	if got := l.SelectIdleState(core); got != power.C6 {
-		t.Fatalf("after 2 long sleeps = %v, want C6", got)
-	}
-	// A short sleep demotes.
-	l.OnWake(core, 5*sim.Microsecond)
-	if got := l.SelectIdleState(core); got != power.C3 {
-		t.Fatalf("after short sleep = %v, want C3", got)
-	}
-}
-
-func TestLadderDisable(t *testing.T) {
-	eng := sim.NewEngine()
-	chip := newChip(eng)
-	l := NewLadder(chip)
-	core := chip.Core(0)
-	l.OnWake(core, 10*sim.Millisecond)
-	l.OnWake(core, 10*sim.Millisecond)
-	l.Disable()
-	if got := l.SelectIdleState(core); got != power.C1 {
-		t.Fatalf("disabled ladder = %v, want C1", got)
-	}
-	l.Enable()
-	if got := l.SelectIdleState(core); got != power.C6 {
-		t.Fatalf("re-enabled ladder = %v, want C6", got)
 	}
 }
 

@@ -112,9 +112,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Receiver) *Link {
 // serialization order, before its delivery is scheduled.
 func (l *Link) SetInjector(inj *fault.Injector) { l.inj = inj }
 
-// Injector returns the attached fault injector (nil on a perfect link).
-func (l *Link) Injector() *fault.Injector { return l.inj }
-
 // drain retires every completion whose serialization has ended by now,
 // freeing its bytes from queued. It runs wherever queued is read. The tie
 // rule: a frame's bytes leave the buffer at the instant its serialization

@@ -72,8 +72,6 @@ type Packet struct {
 	ReqID uint64
 	// Seg and SegCount identify this segment within a response burst.
 	Seg, SegCount int
-	// SentAt is stamped when the packet enters the sender's NIC tx path.
-	SentAt sim.Time
 	// RespHint, on a request, pins the server's response body size in
 	// bytes (trace replay carries recorded sizes); zero lets the server
 	// draw from its profile. Like Kind, the NIC hardware never reads it.

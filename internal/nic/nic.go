@@ -169,12 +169,6 @@ func New(eng *sim.Engine, addr netsim.Addr, cfg Config) *NIC {
 	return n
 }
 
-// Addr returns the NIC's network address.
-func (n *NIC) Addr() netsim.Addr { return n.addr }
-
-// Config returns the device configuration.
-func (n *NIC) Config() Config { return n.cfg }
-
 // Queues returns the NIC's receive queues.
 func (n *NIC) Queues() []*Queue { return n.queues }
 
@@ -220,7 +214,6 @@ func (n *NIC) Transmit(p *netsim.Packet) bool {
 	if n.link == nil {
 		panic("nic: Transmit before SetLink")
 	}
-	p.SentAt = n.eng.Now()
 	// Size and destination are read before Send: the link owns the packet
 	// from then on and may have released it by the time Send returns.
 	ws := p.WireSize()

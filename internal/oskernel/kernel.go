@@ -203,9 +203,6 @@ func (t *Timer) ArmPeriodic(period sim.Duration) {
 // Stop cancels the timer.
 func (t *Timer) Stop() { t.period = 0; t.inner.Stop() }
 
-// Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.inner.Pending() }
-
 func (t *Timer) expire() {
 	if t.period > 0 {
 		t.inner.Arm(t.period)

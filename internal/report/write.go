@@ -1,13 +1,11 @@
 package report
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 )
 
 // Write serializes the report as indented JSON with a trailing newline.
@@ -41,91 +39,3 @@ func (r *Report) WriteFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadFile parses a report document, rejecting unknown schemas so a
-// reader never silently misinterprets fields from a future format.
-func ReadFile(path string) (*Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("report: %s has schema %q, this reader understands %q", path, r.Schema, Schema)
-	}
-	return &r, nil
-}
-
-// csvHeader is the flat per-run column set, stable by contract: append
-// new columns at the end, never reorder or rename.
-var csvHeader = []string{
-	"tag", "policy", "workload", "load_rps",
-	"lat_count", "lat_mean_ns", "lat_p50_ns", "lat_p90_ns", "lat_p95_ns", "lat_p99_ns", "lat_max_ns",
-	"energy_j", "avg_power_w", "served_rps",
-	"sent", "completed", "retransmits", "abandoned", "rx_drops", "irqs",
-	"fault_drops", "fault_corrupt_drops", "fault_dups", "fault_delays", "dup_suppressed", "dup_resent",
-	"boosts", "stepdowns", "cit_wakes", "pstate_transitions", "governor_invocations",
-	"error", "violations",
-	"shed", "rejected", "deadline_exceeded", "budget_denied", "breaker_dropped",
-	"retry_amp", "queue_peak", "recovery_ns",
-}
-
-// WriteCSV emits the runs as a flat CSV table (header + one row per run).
-func (r *Report) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return fmt.Errorf("report: csv: %w", err)
-	}
-	for _, run := range r.Runs {
-		var f Faults
-		if run.Faults != nil {
-			f = *run.Faults
-		}
-		var ov Overload
-		if run.Overload != nil {
-			ov = *run.Overload
-		}
-		row := []string{
-			run.Tag, run.Policy, run.Workload, formatFloat(run.LoadRPS),
-			strconv.Itoa(run.Latency.Count),
-			strconv.FormatInt(run.Latency.MeanNs, 10),
-			strconv.FormatInt(run.Latency.P50Ns, 10),
-			strconv.FormatInt(run.Latency.P90Ns, 10),
-			strconv.FormatInt(run.Latency.P95Ns, 10),
-			strconv.FormatInt(run.Latency.P99Ns, 10),
-			strconv.FormatInt(run.Latency.MaxNs, 10),
-			formatFloat(run.EnergyJ), formatFloat(run.AvgPowerW), formatFloat(run.ServedRPS),
-			strconv.FormatInt(run.Sent, 10), strconv.FormatInt(run.Completed, 10),
-			strconv.FormatInt(run.Retransmits, 10), strconv.FormatInt(run.Abandoned, 10),
-			strconv.FormatInt(run.RxDrops, 10), strconv.FormatInt(run.IRQs, 10),
-			strconv.FormatInt(f.Drops, 10), strconv.FormatInt(f.CorruptDrops, 10),
-			strconv.FormatInt(f.Dups, 10), strconv.FormatInt(f.Delays, 10),
-			strconv.FormatInt(f.DupSuppressed, 10), strconv.FormatInt(f.DupResent, 10),
-			strconv.FormatInt(run.Boosts, 10), strconv.FormatInt(run.StepDowns, 10),
-			strconv.FormatInt(run.CITWakes, 10), strconv.FormatInt(run.PStateTransitions, 10),
-			strconv.FormatInt(run.GovernorInvocations, 10),
-			run.Error,
-			strconv.Itoa(len(run.Violations)),
-			strconv.FormatInt(ov.Shed, 10), strconv.FormatInt(ov.Rejected, 10),
-			strconv.FormatInt(ov.DeadlineExceeded, 10), strconv.FormatInt(ov.BudgetDenied, 10),
-			strconv.FormatInt(ov.BreakerDropped, 10),
-			formatFloat(ov.RetryAmp), strconv.FormatInt(ov.QueuePeak, 10),
-			strconv.FormatInt(ov.RecoveryNs, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("report: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("report: csv: %w", err)
-	}
-	return nil
-}
-
-// formatFloat renders floats with the shortest round-trippable form —
-// the same value always prints the same bytes.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -80,7 +80,6 @@ type Outcome struct {
 	Result   cluster.Result
 	Err      error
 	CacheHit bool
-	Elapsed  time.Duration
 	// Attempts is how many times the job executed (1 + retries used).
 	// Zero for cache hits; at least 1 on any failure, even one that
 	// never reached the simulator (a panic computing the cache key).
@@ -278,7 +277,6 @@ func (p *Pool) Outcomes() []Outcome {
 }
 
 func (p *Pool) runOne(job Job) (o Outcome) {
-	start := time.Now()
 	o = Outcome{Job: job}
 	// Last-resort recovery: execute already fences the simulation
 	// goroutine, but a panic on the worker's own path — job.Key() on a
@@ -291,7 +289,6 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 			if o.Attempts == 0 {
 				o.Attempts = 1
 			}
-			o.Elapsed = time.Since(start)
 			p.fails.Add(1)
 		}
 	}()
@@ -304,7 +301,7 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 		key = job.Key()
 		if res, ok := p.cache.load(key); ok {
 			p.hits.Add(1)
-			o.Result, o.CacheHit, o.Elapsed = res, true, time.Since(start)
+			o.Result, o.CacheHit = res, true
 			return o
 		}
 	}
@@ -330,7 +327,6 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 		time.Sleep(backoff)
 		backoff *= 2
 	}
-	o.Elapsed = time.Since(start)
 	if o.Err != nil {
 		p.fails.Add(1)
 		return o

@@ -39,7 +39,6 @@ type ticket struct {
 // either accepted (ticket still open: deterministic results make the
 // re-execution race harmless) or ignored (ticket already settled).
 type lease struct {
-	id       string
 	t        *ticket
 	worker   string
 	deadline time.Time
@@ -50,9 +49,8 @@ type lease struct {
 // sweep state or the journal itself; completions are handed back to the
 // service through the commit callbacks wired in newDispatcher.
 type dispatcher struct {
-	ttl         time.Duration
-	backoff     time.Duration
-	maxAttempts int
+	ttl     time.Duration
+	backoff time.Duration
 
 	onComplete func(t *ticket, res cluster.Result) // journals + settles
 	onFail     func(t *ticket, msg string)         // journals + settles
@@ -69,14 +67,13 @@ type dispatcher struct {
 	scanDone chan struct{}
 }
 
-func newDispatcher(ttl, backoff time.Duration, maxAttempts int) *dispatcher {
+func newDispatcher(ttl, backoff time.Duration) *dispatcher {
 	d := &dispatcher{
-		ttl:         ttl,
-		backoff:     backoff,
-		maxAttempts: maxAttempts,
-		leases:      map[string]*lease{},
-		stopScan:    make(chan struct{}),
-		scanDone:    make(chan struct{}),
+		ttl:      ttl,
+		backoff:  backoff,
+		leases:   map[string]*lease{},
+		stopScan: make(chan struct{}),
+		scanDone: make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	go d.scan()
@@ -134,7 +131,7 @@ func (d *dispatcher) next(worker string, local, block bool) (*ticket, string) {
 			d.queue = append(d.queue[:i], d.queue[i+1:]...)
 			t.attempt++
 			id := newLeaseID()
-			d.leases[id] = &lease{id: id, t: t, worker: worker, deadline: time.Now().Add(d.ttl)}
+			d.leases[id] = &lease{t: t, worker: worker, deadline: time.Now().Add(d.ttl)}
 			if d.onLease != nil {
 				d.onLease(t, worker)
 			}

@@ -75,14 +75,7 @@ func (req SubmitRequest) validate() error {
 	if req.Family == "" {
 		return fmt.Errorf("request: missing family (want one of: %s)", experiments.FamilyNames())
 	}
-	known := false
-	for _, f := range experiments.Families() {
-		if f.Name == req.Family {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !experiments.IsFamily(req.Family) {
 		return fmt.Errorf("request: unknown family %q (want one of: %s)", req.Family, experiments.FamilyNames())
 	}
 	if req.Workload != "" {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -55,7 +54,6 @@ type SweepStatus struct {
 type sweep struct {
 	id  string
 	req SubmitRequest
-	raw json.RawMessage
 
 	state     string
 	stateErr  string
@@ -154,7 +152,7 @@ func Open(opts Options) (*Service, error) {
 			Timeout:  opts.Timeout,
 		}),
 	}
-	s.disp = newDispatcher(opts.LeaseTTL, opts.RetryBackoff, opts.Retries+1)
+	s.disp = newDispatcher(opts.LeaseTTL, opts.RetryBackoff)
 	s.disp.onComplete = s.commitComplete
 	s.disp.onFail = s.commitFail
 	s.disp.onLease = s.journalLease
@@ -196,7 +194,7 @@ func (s *Service) replay(recs []Record) error {
 			if r.Sweep == "" || s.sweeps[r.Sweep] != nil {
 				return fmt.Errorf("service: journal record %d: bad sweep id %q", r.Seq, r.Sweep)
 			}
-			sw := newSweep(r.Sweep, req, r.Request)
+			sw := newSweep(r.Sweep, req)
 			s.sweeps[sw.id] = sw
 			s.order = append(s.order, sw.id)
 			sw.appendEvent(Event{Type: "submitted"})
@@ -252,11 +250,10 @@ func (s *Service) replay(recs []Record) error {
 	return nil
 }
 
-func newSweep(id string, req SubmitRequest, raw json.RawMessage) *sweep {
+func newSweep(id string, req SubmitRequest) *sweep {
 	return &sweep{
 		id:        id,
 		req:       req,
-		raw:       append(json.RawMessage(nil), raw...),
 		state:     StateRunning,
 		completed: map[string]cluster.Result{},
 		failed:    map[string]string{},
@@ -306,7 +303,7 @@ func (s *Service) Submit(req SubmitRequest) (string, error) {
 	if _, err := s.jrnl.Append(Record{Type: recSubmit, Sweep: id, Request: raw}, true); err != nil {
 		return "", err
 	}
-	sw := newSweep(id, req, raw)
+	sw := newSweep(id, req)
 	s.sweeps[id] = sw
 	s.order = append(s.order, id)
 	sw.appendEvent(Event{Type: "submitted"})

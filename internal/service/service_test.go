@@ -357,7 +357,7 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 // completion is dropped — exactly-once-effective either way.
 func TestStaleCompletionAfterExpiry(t *testing.T) {
 	var completions atomic.Int32
-	d := newDispatcher(time.Hour, time.Millisecond, 3)
+	d := newDispatcher(time.Hour, time.Millisecond)
 	defer d.close()
 	d.onComplete = func(t *ticket, res cluster.Result) { completions.Add(1) }
 	d.onRequeue = func(*ticket, string) {}
@@ -410,7 +410,7 @@ func TestStaleCompletionAfterExpiry(t *testing.T) {
 // report must not consume a second attempt (the expiry already did).
 func TestStaleFailureDoesNotBurnAttempt(t *testing.T) {
 	var requeues, fails atomic.Int32
-	d := newDispatcher(time.Hour, time.Millisecond, 2)
+	d := newDispatcher(time.Hour, time.Millisecond)
 	defer d.close()
 	d.onComplete = func(*ticket, cluster.Result) {}
 	d.onRequeue = func(*ticket, string) { requeues.Add(1) }

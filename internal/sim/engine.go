@@ -463,11 +463,18 @@ func (e *Engine) fire(ev *event) {
 // queues it. It panics if the callback is nil. k is either a key from
 // Reserve, whose sequence number is below e.seq, or a new event's time
 // paired with e.seq, which schedule turns into a key as Reserve does.
-// Reserving here rather than in AtArg keeps AtArg and ScheduleArg small
-// enough to inline, so a schedule costs one call.
-func (e *Engine) schedule(k Key, afn func(any), afn2 func(any, any), a0, a1 any) Handle {
+// delay is added to k's time, saturating at maxTime, so a delay past the
+// end of time fires at the end of time rather than wrapping into the past.
+// Reserving and saturating here rather than in AtArg and ScheduleArg keeps
+// those small enough to inline, so a schedule costs one call.
+func (e *Engine) schedule(k Key, delay Duration, afn func(any), afn2 func(any, any), a0, a1 any) Handle {
 	if afn == nil && afn2 == nil {
 		panic("sim: nil callback")
+	}
+	if w := k.when + delay; delay > 0 && w < k.when {
+		k.when = maxTime
+	} else {
+		k.when = w
 	}
 	if k.seq == e.seq {
 		k = e.Reserve(k.when)
@@ -489,28 +496,30 @@ func (e *Engine) schedule(k Key, afn func(any), afn2 func(any, any), a0, a1 any)
 
 // ScheduleArg runs fn(arg) after delay. A negative delay is treated as
 // zero (fires at the current time, after already-queued events for that
-// time). Because fn is typically a package-level function and arg a
-// pointer, scheduling does not allocate in steady state.
+// time), and a delay past the end of time fires at maxTime. Because fn is
+// typically a package-level function and arg a pointer, scheduling does
+// not allocate in steady state.
 func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) Handle {
-	return e.AtArg(e.now+delay, fn, arg) // AtArg clamps a negative delay
+	return e.schedule(Key{when: e.now, seq: e.seq}, delay, fn, nil, arg, nil)
 }
 
 // AtArg runs fn(arg) at the absolute time t. If t is in the past it fires
 // at the current time.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Handle {
-	return e.schedule(Key{when: t, seq: e.seq}, fn, nil, arg, nil)
+	return e.schedule(Key{when: t, seq: e.seq}, 0, fn, nil, arg, nil)
 }
 
-// ScheduleArg2 runs fn(a0, a1) after delay (clamped at zero), for
-// callbacks needing a receiver plus one argument without a closure.
+// ScheduleArg2 runs fn(a0, a1) after delay (clamped at zero and saturated
+// at maxTime), for callbacks needing a receiver plus one argument without
+// a closure.
 func (e *Engine) ScheduleArg2(delay Duration, fn func(any, any), a0, a1 any) Handle {
-	return e.AtArg2(e.now+delay, fn, a0, a1)
+	return e.schedule(Key{when: e.now, seq: e.seq}, delay, nil, fn, a0, a1)
 }
 
 // AtArg2 runs fn(a0, a1) at the absolute time t (clamped at the current
 // time).
 func (e *Engine) AtArg2(t Time, fn func(any, any), a0, a1 any) Handle {
-	return e.schedule(Key{when: t, seq: e.seq}, nil, fn, a0, a1)
+	return e.schedule(Key{when: t, seq: e.seq}, 0, nil, fn, a0, a1)
 }
 
 // AtKeyArg2 runs fn(a0, a1) under k, a key from Reserve: the event fires
@@ -522,7 +531,7 @@ func (e *Engine) AtKeyArg2(k Key, fn func(any, any), a0, a1 any) Handle {
 	if e.Passed(k) {
 		panic(fmt.Sprintf("sim: AtKeyArg2 with key (%v, %d) already passed", k.when, k.seq))
 	}
-	return e.schedule(k, nil, fn, a0, a1)
+	return e.schedule(k, 0, nil, fn, a0, a1)
 }
 
 // Run executes events until the queue drains or the clock would pass until.

@@ -119,6 +119,25 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 	e.Run(Second)
 }
 
+// A delay that would carry an event past the end of time saturates at
+// maxTime instead of wrapping negative and firing at once.
+func TestEngineDelayPastEndOfTimeSaturates(t *testing.T) {
+	e := NewEngine()
+	e.Run(1 << 62)
+	if e.Now() != 1<<62 {
+		t.Fatalf("clock at %v, want 2^62", e.Now())
+	}
+	h := e.ScheduleArg(1<<62, func(any) {}, nil)
+	h2 := e.ScheduleArg2(maxTime, func(any, any) {}, nil, nil)
+	if h.When() != maxTime || h2.When() != maxTime {
+		t.Fatalf("ScheduleArg/ScheduleArg2 past the end of time at %d/%d, want maxTime %d (now %d)",
+			int64(h.When()), int64(h2.When()), int64(maxTime), int64(e.Now()))
+	}
+	if !h.Cancel() || !h2.Cancel() || e.Pending() != 0 {
+		t.Fatalf("saturated events not cancelable: %d still pending", e.Pending())
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0

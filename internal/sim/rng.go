@@ -85,12 +85,5 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	}
 }
 
-// LogNormalDur returns a log-normally distributed duration whose underlying
-// normal has the given mu and sigma (natural-log parameters). Useful for
-// heavy-tailed service times.
-func (r *Rand) LogNormalDur(mu, sigma float64) Duration {
-	return Duration(math.Exp(r.Normal(mu, sigma)))
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }

@@ -41,12 +41,6 @@ func (t *Timer) Arm(d Duration) {
 	t.h = t.eng.ScheduleArg(d, timerExpire, t)
 }
 
-// ArmAt (re)starts the timer to expire at absolute time when.
-func (t *Timer) ArmAt(when Time) {
-	t.h.Cancel()
-	t.h = t.eng.AtArg(when, timerExpire, t)
-}
-
 // ArmIfStopped starts the timer only if it is not already pending.
 func (t *Timer) ArmIfStopped(d Duration) {
 	if !t.Pending() {

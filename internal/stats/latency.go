@@ -1,6 +1,6 @@
 // Package stats provides the measurement plumbing for the simulator:
 // exact percentile latency recording, time-weighted state accounting,
-// sliding rate windows, and time-series sampling for figure regeneration.
+// and time-series sampling for figure regeneration.
 package stats
 
 import (

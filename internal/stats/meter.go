@@ -87,56 +87,6 @@ func (m *StateMeter) Reset(now sim.Time) {
 	m.last = now
 }
 
-// RateWindow counts events in the current and previous fixed windows —
-// the shape of the NIC's MITT-driven rate computation and the software
-// variant's 1 ms timer.
-type RateWindow struct {
-	window    sim.Duration
-	windowEnd sim.Time
-	current   int64
-	previous  int64
-}
-
-// NewRateWindow returns a window counter aligned so the first window ends
-// one window length after start.
-func NewRateWindow(start sim.Time, window sim.Duration) *RateWindow {
-	if window <= 0 {
-		panic("stats: RateWindow window must be positive")
-	}
-	return &RateWindow{window: window, windowEnd: start + window}
-}
-
-// Add counts n events at time now, rolling windows forward as needed.
-func (w *RateWindow) Add(now sim.Time, n int64) {
-	w.roll(now)
-	w.current += n
-}
-
-// PerSecond returns the completed-window event rate in events/second as of
-// now. During the very first window it reports the in-progress rate.
-func (w *RateWindow) PerSecond(now sim.Time) float64 {
-	w.roll(now)
-	return float64(w.previous) * float64(sim.Second) / float64(w.window)
-}
-
-// Window returns the window length.
-func (w *RateWindow) Window() sim.Duration { return w.window }
-
-func (w *RateWindow) roll(now sim.Time) {
-	for now >= w.windowEnd {
-		w.previous = w.current
-		w.current = 0
-		w.windowEnd += w.window
-		if now >= w.windowEnd { // gap longer than a window: rate is zero
-			w.previous = 0
-			// Jump directly to the window containing now.
-			behind := (now - w.windowEnd) / w.window
-			w.windowEnd += (behind + 1) * w.window
-			break
-		}
-	}
-}
-
 // Counter is a plain monotonic event counter with a resettable epoch, for
 // drops, interrupts, wakeups and similar tallies.
 type Counter struct {

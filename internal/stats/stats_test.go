@@ -223,40 +223,6 @@ func TestStateMeterConservation(t *testing.T) {
 	}
 }
 
-func TestRateWindowBasic(t *testing.T) {
-	w := NewRateWindow(0, sim.Millisecond)
-	for i := 0; i < 10; i++ {
-		w.Add(sim.Time(i)*100*sim.Microsecond, 5) // 50 events in window 0
-	}
-	// At t=1ms the first window closes with 50 events -> 50k/s.
-	if got := w.PerSecond(sim.Millisecond); got != 50000 {
-		t.Fatalf("rate = %v, want 50000", got)
-	}
-}
-
-func TestRateWindowGapZeroes(t *testing.T) {
-	w := NewRateWindow(0, sim.Millisecond)
-	w.Add(100*sim.Microsecond, 10)
-	// Query long after the burst: rate must decay to zero, not report stale.
-	if got := w.PerSecond(10 * sim.Millisecond); got != 0 {
-		t.Fatalf("stale rate = %v, want 0", got)
-	}
-	// And adding later works in the correct window.
-	w.Add(10500*sim.Microsecond, 3)
-	if got := w.PerSecond(11 * sim.Millisecond); got != 3000 {
-		t.Fatalf("rate after gap = %v, want 3000", got)
-	}
-}
-
-func TestRateWindowBoundary(t *testing.T) {
-	w := NewRateWindow(0, sim.Millisecond)
-	w.Add(999999, 1) // inside window 0
-	w.Add(sim.Millisecond, 1)
-	if got := w.PerSecond(sim.Millisecond); got != 1000 {
-		t.Fatalf("rate at boundary = %v, want 1000 (first window had 1 event)", got)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
