@@ -16,16 +16,15 @@ type admitEntry struct {
 
 // EnableAdmission turns on the bounded admission queue between the socket
 // layer and the kernel scheduler: arrivals beyond the queue capacity are
-// rejected, at most MaxInflight requests are dispatched concurrently, and
-// the spec's policy sheds queued work at dispatch time (deadline-aware or
-// CoDel). Call before the simulation starts.
+// rejected, at most resilience.DefaultMaxInflight requests are dispatched
+// concurrently, and the spec's policy sheds queued work at dispatch time
+// (deadline-aware or CoDel). Call before the simulation starts.
 func (s *Server) EnableAdmission(spec *resilience.Spec) {
 	s.admitOn = true
 	s.queueCap = spec.EffQueueCap()
-	s.maxInflight = spec.EffMaxInflight()
 	s.admitPolicy = spec.EffAdmit()
 	if s.admitPolicy == resilience.AdmitCoDel {
-		s.codel = resilience.NewCoDel(spec.EffCoDelTarget(), spec.EffCoDelInterval())
+		s.codel = resilience.NewCoDel(resilience.DefaultCoDelTarget, resilience.DefaultCoDelInterval)
 	}
 }
 
@@ -64,7 +63,7 @@ func (s *Server) admitRequest(p *netsim.Packet, pollCore int) {
 // pump dispatches queued requests while inflight slots are free, shedding
 // per the configured policy at dequeue time.
 func (s *Server) pump() {
-	for s.Inflight < s.maxInflight && s.QueueLen() > 0 {
+	for s.Inflight < resilience.DefaultMaxInflight && s.QueueLen() > 0 {
 		e := s.queue[s.queueHead]
 		s.queue[s.queueHead] = admitEntry{}
 		s.queueHead++

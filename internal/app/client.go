@@ -27,12 +27,10 @@ type ClientConfig struct {
 	// MaxRetries bounds retransmissions per request.
 	MaxRetries int
 	// Backoff doubles the RTO on every retransmission of a request
-	// (TCP-style exponential backoff, capped at BackoffCap). Off by
+	// (TCP-style exponential backoff, capped at 8×RTO). Off by
 	// default: the fault-free experiments predate it and their recorded
 	// results rely on the fixed-RTO schedule.
 	Backoff bool
-	// BackoffCap bounds the backed-off RTO; zero means 8×RTO.
-	BackoffCap sim.Duration
 	// Deadline is the end-to-end completion deadline per request,
 	// distinct from the per-hop RTO: at the deadline the request fails
 	// terminally (no further retransmissions), and a response arriving
@@ -462,21 +460,14 @@ func (c *Client) transmit(pr *pendingReq) {
 }
 
 // rto returns the retransmission timeout for the given retry count:
-// fixed by default, doubling per retry up to BackoffCap with Backoff set.
+// fixed by default, doubling per retry up to 8×RTO with Backoff set.
 func (c *Client) rto(retries int) sim.Duration {
 	if !c.cfg.Backoff || retries <= 0 {
 		return c.cfg.RTO
 	}
-	limit := c.cfg.BackoffCap
-	if limit <= 0 {
-		limit = 8 * c.cfg.RTO
-	}
 	rto := c.cfg.RTO
-	for i := 0; i < retries && rto < limit; i++ {
+	for i := 0; i < retries && rto < 8*c.cfg.RTO; i++ {
 		rto *= 2
-	}
-	if rto > limit {
-		rto = limit
 	}
 	return rto
 }

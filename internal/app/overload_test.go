@@ -18,25 +18,6 @@ func silentClient(eng *sim.Engine, cfg ClientConfig) *Client {
 	return cl
 }
 
-// TestClientBackoffCapBelowRTO: a cap below the base RTO is honored —
-// every backed-off timeout clamps to the cap rather than doubling past it
-// (the doubling loop never runs, only the final clamp applies).
-func TestClientBackoffCapBelowRTO(t *testing.T) {
-	cfg := DefaultClientConfig()
-	cfg.RTO = 10 * sim.Millisecond
-	cfg.Backoff = true
-	cfg.BackoffCap = 4 * sim.Millisecond
-	cl := silentClient(sim.NewEngine(), cfg)
-	if got := cl.rto(0); got != 10*sim.Millisecond {
-		t.Fatalf("rto(0) = %v, want the base RTO", got)
-	}
-	for _, retries := range []int{1, 2, 50} {
-		if got := cl.rto(retries); got != 4*sim.Millisecond {
-			t.Fatalf("rto(%d) = %v, want the 4ms cap", retries, got)
-		}
-	}
-}
-
 // TestClientBackoffSaturation: the doubling schedule reaches the cap and
 // stays there — huge retry counts neither overflow nor exceed the limit.
 func TestClientBackoffSaturation(t *testing.T) {
@@ -113,16 +94,16 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	cfg.RTO = 5 * sim.Millisecond
 	cfg.MaxRetries = 100
 	cl := silentClient(eng, cfg)
-	spec := &resilience.Spec{RetryBudget: 0.5, RetryBurst: 2}
+	spec := &resilience.Spec{RetryBudget: 0.5}
 	cl.Budget = spec.NewBudget()
 	cl.Start()
 	eng.Run(100 * sim.Millisecond)
 	// 4 sends earn 0.5 each but the bucket is capped (and starts) at the
-	// burst of 2: exactly 2 retransmits ever leave the client, the two
-	// unrecharged first-timeouts and the two retries' second timeouts are
-	// all denied.
-	if got := cl.Retransmits.Value(); got != 2 {
-		t.Fatalf("retransmits = %d, want the 2 budget tokens", got)
+	// burst of 10: exactly 10 retransmits ever leave the client (two
+	// rounds of 4, then 2 of the third), and the other 2 third-round
+	// timeouts and the fourth round's 2 are denied.
+	if got := cl.Retransmits.Value(); got != resilience.DefaultRetryBurst {
+		t.Fatalf("retransmits = %d, want the %d budget tokens", got, resilience.DefaultRetryBurst)
 	}
 	if got := cl.BudgetDenied.Value(); got != 4 {
 		t.Fatalf("budget-denied = %d, want 4", got)
@@ -146,7 +127,7 @@ func TestClientBudgetDeadlineInteraction(t *testing.T) {
 	cfg.Backoff = true
 	cfg.Deadline = 18 * sim.Millisecond
 	cl := silentClient(eng, cfg)
-	spec := &resilience.Spec{RetryBudget: 0.25, RetryBurst: 3}
+	spec := &resilience.Spec{RetryBudget: 0.25}
 	cl.Budget = spec.NewBudget()
 	cl.Start()
 	eng.Run(200 * sim.Millisecond)
@@ -155,8 +136,10 @@ func TestClientBudgetDeadlineInteraction(t *testing.T) {
 		t.Fatalf("terminal outcomes = %d (dl=%d budget=%d abandoned=%d), want one per request",
 			terminal, cl.DeadlineExceeded.Value(), cl.BudgetDenied.Value(), cl.Abandoned.Value())
 	}
-	if cl.Retransmits.Value() > 3 {
-		t.Fatalf("retransmits = %d, budget allows at most 3", cl.Retransmits.Value())
+	// Within the deadline each request would retransmit twice (at 5 and
+	// 15 ms): 16 retries against a budget of 10.
+	if got := cl.Retransmits.Value(); got != resilience.DefaultRetryBurst {
+		t.Fatalf("retransmits = %d, want the budget's %d", got, resilience.DefaultRetryBurst)
 	}
 	if cl.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d", cl.Outstanding())

@@ -56,7 +56,6 @@ type Server struct {
 	// the legacy socket path never reads it).
 	admitOn     bool
 	queueCap    int
-	maxInflight int
 	admitPolicy resilience.AdmitPolicy
 	codel       *resilience.CoDel
 	queue       []admitEntry

@@ -243,7 +243,9 @@ func (c *Cluster) addServerNode(label string, rack int, addr netsim.Addr,
 		}
 	}
 
-	// Driver with the policy's power hooks.
+	// Driver with the policy's power hooks. TOE halves the per-packet
+	// stack costs (Sec. 7).
+	drvCfg.TOEFactor = 0
 	if cfg.TOE {
 		drvCfg.TOEFactor = 0.5
 	}
@@ -314,7 +316,10 @@ func (c *Cluster) hooksFor(n *Node) driver.PowerHooks {
 	if !hw && !sw {
 		return driver.PowerHooks{}
 	}
-	fcons := c.cfg.ncapConfig().FCONS
+	fcons := c.cfg.FCONS
+	if fcons == 0 {
+		fcons = c.cfg.Policy.FCONS()
+	}
 	tab := n.Chip.Table()
 	step := (tab.Len() - 1 + fcons - 1) / fcons // ceil((states-1)/FCONS)
 	h := driver.PowerHooks{

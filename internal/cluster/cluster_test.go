@@ -6,6 +6,7 @@ import (
 
 	"ncap/internal/app"
 	"ncap/internal/sim"
+	"ncap/internal/topology"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -95,6 +96,59 @@ func TestConfigValidate(t *testing.T) {
 	bad.Measure = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero measure accepted")
+	}
+	bad = ok
+	bad.FCONS = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative FCONS accepted")
+	}
+}
+
+// TestConfigValidateDeviceBlocks: a device block that would panic in New
+// or build a server that serves nothing is rejected, in the config's own
+// blocks and in a topology group's overrides.
+func TestConfigValidateDeviceBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"NIC.MITT=0", func(c *Config) { c.NIC.MITT = 0 }},
+		{"Link.BandwidthBps=0", func(c *Config) { c.Link.BandwidthBps = 0 }},
+		{"NIC.RxRing=0", func(c *Config) { c.NIC.RxRing = 0 }},
+		{"Driver.NAPIBudget=0", func(c *Config) { c.Driver.NAPIBudget = 0 }},
+	} {
+		cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		// The same block as a topology group's override.
+		cfg = shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+		cfg.Topology = topology.Rack(1, 3)
+		g := &cfg.Topology.Groups[0]
+		dev := cfg
+		tc.mutate(&dev)
+		nicCfg, drvCfg, link := dev.NIC, dev.Driver, dev.Link
+		g.NIC, g.Driver, g.Link = &nicCfg, &drvCfg, &link
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted as a topology group override", tc.name)
+		}
+	}
+}
+
+// TestServerQueuesFollowConfigQueues: a server NIC's queue count comes
+// from Config.Queues alone; a queue count left in a device block is not
+// a second way to ask for multi-queue NCAP.
+func TestServerQueuesFollowConfigQueues(t *testing.T) {
+	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+	cfg.NIC.Queues = 4
+	if n := len(New(cfg).Nodes()[0].NIC.Queues()); n != 1 {
+		t.Fatalf("NIC.Queues=4 alone built %d queues, want 1", n)
+	}
+	cfg.Queues, cfg.PerCoreDVFS = 4, true
+	cfg.NIC.Queues = 0
+	if n := len(New(cfg).Nodes()[0].NIC.Queues()); n != 4 {
+		t.Fatalf("Queues=4 built %d queues, want 4", n)
 	}
 }
 

@@ -142,9 +142,7 @@ func (c *Cluster) compile() {
 			if g.NIC != nil {
 				nicCfg = *g.NIC
 			}
-			if cfg.Queues > 1 {
-				nicCfg.Queues = cfg.Queues
-			}
+			nicCfg.Queues = cfg.Queues
 			drvCfg := cfg.Driver
 			if g.Driver != nil {
 				drvCfg = *g.Driver

@@ -38,11 +38,16 @@ type Config struct {
 	Warmup, Measure, Drain sim.Duration
 	// OndemandPeriod overrides the governor invocation period (0 = 10 ms).
 	OndemandPeriod sim.Duration
-	// NCAP carries the DecisionEngine thresholds; FCONS is overridden by
-	// the policy unless OverrideFCONS is set.
-	NCAP          core.Config
-	OverrideFCONS bool
-	// NIC, Driver and Link override device parameters (zero = defaults).
+	// NCAP carries the DecisionEngine thresholds. The TOE and Queues
+	// options scale its rate thresholds (see ncapConfig).
+	NCAP core.Config
+	// FCONS is the number of IT_LOW steps that walk frequency from max to
+	// min (Sec. 4.3): 0 takes the policy's value (5 for ncap.cons, 1
+	// otherwise).
+	FCONS int
+	// NIC, Driver and Link are the device parameters. A server NIC's
+	// queue count comes from Queues and its driver's TOE factor from
+	// TOE, for every server.
 	NIC    nic.Config
 	Driver driver.Config
 	Link   netsim.LinkConfig
@@ -87,9 +92,10 @@ type Config struct {
 	// it serializes to nothing, so historical configs keep byte-identical
 	// cache keys, and its Result carries no topology rollups; a non-nil
 	// spec participates in the runner's content-keyed cache identity.
-	// With a topology set, the scalar Clients and Cores fields are
-	// ignored — the spec carries both — and LoadRPS remains the aggregate
-	// offered load across every client in the fleet.
+	// With a topology set, the scalar Clients field is ignored — the spec
+	// carries the client groups — and Cores is the core count of every
+	// server group that sets none. LoadRPS remains the aggregate offered
+	// load across every client in the fleet.
 	Topology *topology.Spec `json:"Topology,omitempty"`
 	// Overload enables the resilience layer (see internal/resilience):
 	// the server's bounded admission queue with config-selected shedding,
@@ -176,11 +182,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: burst size must be positive")
 	case c.Warmup < 0 || c.Measure <= 0 || c.Drain < 0:
 		return fmt.Errorf("cluster: bad warmup/measure/drain windows")
+	case c.FCONS < 0:
+		return fmt.Errorf("cluster: FCONS must be non-negative (0 takes the policy's)")
 	case c.Queues > 1 && c.Policy.UsesNCAPHardware() && !c.PerCoreDVFS:
 		// Sec. 7 pairs multi-queue NCAP with per-core power management:
 		// with a shared chip-wide frequency, an idle queue's IT_LOW
 		// interrupts would fight the busy queues' boosts.
 		return fmt.Errorf("cluster: multi-queue NCAP requires PerCoreDVFS")
+	}
+	if err := c.NIC.Validate(); err != nil {
+		return err
+	}
+	if err := c.Driver.Validate(); err != nil {
+		return err
+	}
+	if err := c.Link.Validate(); err != nil {
+		return err
 	}
 	spec := c.spec()
 	if err := spec.Validate(); err != nil {
@@ -225,12 +242,9 @@ func (c Config) Validate() error {
 // serialize.
 func (c Config) Recording() bool { return c.Traffic.Recording() }
 
-// ncapConfig resolves the effective DecisionEngine config for the policy.
+// ncapConfig resolves the effective DecisionEngine config.
 func (c Config) ncapConfig() core.Config {
 	n := c.NCAP
-	if !c.OverrideFCONS {
-		n.FCONS = c.Policy.FCONS()
-	}
 	if c.TOE {
 		// Sec. 7: a TOE-capable server sustains a higher packet rate at
 		// the same performance state, so the rate thresholds scale up.

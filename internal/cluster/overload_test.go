@@ -17,7 +17,6 @@ func resilientSpec(prof app.Profile) *resilience.Spec {
 		Admit:            resilience.AdmitDeadline,
 		Deadline:         2 * PaperSLA(prof.Name),
 		RetryBudget:      0.1,
-		RetryBurst:       10,
 		BreakerThreshold: 8,
 		JitterBackoff:    true,
 		DedupCap:         1024,

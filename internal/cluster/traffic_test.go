@@ -90,16 +90,16 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 }
 
 // TestReplayPacingLag: a schedule denser than its pacing floor forces
-// lagged sends, and the lag accounting surfaces them.
+// lagged sends, and the lag accounting surfaces them. Incast beats put 32
+// requests at one instant, and the generated trace's floor is the
+// profile's request spacing.
 func TestReplayPacingLag(t *testing.T) {
 	cfg := shortConfig(Perf, app.MemcachedProfile(), 35_000)
-	cfg.Traffic = &workload.Spec{Scenario: workload.Scenario{
-		Name:   workload.ScenarioIncast,
-		PaceNs: int64(5 * sim.Microsecond), // beats collide with the floor
-	}}
+	cfg.Traffic = &workload.Spec{Scenario: workload.Scenario{Name: workload.ScenarioIncast}}
 	res := New(cfg).Run()
 	if res.LaggedSends == 0 || res.SendLagMax == 0 {
-		t.Fatalf("incast under a 5µs pacing floor reported no lag: %+v", res.LaggedSends)
+		t.Fatalf("incast under a %v pacing floor reported no lag: %+v",
+			cfg.Workload.RequestSpacing, res.LaggedSends)
 	}
 	if res.LaggedSends > res.IntendedSends {
 		t.Fatalf("lagged %d > intended %d", res.LaggedSends, res.IntendedSends)

@@ -39,7 +39,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative RHT", func(c *Config) { c.RHT = -1 }, "thresholds"},
 		{"RLT above RHT", func(c *Config) { c.RLT = 99_999 }, "RLT"},
 		{"zero CIT", func(c *Config) { c.CIT = 0 }, "CIT"},
-		{"zero FCONS", func(c *Config) { c.FCONS = 0 }, "FCONS"},
 		{"zero window", func(c *Config) { c.LowWindow = 0 }, "LowWindow"},
 	}
 	for _, tc := range cases {
@@ -351,7 +350,7 @@ func TestNewDecisionEnginePanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	cfg := DefaultConfig()
-	cfg.FCONS = 0
+	cfg.CIT = 0
 	NewDecisionEngine(cfg, &chipStub{}, 0)
 }
 

@@ -34,9 +34,6 @@ type Config struct {
 	// CIT is the processor idle-time threshold: a request arriving more
 	// than CIT after the last interrupt triggers an immediate IT_RX wake.
 	CIT sim.Duration
-	// FCONS is the number of IT_LOW steps to walk frequency from max to
-	// min: 1 is aggressive, 5 is conservative (Sec. 4.3).
-	FCONS int
 	// LowWindow is how long both rates must stay low before the first
 	// IT_LOW fires (the paper uses 1 ms).
 	LowWindow sim.Duration
@@ -50,7 +47,6 @@ func DefaultConfig() Config {
 		RLT:       5_000,
 		TLT:       5_000_000,
 		CIT:       500 * sim.Microsecond,
-		FCONS:     1,
 		LowWindow: sim.Millisecond,
 	}
 }
@@ -64,8 +60,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: RLT (%v) must be below RHT (%v)", c.RLT, c.RHT)
 	case c.CIT <= 0:
 		return fmt.Errorf("core: CIT must be positive")
-	case c.FCONS < 1:
-		return fmt.Errorf("core: FCONS must be at least 1")
 	case c.LowWindow <= 0:
 		return fmt.Errorf("core: LowWindow must be positive")
 	}

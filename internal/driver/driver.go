@@ -15,6 +15,8 @@
 package driver
 
 import (
+	"fmt"
+
 	"ncap/internal/core"
 	"ncap/internal/cpu"
 	"ncap/internal/netsim"
@@ -44,10 +46,12 @@ type Config struct {
 	SWInspectCycles int64
 	// SWTimerCycles is ncap.sw's 1 ms DecisionEngine timer cost.
 	SWTimerCycles int64
-	// TOE offloads TCP segmentation/checksums to the NIC (Sec. 7): the
+	// TOEFactor models the NIC's TCP offload engine (Sec. 7): the
 	// per-packet stack costs drop to the given fraction of their
-	// configured values (1 disables the offload, 0.5 halves them).
-	TOEFactor float64
+	// configured values (0 or 1 disables the offload, 0.5 halves them).
+	// A cluster sets it from its own TOE option, so it is not part of the
+	// serialized config.
+	TOEFactor float64 `json:"-"`
 }
 
 // DefaultConfig returns costs calibrated for a 3.1 GHz core: ~2 µs hard
@@ -61,8 +65,19 @@ func DefaultConfig() Config {
 		NAPIBudget:      64,
 		SWInspectCycles: 2500,
 		SWTimerCycles:   15_000,
-		TOEFactor:       1,
 	}
+}
+
+// Validate reports configuration errors.
+func (c Config) Validate() error {
+	switch {
+	case c.NAPIBudget <= 0:
+		return fmt.Errorf("driver: NAPI budget must be positive")
+	case c.IRQCycles < 0 || c.SoftIRQCycles < 0 || c.RxPacketCycles < 0 ||
+		c.TxPacketCycles < 0 || c.SWInspectCycles < 0 || c.SWTimerCycles < 0:
+		return fmt.Errorf("driver: cycle costs must be non-negative")
+	}
+	return nil
 }
 
 func (c Config) rxCycles() int64 { return scaled(c.RxPacketCycles, c.TOEFactor) }

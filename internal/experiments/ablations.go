@@ -88,11 +88,7 @@ func AblationFCONS(o Options, prof app.Profile, lvl cluster.LoadLevel) []FConsRo
 	steps := []int{1, 2, 5, 10}
 	cfgs := make([]cluster.Config, len(steps))
 	for i, f := range steps {
-		f := f
-		cfgs[i] = configFor(o, cluster.NcapCons, prof, load, func(c *cluster.Config) {
-			c.NCAP.FCONS = f
-			c.OverrideFCONS = true
-		})
+		cfgs[i] = configFor(o, cluster.NcapCons, prof, load, func(c *cluster.Config) { c.FCONS = f })
 	}
 	rows := make([]FConsRow, len(steps))
 	for i, res := range runBatch(o, "abl-fcons", cfgs) {

@@ -46,7 +46,6 @@ func E13Spec(prof app.Profile) *resilience.Spec {
 		Admit:            resilience.AdmitDeadline,
 		Deadline:         2 * cluster.PaperSLA(prof.Name),
 		RetryBudget:      0.1,
-		RetryBurst:       10,
 		BreakerThreshold: 8,
 		JitterBackoff:    true,
 		DedupCap:         4096,

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+
 	"ncap/internal/audit"
 	"ncap/internal/fault"
 	"ncap/internal/sim"
@@ -22,6 +24,19 @@ type LinkConfig struct {
 	BandwidthBps int64        // serialization rate
 	Latency      sim.Duration // propagation delay
 	QueueBytes   int          // egress buffer; frames beyond it are dropped
+}
+
+// Validate reports configuration errors.
+func (c LinkConfig) Validate() error {
+	switch {
+	case c.BandwidthBps <= 0:
+		return fmt.Errorf("netsim: link bandwidth must be positive")
+	case c.Latency < 0:
+		return fmt.Errorf("netsim: link latency must be non-negative")
+	case c.QueueBytes <= 0:
+		return fmt.Errorf("netsim: link queue must be positive")
+	}
+	return nil
 }
 
 // Link is a unidirectional point-to-point link with an egress FIFO. Frames

@@ -41,10 +41,12 @@ const (
 
 // Config parameterizes the device.
 type Config struct {
-	// Queues is the number of rx queues (1 = the paper's baseline).
-	Queues int
-	// RxRing and TxRing are the per-queue descriptor ring sizes.
-	RxRing, TxRing int
+	// Queues is the number of rx queues (0 or 1 = the paper's baseline).
+	// A cluster sets it from its own Queues option, so it is not part of
+	// the serialized config.
+	Queues int `json:"-"`
+	// RxRing is the per-queue receive descriptor ring size.
+	RxRing int
 	// DMASetup is the per-packet PCIe/DMA initiation overhead.
 	DMASetup sim.Duration
 	// DMABandwidthBps is the DMA engine's transfer rate to main memory.
@@ -72,15 +74,28 @@ type Config struct {
 // paper's ~86 µs average NIC→memory delivery latency.
 func DefaultConfig() Config {
 	return Config{
-		Queues:          1,
 		RxRing:          1024,
-		TxRing:          1024,
 		DMASetup:        500 * sim.Nanosecond,
 		DMABandwidthBps: 16_000_000_000,
 		AITT:            100 * sim.Microsecond,
 		PITT:            25 * sim.Microsecond,
 		MITT:            50 * sim.Microsecond,
 	}
+}
+
+// Validate reports configuration errors.
+func (c Config) Validate() error {
+	switch {
+	case c.RxRing <= 0:
+		return fmt.Errorf("nic: rx ring must be positive")
+	case c.DMASetup < 0 || c.AITT < 0 || c.PITT < 0:
+		return fmt.Errorf("nic: DMA setup and throttling timers must be non-negative")
+	case c.DMABandwidthBps <= 0:
+		return fmt.Errorf("nic: DMA bandwidth must be positive")
+	case c.MITT <= 0:
+		return fmt.Errorf("nic: MITT must be positive")
+	}
+	return nil
 }
 
 // NIC is the device model. It implements netsim.Receiver for the wire side

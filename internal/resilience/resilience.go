@@ -49,8 +49,8 @@ func AdmitPolicies() []AdmitPolicy {
 	return []AdmitPolicy{AdmitDropTail, AdmitDeadline, AdmitCoDel}
 }
 
-// Defaults resolved by the Eff* accessors when the matching knob is zero
-// but the subsystem is enabled.
+// The resilience layer's fixed parameters. EffQueueCap resolves a zero
+// QueueCap to DefaultQueueCap when admission is enabled.
 const (
 	// DefaultQueueCap bounds the admission queue. At the paper's highest
 	// load it is a few milliseconds of standing work — deep enough to ride
@@ -81,19 +81,14 @@ const (
 type Spec struct {
 	// QueueCap bounds the server's admission queue; arrivals beyond it
 	// are rejected (drop-tail). Zero takes DefaultQueueCap when the
-	// admission subsystem is otherwise enabled.
+	// admission subsystem is otherwise enabled. At most
+	// DefaultMaxInflight admitted requests are dispatched at once;
+	// queued work waits for a slot.
 	QueueCap int `json:"queueCap,omitempty"`
 	// Admit selects the shedding policy; empty takes AdmitDropTail when
-	// the admission subsystem is otherwise enabled.
+	// the admission subsystem is otherwise enabled. AdmitCoDel runs with
+	// DefaultCoDelTarget and DefaultCoDelInterval.
 	Admit AdmitPolicy `json:"admit,omitempty"`
-	// MaxInflight bounds concurrently dispatched requests; queued work
-	// waits for a slot. Zero takes DefaultMaxInflight.
-	MaxInflight int `json:"maxInflight,omitempty"`
-	// CoDelTarget/CoDelInterval parameterize AdmitCoDel (zeros take the
-	// defaults). Setting either enables the admission subsystem with the
-	// codel policy implied only if Admit says so.
-	CoDelTarget   sim.Duration `json:"codelTarget,omitempty"`
-	CoDelInterval sim.Duration `json:"codelInterval,omitempty"`
 	// DedupCap overrides the server's bounded duplicate-suppression
 	// window (zero keeps the server's built-in default).
 	DedupCap int `json:"dedupCap,omitempty"`
@@ -104,20 +99,15 @@ type Spec struct {
 	// past it no longer counts as goodput. Zero disables.
 	Deadline sim.Duration `json:"deadline,omitempty"`
 	// RetryBudget is the token-bucket retry allowance: each first send
-	// earns RetryBudget tokens (capped at RetryBurst) and each
+	// earns RetryBudget tokens (capped at DefaultRetryBurst) and each
 	// retransmission spends one. A retry with no token available converts
 	// to a terminal failure instead of amplifying load. Zero disables.
 	RetryBudget float64 `json:"retryBudget,omitempty"`
-	// RetryBurst caps the token bucket; zero takes DefaultRetryBurst.
-	RetryBurst float64 `json:"retryBurst,omitempty"`
 	// BreakerThreshold opens the per-client circuit breaker after this
-	// many consecutive terminal failures; zero disables the breaker.
+	// many consecutive terminal failures; zero disables the breaker. It
+	// half-opens after DefaultBreakerCooldown and then lets
+	// DefaultBreakerProbes probes through.
 	BreakerThreshold int `json:"breakerThreshold,omitempty"`
-	// BreakerCooldown is the open→half-open wait; zero takes the default.
-	BreakerCooldown sim.Duration `json:"breakerCooldown,omitempty"`
-	// BreakerProbes is the half-open probe allowance; zero takes the
-	// default.
-	BreakerProbes int `json:"breakerProbes,omitempty"`
 	// JitterBackoff adds a uniform [0, RTO/4] jitter to every backed-off
 	// retransmission timeout, drawn from the client's existing seeded
 	// stream, so synchronized timeout storms decohere.
@@ -140,8 +130,7 @@ func (s *Spec) Admission() bool {
 	if s == nil {
 		return false
 	}
-	return s.QueueCap > 0 || s.Admit != "" || s.MaxInflight > 0 ||
-		s.CoDelTarget > 0 || s.CoDelInterval > 0
+	return s.QueueCap > 0 || s.Admit != ""
 }
 
 // Validate reports configuration errors.
@@ -152,20 +141,14 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.QueueCap < 0:
 		return fmt.Errorf("resilience: queue capacity %d must be non-negative", s.QueueCap)
-	case s.MaxInflight < 0:
-		return fmt.Errorf("resilience: max inflight %d must be non-negative", s.MaxInflight)
-	case s.CoDelTarget < 0 || s.CoDelInterval < 0:
-		return fmt.Errorf("resilience: CoDel target/interval must be non-negative")
 	case s.DedupCap < 0:
 		return fmt.Errorf("resilience: dedup capacity %d must be non-negative", s.DedupCap)
 	case s.Deadline < 0:
 		return fmt.Errorf("resilience: deadline %v must be non-negative", s.Deadline)
-	case s.RetryBudget < 0 || s.RetryBurst < 0:
-		return fmt.Errorf("resilience: retry budget/burst must be non-negative")
-	case s.BreakerThreshold < 0 || s.BreakerProbes < 0:
-		return fmt.Errorf("resilience: breaker threshold/probes must be non-negative")
-	case s.BreakerCooldown < 0:
-		return fmt.Errorf("resilience: breaker cooldown %v must be non-negative", s.BreakerCooldown)
+	case s.RetryBudget < 0:
+		return fmt.Errorf("resilience: retry budget %g must be non-negative", s.RetryBudget)
+	case s.BreakerThreshold < 0:
+		return fmt.Errorf("resilience: breaker threshold %d must be non-negative", s.BreakerThreshold)
 	}
 	switch s.Admit {
 	case "", AdmitDropTail, AdmitDeadline, AdmitCoDel:
@@ -191,40 +174,13 @@ func (s *Spec) EffAdmit() AdmitPolicy {
 	return AdmitDropTail
 }
 
-// EffMaxInflight returns the resolved concurrent-dispatch bound.
-func (s *Spec) EffMaxInflight() int {
-	if s.MaxInflight > 0 {
-		return s.MaxInflight
-	}
-	return DefaultMaxInflight
-}
-
-// EffCoDelTarget and EffCoDelInterval return the resolved CoDel knobs.
-func (s *Spec) EffCoDelTarget() sim.Duration {
-	if s.CoDelTarget > 0 {
-		return s.CoDelTarget
-	}
-	return DefaultCoDelTarget
-}
-
-func (s *Spec) EffCoDelInterval() sim.Duration {
-	if s.CoDelInterval > 0 {
-		return s.CoDelInterval
-	}
-	return DefaultCoDelInterval
-}
-
 // NewBudget returns the spec's retry budget, or nil when disabled
 // (unbounded retries — the legacy behavior).
 func (s *Spec) NewBudget() *Budget {
 	if s == nil || s.RetryBudget <= 0 {
 		return nil
 	}
-	burst := s.RetryBurst
-	if burst <= 0 {
-		burst = DefaultRetryBurst
-	}
-	return &Budget{ratio: s.RetryBudget, burst: burst, tokens: burst}
+	return &Budget{ratio: s.RetryBudget, burst: DefaultRetryBurst, tokens: DefaultRetryBurst}
 }
 
 // NewBreaker returns the spec's circuit breaker, or nil when disabled.
@@ -232,15 +188,7 @@ func (s *Spec) NewBreaker() *Breaker {
 	if s == nil || s.BreakerThreshold <= 0 {
 		return nil
 	}
-	cooldown := s.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	probes := s.BreakerProbes
-	if probes <= 0 {
-		probes = DefaultBreakerProbes
-	}
-	return &Breaker{threshold: s.BreakerThreshold, cooldown: cooldown, probes: probes}
+	return &Breaker{threshold: s.BreakerThreshold, cooldown: DefaultBreakerCooldown, probes: DefaultBreakerProbes}
 }
 
 // Budget is the token-bucket retry allowance: first sends earn tokens,

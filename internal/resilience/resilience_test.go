@@ -17,7 +17,6 @@ func TestSpecEnabled(t *testing.T) {
 	for name, s := range map[string]Spec{
 		"queueCap": {QueueCap: 8},
 		"admit":    {Admit: AdmitCoDel},
-		"inflight": {MaxInflight: 4},
 		"dedup":    {DedupCap: 16},
 		"deadline": {Deadline: sim.Millisecond},
 		"budget":   {RetryBudget: 0.1},
@@ -43,19 +42,16 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("nil spec: %v", err)
 	}
 	good := Spec{QueueCap: 64, Admit: AdmitDeadline, Deadline: sim.Millisecond,
-		RetryBudget: 0.2, RetryBurst: 5, BreakerThreshold: 4}
+		RetryBudget: 0.2, BreakerThreshold: 4}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	for name, s := range map[string]Spec{
 		"negative queue":    {QueueCap: -1},
-		"negative inflight": {MaxInflight: -1},
-		"negative codel":    {CoDelTarget: -1},
 		"negative dedup":    {DedupCap: -1},
 		"negative deadline": {Deadline: -1},
 		"negative budget":   {RetryBudget: -0.5},
 		"negative breaker":  {BreakerThreshold: -2},
-		"negative cooldown": {BreakerCooldown: -1},
 		"unknown admit":     {Admit: "bogus"},
 	} {
 		s := s
@@ -70,19 +66,11 @@ func TestSpecDefaults(t *testing.T) {
 	if got := s.EffQueueCap(); got != DefaultQueueCap {
 		t.Errorf("EffQueueCap = %d", got)
 	}
-	if got := s.EffMaxInflight(); got != DefaultMaxInflight {
-		t.Errorf("EffMaxInflight = %d", got)
-	}
-	if got := s.EffCoDelTarget(); got != DefaultCoDelTarget {
-		t.Errorf("EffCoDelTarget = %v", got)
-	}
 	if got := (&Spec{}).EffAdmit(); got != AdmitDropTail {
 		t.Errorf("EffAdmit = %v", got)
 	}
-	s = &Spec{QueueCap: 7, Admit: AdmitDeadline, MaxInflight: 3,
-		CoDelTarget: 5, CoDelInterval: 50}
-	if s.EffQueueCap() != 7 || s.EffAdmit() != AdmitDeadline ||
-		s.EffMaxInflight() != 3 || s.EffCoDelTarget() != 5 || s.EffCoDelInterval() != 50 {
+	s = &Spec{QueueCap: 7, Admit: AdmitDeadline}
+	if s.EffQueueCap() != 7 || s.EffAdmit() != AdmitDeadline {
 		t.Error("explicit knobs not honored")
 	}
 }
@@ -93,10 +81,13 @@ func TestBudget(t *testing.T) {
 	if !nilBudget.TryRetry() {
 		t.Fatal("nil budget denied a retry")
 	}
-	b := (&Spec{RetryBudget: 0.5, RetryBurst: 2}).NewBudget()
-	// Starts full at burst: two retries pass, the third is denied.
-	if !b.TryRetry() || !b.TryRetry() {
-		t.Fatal("full bucket denied a retry")
+	b := (&Spec{RetryBudget: 0.5}).NewBudget()
+	// Starts full at the burst of 10: ten retries pass, the eleventh is
+	// denied.
+	for i := 0; i < DefaultRetryBurst; i++ {
+		if !b.TryRetry() {
+			t.Fatalf("full bucket denied retry %d", i+1)
+		}
 	}
 	if b.TryRetry() {
 		t.Fatal("empty bucket allowed a retry")
@@ -114,8 +105,8 @@ func TestBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Earn()
 	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("bucket holds %g tokens, want burst cap 2", got)
+	if got := b.Tokens(); got != DefaultRetryBurst {
+		t.Fatalf("bucket holds %g tokens, want burst cap %d", got, DefaultRetryBurst)
 	}
 	if (&Spec{}).NewBudget() != nil {
 		t.Fatal("disabled spec built a budget")
@@ -130,8 +121,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	nilBreaker.Success()
 	nilBreaker.Failure(0)
 
-	b := (&Spec{BreakerThreshold: 3, BreakerCooldown: 10 * sim.Millisecond,
-		BreakerProbes: 2}).NewBreaker()
+	b := (&Spec{BreakerThreshold: 3}).NewBreaker()
 	now := sim.Time(0)
 	if b.State() != BreakerClosed || !b.Allow(now) {
 		t.Fatal("new breaker not closed")
@@ -149,11 +139,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen || b.Opens != 1 {
 		t.Fatalf("state %v opens %d after threshold failures", b.State(), b.Opens)
 	}
-	if b.Allow(now + 5*sim.Millisecond) {
+	if b.Allow(now + DefaultBreakerCooldown/2) {
 		t.Fatal("open breaker allowed a send inside the cooldown")
 	}
 	// Cooldown elapsed: half-open releases exactly two probes.
-	now += 10 * sim.Millisecond
+	now += DefaultBreakerCooldown
 	if !b.Allow(now) || b.State() != BreakerHalfOpen {
 		t.Fatalf("state %v after cooldown", b.State())
 	}
@@ -168,7 +158,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen || b.Opens != 2 {
 		t.Fatalf("state %v opens %d after probe failure", b.State(), b.Opens)
 	}
-	now += 10 * sim.Millisecond
+	now += DefaultBreakerCooldown
 	if !b.Allow(now) {
 		t.Fatal("probe blocked after second cooldown")
 	}

@@ -31,7 +31,13 @@ import (
 // v3: cluster.Result.Events counts only the events the engine fires; v2
 // entries also counted the link completions and switch forwards kept as
 // records, so their Events would disagree with a fresh run.
-const schemaVersion = "ncap-runner-v3"
+//
+// v4: the serialized config lost the fields that no program sets to a
+// second value or that shadow a cluster option (the NIC's TxRing and
+// Queues, the driver's TOEFactor, the NCAP block's FCONS, OverrideFCONS,
+// the scenario and overload tuning knobs), and Config.FCONS replaced the
+// FCONS pair. A v3 key hashes a different document for the same run.
+const schemaVersion = "ncap-runner-v4"
 
 // Job is one simulation to run: a fully resolved experiment configuration
 // plus a human-readable tag for progress and error reporting. The tag is

@@ -64,6 +64,18 @@ func TestJobKeyStableAndContentSensitive(t *testing.T) {
 	if a.Key() == d.Key() {
 		t.Fatal("nested NCAP config change did not change the key")
 	}
+	// Each Sec. 4.3/Sec. 7 option is a decision the key must see.
+	for name, mutate := range map[string]func(*cluster.Config){
+		"FCONS":  func(c *cluster.Config) { c.FCONS = 3 },
+		"Queues": func(c *cluster.Config) { c.Queues = 4 },
+		"TOE":    func(c *cluster.Config) { c.TOE = true },
+	} {
+		e := a
+		mutate(&e.Config)
+		if a.Key() == e.Key() {
+			t.Errorf("%s change did not change the key", name)
+		}
+	}
 }
 
 // TestDeterministicAcrossWorkerCounts is the core contract: the same

@@ -13,7 +13,7 @@ import (
 // never moves: if this test fails, every historical cache entry is
 // orphaned — bump schemaVersion instead of shipping a silent identity
 // change.
-const pinnedDefaultKey = "dfc1ee3e2332fb751dbb00e03cdc149ab86bd721b8732d85b56bb1c974785da4"
+const pinnedDefaultKey = "ba790ee5fed9fa75b63763de102fea0176991cb43b7b48f68c3b1fc9edc52e88"
 
 func TestDefaultConfigKeyPinned(t *testing.T) {
 	j := Job{Config: cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 24_000)}

@@ -73,13 +73,15 @@ func FuzzParseJournal(f *testing.F) {
 // FuzzParseSubmit: the HTTP submit body decoder must never panic, and
 // anything it accepts must survive the canonical journal round trip —
 // replay re-parses with the same strictness, so accept-once must imply
-// accept-always.
+// accept-always. An accepted overload spec is one every job of the sweep
+// accepts.
 func FuzzParseSubmit(f *testing.F) {
 	f.Add([]byte(`{"family":"e11"}`))
 	f.Add([]byte(`{"family":"e11","workload":"apache","full":true,"seed":7}`))
 	f.Add([]byte(`{"family":"all","windows":{"warmup_ns":1,"measure_ns":2,"drain_ns":3}}`))
 	f.Add([]byte(`{"family":"e13","overload":{"admit":"codel","queueCap":64}}`))
 	f.Add([]byte(`{"family":"e11","overload":{"admit":"martian"}}`))
+	f.Add([]byte(`{"family":"e11","overload":{"dedupCap":-5}}`))
 	f.Add([]byte(`{"family":"e11","topology":{"racks":[]}}`))
 	f.Add([]byte(`{"family":"nope"}`))
 	f.Add([]byte(`{"family":"e11","bogus":1}`))
@@ -99,6 +101,9 @@ func FuzzParseSubmit(f *testing.F) {
 		}
 		if req.Family == "" || req.Seed == 0 {
 			t.Fatalf("accepted request missing defaults: %+v", req)
+		}
+		if err := req.Overload.Validate(); err != nil {
+			t.Fatalf("accepted an invalid overload spec: %v", err)
 		}
 		raw, err := req.canonical()
 		if err != nil {

@@ -89,15 +89,8 @@ func (req SubmitRequest) validate() error {
 				w.WarmupNs, w.MeasureNs, w.DrainNs)
 		}
 	}
-	if o := req.Overload; o != nil {
-		switch o.Admit {
-		case "", resilience.AdmitDropTail, resilience.AdmitDeadline, resilience.AdmitCoDel:
-		default:
-			return fmt.Errorf("request: unknown admission policy %q", o.Admit)
-		}
-		if o.Deadline < 0 || o.QueueCap < 0 || o.RetryBudget < 0 || o.BreakerThreshold < 0 {
-			return fmt.Errorf("request: overload knobs must be non-negative")
-		}
+	if err := req.Overload.Validate(); err != nil {
+		return fmt.Errorf("request: overload: %w", err)
 	}
 	if t := req.Topology; t != nil {
 		if err := t.Validate(); err != nil {

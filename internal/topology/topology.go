@@ -221,6 +221,16 @@ func (s *Spec) Validate() error {
 		if err := validateLink("group "+g.Name+" link", g.Link); err != nil {
 			return err
 		}
+		if g.NIC != nil {
+			if err := g.NIC.Validate(); err != nil {
+				return fmt.Errorf("topology: group %q: %w", g.Name, err)
+			}
+		}
+		if g.Driver != nil {
+			if err := g.Driver.Validate(); err != nil {
+				return fmt.Errorf("topology: group %q: %w", g.Name, err)
+			}
+		}
 		seen[g.Name] = true
 	}
 	if s.Servers() == 0 {
@@ -235,17 +245,13 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// validateLink checks an optional link override.
 func validateLink(what string, l *netsim.LinkConfig) error {
 	if l == nil {
 		return nil
 	}
-	switch {
-	case l.BandwidthBps <= 0:
-		return fmt.Errorf("topology: %s: bandwidth must be positive", what)
-	case l.Latency < 0:
-		return fmt.Errorf("topology: %s: latency must be non-negative", what)
-	case l.QueueBytes <= 0:
-		return fmt.Errorf("topology: %s: queue must be positive", what)
+	if err := l.Validate(); err != nil {
+		return fmt.Errorf("topology: %s: %w", what, err)
 	}
 	return nil
 }

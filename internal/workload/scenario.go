@@ -23,7 +23,7 @@ const (
 	// ScenarioHeavyTail keeps Poisson arrivals but draws response sizes
 	// from a bounded Pareto — a few responses dominate the bytes.
 	ScenarioHeavyTail = "heavytail"
-	// ScenarioIncast fires fan-in beats: every client emits Fanin
+	// ScenarioIncast fires fan-in beats: every client emits incastFanin
 	// same-instant requests on distinct flows at a steady beat, the
 	// synchronized-reader pattern that stresses pacing and queues.
 	ScenarioIncast = "incast"
@@ -54,123 +54,60 @@ func ParseScenario(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("workload: unknown scenario %q (want %s)", name, ScenarioUsage())
 }
 
-// Scenario parameterizes one generated arrival schedule. Zero-valued
-// fields take per-scenario defaults (see withDefaults); the JSON form is
-// part of the cluster config, so every parameter is cache-keyed.
+// Each scenario's shape is fixed; these are its parameters.
+const (
+	// diurnalPeriod is the diurnal modulation period; diurnalAmp its
+	// depth in [0,1].
+	diurnalPeriod = 100 * sim.Millisecond
+	diurnalAmp    = 0.75
+	// flashPeak is the flash-crowd rate multiplier at onset, which sits
+	// at flashStartFrac of the generation horizon; the surge decays
+	// exponentially with time constant flashDecay.
+	flashPeak      = 3
+	flashStartFrac = 0.4
+	flashDecay     = 50 * sim.Millisecond
+	// heavyAlpha is the bounded-Pareto shape; heavyMinResp and
+	// heavyMaxResp bound the response sizes.
+	heavyAlpha   = 1.3
+	heavyMinResp = 128
+	heavyMaxResp = 256 * 1024
+	// incastFanin is the per-beat same-instant request count.
+	incastFanin = 32
+	// scaleOutFlows is the per-client flow fan-out.
+	scaleOutFlows = 256
+)
+
+// Scenario selects one generated arrival schedule. Its JSON form is part
+// of the cluster config, so the scenario is cache-keyed; the generated
+// trace's pacing floor (MinGap) is the profile's request spacing.
 type Scenario struct {
 	// Name selects the generator; empty means no scenario (legacy
 	// traffic, like ScenarioStationary).
 	Name string `json:"name,omitempty"`
-	// Flows is the per-client flow fan-out (scaleout; default 256).
-	Flows int `json:"flows,omitempty"`
-	// PeriodMs is the modulation period (diurnal; default 100) or beat
-	// period (incast; default 10) in simulated milliseconds.
-	PeriodMs float64 `json:"period_ms,omitempty"`
-	// Amp is the diurnal modulation depth in [0,1] (default 0.75).
-	Amp float64 `json:"amp,omitempty"`
-	// Peak is the flash-crowd rate multiplier at onset (default 3).
-	Peak float64 `json:"peak,omitempty"`
-	// StartFrac places the flash-crowd onset as a fraction of the
-	// generation horizon (default 0.4).
-	StartFrac float64 `json:"start_frac,omitempty"`
-	// DecayMs is the flash-crowd exponential decay constant (default 50).
-	DecayMs float64 `json:"decay_ms,omitempty"`
-	// Alpha is the bounded-Pareto shape (heavytail; default 1.3).
-	Alpha float64 `json:"alpha,omitempty"`
-	// MinRespBytes/MaxRespBytes bound the Pareto response sizes
-	// (heavytail; defaults 128 and 262144).
-	MinRespBytes int `json:"min_resp_bytes,omitempty"`
-	MaxRespBytes int `json:"max_resp_bytes,omitempty"`
-	// Fanin is the per-beat same-instant request count (incast;
-	// default 32).
-	Fanin int `json:"fanin,omitempty"`
-	// PaceNs is the per-client pacing floor the generated trace carries
-	// (MinGap); zero takes the profile's request spacing.
-	PaceNs int64 `json:"pace_ns,omitempty"`
 }
 
 // Replay reports whether the scenario replays a generated schedule
 // (anything but empty/stationary).
 func (s Scenario) Replay() bool { return s.Name != "" && s.Name != ScenarioStationary }
 
-// Validate reports parameter errors.
+// Validate reports an unknown scenario name.
 func (s Scenario) Validate() error {
 	if s.Name != "" {
 		if _, err := ParseScenario(s.Name); err != nil {
 			return err
 		}
 	}
-	switch {
-	case s.Flows < 0 || s.Flows > maxFlowID:
-		return fmt.Errorf("workload: scenario flows %d out of range [0, %d]", s.Flows, maxFlowID)
-	case s.PeriodMs < 0 || s.DecayMs < 0:
-		return fmt.Errorf("workload: scenario periods must be non-negative")
-	case s.Amp < 0 || s.Amp > 1:
-		return fmt.Errorf("workload: scenario amp %g out of range [0,1]", s.Amp)
-	case s.Peak != 0 && s.Peak < 1:
-		return fmt.Errorf("workload: scenario peak %g must be >= 1", s.Peak)
-	case s.StartFrac < 0 || s.StartFrac >= 1:
-		return fmt.Errorf("workload: scenario start fraction %g out of range [0,1)", s.StartFrac)
-	case s.Alpha < 0:
-		return fmt.Errorf("workload: scenario alpha %g must be positive", s.Alpha)
-	case s.MinRespBytes < 0 || s.MaxRespBytes < 0 || s.MaxRespBytes > maxRespBytes:
-		return fmt.Errorf("workload: scenario response bounds out of range")
-	case s.MinRespBytes > 0 && s.MaxRespBytes > 0 && s.MinRespBytes > s.MaxRespBytes:
-		return fmt.Errorf("workload: scenario min response %d above max %d", s.MinRespBytes, s.MaxRespBytes)
-	case s.Fanin < 0 || s.Fanin > 1024:
-		return fmt.Errorf("workload: scenario fanin %d out of range [0, 1024]", s.Fanin)
-	case s.PaceNs < 0 || s.PaceNs > int64(sim.Second):
-		return fmt.Errorf("workload: scenario pace %dns out of range [0, 1s]", s.PaceNs)
-	}
 	return nil
-}
-
-// withDefaults resolves zero-valued parameters to the per-scenario
-// defaults documented on the fields.
-func (s Scenario) withDefaults() Scenario {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	switch s.Name {
-	case ScenarioDiurnal:
-		def(&s.PeriodMs, 100)
-		def(&s.Amp, 0.75)
-	case ScenarioFlashCrowd:
-		def(&s.Peak, 3)
-		def(&s.StartFrac, 0.4)
-		def(&s.DecayMs, 50)
-	case ScenarioHeavyTail:
-		def(&s.Alpha, 1.3)
-		if s.MinRespBytes == 0 {
-			s.MinRespBytes = 128
-		}
-		if s.MaxRespBytes == 0 {
-			s.MaxRespBytes = 256 * 1024
-		}
-	case ScenarioIncast:
-		def(&s.PeriodMs, 10)
-		if s.Fanin == 0 {
-			s.Fanin = 32
-		}
-	case ScenarioScaleOut:
-		if s.Flows == 0 {
-			s.Flows = 256
-		}
-	}
-	return s
 }
 
 // peakFactor bounds the scenario's instantaneous rate relative to the
 // mean offered load (for record-count estimation).
 func (s Scenario) peakFactor() float64 {
-	r := s.withDefaults()
-	switch r.Name {
+	switch s.Name {
 	case ScenarioDiurnal:
-		return 1 + r.Amp
+		return 1 + diurnalAmp
 	case ScenarioFlashCrowd:
-		return r.Peak
+		return flashPeak
 	}
 	return 1
 }
@@ -195,8 +132,8 @@ type GenParams struct {
 	Seed uint64
 	// ReqBytes is the request payload size (the profile's).
 	ReqBytes int
-	// Pace is the default pacing floor (the profile's request spacing),
-	// used when the scenario does not set its own.
+	// Pace is the generated trace's pacing floor (the profile's request
+	// spacing).
 	Pace sim.Duration
 }
 
@@ -206,11 +143,10 @@ type GenParams struct {
 // worker count, and a different stream per scenario so editing one never
 // perturbs another.
 func (s Scenario) Generate(p GenParams) (*Trace, error) {
-	sc := s.withDefaults()
-	if err := sc.Validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if !sc.Replay() {
+	if !s.Replay() {
 		return nil, fmt.Errorf("workload: scenario %q drives the built-in burst clients and has no trace", s.Name)
 	}
 	switch {
@@ -227,42 +163,36 @@ func (s Scenario) Generate(p GenParams) (*Trace, error) {
 	if p.ReqBytes > maxReqBytes {
 		p.ReqBytes = maxReqBytes
 	}
-	if est := sc.EstimateRecords(p.LoadRPS, p.Horizon); est > MaxTraceRecords {
+	if est := s.EstimateRecords(p.LoadRPS, p.Horizon); est > MaxTraceRecords {
 		return nil, fmt.Errorf("workload: scenario %s at %.0f rps over %v needs ~%d records (limit %d); shorten the windows or lower the load",
-			sc.Name, p.LoadRPS, p.Horizon, est, MaxTraceRecords)
+			s.Name, p.LoadRPS, p.Horizon, est, MaxTraceRecords)
 	}
 
-	pace := sim.Duration(sc.PaceNs)
-	if pace == 0 {
-		pace = p.Pace
-	}
 	r0 := p.LoadRPS / float64(p.Clients)
 	perClient := make([][]Record, p.Clients)
 	for i := 0; i < p.Clients; i++ {
-		rng := sim.NewRand(p.Seed, fmt.Sprintf("workload/%s/client%d", sc.Name, i))
-		perClient[i] = sc.genClient(p, i, r0, rng)
+		rng := sim.NewRand(p.Seed, fmt.Sprintf("workload/%s/client%d", s.Name, i))
+		perClient[i] = s.genClient(p, i, r0, rng)
 	}
 
-	t := &Trace{Clients: p.Clients, MinGap: pace}
+	t := &Trace{Clients: p.Clients, MinGap: p.Pace}
 	t.Records = mergeByTime(perClient)
 	if len(t.Records) > MaxTraceRecords {
-		return nil, fmt.Errorf("workload: scenario %s generated %d records (limit %d)", sc.Name, len(t.Records), MaxTraceRecords)
+		return nil, fmt.Errorf("workload: scenario %s generated %d records (limit %d)", s.Name, len(t.Records), MaxTraceRecords)
 	}
 	return t, nil
 }
 
 // genClient generates one client's records in time order. The receiver
-// is already default-resolved and validated.
+// is already validated.
 func (s Scenario) genClient(p GenParams, client int, r0 float64, rng *sim.Rand) []Record {
 	rec := func(t sim.Time) Record {
 		return Record{T: t, Client: client, Req: p.ReqBytes}
 	}
 	switch s.Name {
 	case ScenarioDiurnal:
-		period := msToDur(s.PeriodMs)
-		amp := s.Amp
-		times := poissonTimes(rng, r0*(1+amp), p.Horizon, func(t sim.Time) float64 {
-			return r0 * (1 + amp*math.Sin(2*math.Pi*float64(t)/float64(period)))
+		times := poissonTimes(rng, r0*(1+diurnalAmp), p.Horizon, func(t sim.Time) float64 {
+			return r0 * (1 + diurnalAmp*math.Sin(2*math.Pi*float64(t)/float64(diurnalPeriod)))
 		})
 		out := make([]Record, len(times))
 		for i, t := range times {
@@ -271,13 +201,12 @@ func (s Scenario) genClient(p GenParams, client int, r0 float64, rng *sim.Rand) 
 		return out
 
 	case ScenarioFlashCrowd:
-		t0 := sim.Time(s.StartFrac * float64(p.Horizon))
-		decay := msToDur(s.DecayMs)
-		times := poissonTimes(rng, r0*s.Peak, p.Horizon, func(t sim.Time) float64 {
+		t0 := sim.Time(flashStartFrac * float64(p.Horizon))
+		times := poissonTimes(rng, r0*flashPeak, p.Horizon, func(t sim.Time) float64 {
 			if t < t0 {
 				return r0
 			}
-			return r0 * (1 + (s.Peak-1)*math.Exp(-float64(t-t0)/float64(decay)))
+			return r0 * (1 + (flashPeak-1)*math.Exp(-float64(t-t0)/float64(flashDecay)))
 		})
 		out := make([]Record, len(times))
 		for i, t := range times {
@@ -290,18 +219,15 @@ func (s Scenario) genClient(p GenParams, client int, r0 float64, rng *sim.Rand) 
 		out := make([]Record, len(times))
 		for i, t := range times {
 			out[i] = rec(t)
-			out[i].Resp = boundedPareto(rng, s.Alpha, s.MinRespBytes, s.MaxRespBytes)
+			out[i].Resp = boundedPareto(rng, heavyAlpha, heavyMinResp, heavyMaxResp)
 		}
 		return out
 
 	case ScenarioIncast:
-		beat := msToDur(s.PeriodMs)
-		// Beat cadence follows the offered load: each beat carries Fanin
-		// requests, so beats arrive every Fanin/r0 seconds, at the
-		// configured period when that matches the default load.
-		if r0 > 0 {
-			beat = sim.Duration(float64(s.Fanin) / r0 * float64(sim.Second))
-		}
+		// Beat cadence follows the offered load: each beat carries
+		// incastFanin requests, so beats arrive every incastFanin/r0
+		// seconds.
+		beat := sim.Duration(float64(incastFanin) / r0 * float64(sim.Second))
 		if beat < 1 {
 			beat = 1
 		}
@@ -314,7 +240,7 @@ func (s Scenario) genClient(p GenParams, client int, r0 float64, rng *sim.Rand) 
 			if at >= p.Horizon {
 				break
 			}
-			for f := 0; f < s.Fanin; f++ {
+			for f := 0; f < incastFanin; f++ {
 				r := rec(at)
 				r.Flow = f
 				out = append(out, r)
@@ -327,7 +253,7 @@ func (s Scenario) genClient(p GenParams, client int, r0 float64, rng *sim.Rand) 
 		out := make([]Record, len(times))
 		for i, t := range times {
 			out[i] = rec(t)
-			out[i].Flow = rng.Intn(s.Flows)
+			out[i].Flow = rng.Intn(scaleOutFlows)
 		}
 		return out
 	}
@@ -407,12 +333,4 @@ func mergeByTime(perClient [][]Record) []Record {
 		idx[best]++
 	}
 	return out
-}
-
-func msToDur(ms float64) sim.Duration {
-	d := sim.Duration(ms * float64(sim.Millisecond))
-	if d < 1 {
-		d = 1
-	}
-	return d
 }

@@ -99,11 +99,12 @@ func TestGenerateValidSorted(t *testing.T) {
 
 func TestDiurnalModulates(t *testing.T) {
 	p := genParams()
-	tr, err := Scenario{Name: ScenarioDiurnal, PeriodMs: 50}.Generate(p)
+	p.Horizon = diurnalPeriod
+	tr, err := Scenario{Name: ScenarioDiurnal}.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With a 50 ms period over a 50 ms horizon, the first half-period
+	// Over one full period, the first half-period
 	// (rising sine) must out-arrive the second (falling below base rate).
 	half := p.Horizon / 2
 	var first, second int
@@ -121,12 +122,11 @@ func TestDiurnalModulates(t *testing.T) {
 
 func TestFlashCrowdSteps(t *testing.T) {
 	p := genParams()
-	sc := Scenario{Name: ScenarioFlashCrowd, Peak: 4, StartFrac: 0.5, DecayMs: 1000}
-	tr, err := sc.Generate(p)
+	tr, err := Scenario{Name: ScenarioFlashCrowd}.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onset := sim.Time(0.5 * float64(p.Horizon))
+	onset := sim.Time(flashStartFrac * float64(p.Horizon))
 	window := p.Horizon / 5 // compare equal windows straddling the onset
 	var before, after int
 	for _, r := range tr.Records {
@@ -137,40 +137,40 @@ func TestFlashCrowdSteps(t *testing.T) {
 			after++
 		}
 	}
-	// Slow decay holds the rate near 4× through the after-window.
+	// The 50 ms decay holds the rate above 2.5× through the 10 ms
+	// after-window.
 	if after < 2*before {
 		t.Fatalf("flash crowd did not step: %d arrivals before onset, %d after", before, after)
 	}
 }
 
 func TestHeavyTailBounds(t *testing.T) {
-	sc := Scenario{Name: ScenarioHeavyTail, MinRespBytes: 256, MaxRespBytes: 64 * 1024}
-	tr, err := sc.Generate(genParams())
+	tr, err := Scenario{Name: ScenarioHeavyTail}.Generate(genParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var maxSeen int
 	for _, r := range tr.Records {
-		if r.Resp < 256 || r.Resp > 64*1024 {
-			t.Fatalf("response %d outside configured bounds", r.Resp)
+		if r.Resp < heavyMinResp || r.Resp > heavyMaxResp {
+			t.Fatalf("response %d outside [%d, %d]", r.Resp, heavyMinResp, heavyMaxResp)
 		}
 		if r.Resp > maxSeen {
 			maxSeen = r.Resp
 		}
 	}
-	// The tail must actually reach past the body (alpha 1.3 over a 256×
+	// The tail must actually reach past the body (alpha 1.3 over a 2048×
 	// range produces >10× the minimum routinely).
-	if maxSeen < 10*256 {
+	if maxSeen < 10*heavyMinResp {
 		t.Fatalf("heavy tail never left the body: max response %d", maxSeen)
 	}
 }
 
 func TestIncastBeats(t *testing.T) {
-	tr, err := Scenario{Name: ScenarioIncast, Fanin: 16}.Generate(genParams())
+	tr, err := Scenario{Name: ScenarioIncast}.Generate(genParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same-instant groups of exactly Fanin requests on distinct flows.
+	// Same-instant groups of exactly 32 requests on distinct flows.
 	groups := map[sim.Time]map[int]bool{}
 	for _, r := range tr.Records {
 		key := r.T
@@ -184,7 +184,7 @@ func TestIncastBeats(t *testing.T) {
 	}
 	full := 0
 	for _, flows := range groups {
-		if len(flows) == 16 {
+		if len(flows) == 32 {
 			full++
 		}
 	}
@@ -194,19 +194,19 @@ func TestIncastBeats(t *testing.T) {
 }
 
 func TestScaleOutSpreadsFlows(t *testing.T) {
-	tr, err := Scenario{Name: ScenarioScaleOut, Flows: 64}.Generate(genParams())
+	tr, err := Scenario{Name: ScenarioScaleOut}.Generate(genParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
 	for _, r := range tr.Records {
-		if r.Flow < 0 || r.Flow >= 64 {
-			t.Fatalf("flow %d outside [0,64)", r.Flow)
+		if r.Flow < 0 || r.Flow >= 256 {
+			t.Fatalf("flow %d outside [0,256)", r.Flow)
 		}
 		seen[r.Flow] = true
 	}
-	if len(seen) < 32 {
-		t.Fatalf("~2000 arrivals touched only %d/64 flows", len(seen))
+	if len(seen) < 128 {
+		t.Fatalf("~2000 arrivals touched only %d/256 flows", len(seen))
 	}
 }
 
