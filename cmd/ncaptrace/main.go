@@ -9,6 +9,7 @@
 //	ncaptrace -snapshot -workload memcached -level low -out mem  # both policies
 //	ncaptrace -policy ncap.cons -json fig4.json > fig4.csv       # series as JSON
 //	ncaptrace -snapshot -scenario flashcrowd -out fc  # snapshots under a scenario
+//	ncaptrace -snapshot -loss 0.01 -out lossy         # snapshots on a lossy server link
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"ncap/internal/cliflags"
 	"ncap/internal/cluster"
 	"ncap/internal/experiments"
-	"ncap/internal/fault"
 	"ncap/internal/report"
 	"ncap/internal/runner"
 	"ncap/internal/sim"
@@ -102,6 +102,11 @@ func main() {
 		spec := &wl.Spec{Scenario: sc}
 		mutate = append(mutate, func(c *cluster.Config) { c.Traffic = spec })
 	}
+	// -loss applies to the snapshot pair and the single-policy trace alike.
+	loss := cliflags.Faults{Loss: *lossP}
+	if loss.Any() {
+		mutate = append(mutate, loss.Apply)
+	}
 
 	rep := report.New(tool, "trace")
 
@@ -119,16 +124,6 @@ func main() {
 	policy, err := ncap.ParsePolicy(*policyName)
 	if err != nil {
 		cliflags.Fatalf(tool, "%v", err)
-	}
-	if *lossP > 0 {
-		mutate = append(mutate, func(c *cluster.Config) {
-			c.Fault.Links = append(c.Fault.Links, fault.LinkFault{
-				Node: uint32(cluster.ServerAddr),
-				Dir:  fault.Both,
-				Loss: fault.LossBernoulli,
-				P:    *lossP,
-			})
-		})
 	}
 	tr := experiments.Trace(o, policy, prof, cluster.LoadRPS(prof.Name, lvl),
 		sim.Duration(interval.Nanoseconds()), mutate...)

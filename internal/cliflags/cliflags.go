@@ -218,14 +218,15 @@ func (f *Faults) Apply(cfg *cluster.Config) {
 		return
 	}
 	cfg.Fault.Links = append(cfg.Fault.Links, fault.LinkFault{
-		Node:       uint32(cluster.ServerAddr),
-		Dir:        fault.Both,
-		Loss:       fault.LossBernoulli,
-		P:          f.Loss,
-		CorruptP:   f.Corrupt,
-		DupP:       f.Dup,
-		ReorderP:   f.Reorder,
-		ReorderMax: sim.Duration(f.ReorderMax.Nanoseconds()),
+		Node: uint32(cluster.ServerAddr),
+		Dir:  fault.Both,
+		Model: fault.Model{
+			P:          f.Loss,
+			CorruptP:   f.Corrupt,
+			DupP:       f.Dup,
+			ReorderP:   f.Reorder,
+			ReorderMax: sim.Duration(f.ReorderMax.Nanoseconds()),
+		},
 	})
 }
 

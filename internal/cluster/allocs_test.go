@@ -33,13 +33,12 @@ func TestRequestPathAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	faulted := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
-	faulted.Fault = fault.Spec{ // E11's shape: a lossy server link, a flapping client link, a slow client
-		Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(2)), ExtraDelay: 200 * sim.Microsecond}},
-		Links: []fault.LinkFault{
-			{Node: uint32(ClientAddr(1)), Dir: fault.ToNode, Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}},
-			{Node: uint32(ServerAddr), Dir: fault.Both, Loss: fault.LossBernoulli, P: 0.01},
-		},
-	}
+	faulted.Fault = fault.Spec{Links: []fault.LinkFault{ // E11's shape: a lossy server link, a flapping client link, a slow client
+		{Node: uint32(ClientAddr(2)), Dir: fault.Both, Model: fault.Model{ExtraDelay: 200 * sim.Microsecond}},
+		{Node: uint32(ClientAddr(1)), Dir: fault.ToNode, Model: fault.Model{
+			Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}}},
+		{Node: uint32(ServerAddr), Dir: fault.Both, Model: fault.Model{P: 0.01}},
+	}}
 	rack := shortConfig(NcapCons, app.ApacheProfile(), 16*1500)
 	rack.Topology = topology.Rack(16, 8)
 	for _, tc := range []struct {

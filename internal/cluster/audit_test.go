@@ -108,7 +108,7 @@ func TestAuditCleanOnFaultedFabric(t *testing.T) {
 	cfg.Audit = true
 	cfg.Fault.Links = []fault.LinkFault{{
 		Node: uint32(ServerAddr), Dir: fault.Both,
-		Loss: fault.LossBernoulli, P: 0.05, CorruptP: 0.02, DupP: 0.02,
+		Model: fault.Model{P: 0.05, CorruptP: 0.02, DupP: 0.02},
 	}}
 	cl := New(cfg)
 	res := cl.Run()

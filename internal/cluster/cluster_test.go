@@ -102,6 +102,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative FCONS accepted")
 	}
+	bad = ok
+	bad.Queues = -3
+	if bad.Validate() == nil {
+		t.Fatal("negative Queues accepted")
+	}
 }
 
 // TestConfigValidateDeviceBlocks: a device block that would panic in New

@@ -61,6 +61,7 @@ type Config struct {
 	// Queues > 1 enables the Sec. 7 multi-queue NIC extension: RSS steers
 	// flows to per-core queues with their own MSI-X vectors, NAPI
 	// contexts and NCAP blocks, and application tasks become flow-affine.
+	// 0 and 1 both build one queue; a negative count is rejected.
 	Queues int
 	// PerCoreDVFS gives every core its own DVFS domain (Sec. 7), letting
 	// per-queue NCAP steer only the target core's P-state.
@@ -77,13 +78,14 @@ type Config struct {
 	// nothing, so legacy configs keep their cache identity; a replayed
 	// trace participates via its canonical hash (Spec.TraceHash).
 	Traffic *workload.Spec `json:"Traffic,omitempty"`
-	// Fault degrades the fabric: per-link loss/corruption/reordering/
-	// duplication/flaps and per-node slowdown/crash windows (see
-	// internal/fault). The zero value is the perfect network the paper
-	// evaluates on; any active fault also switches the transport to its
-	// loss-recovery mode (client exponential backoff, server duplicate
-	// suppression). Part of the config, so it participates in the
-	// runner's content-keyed cache identity.
+	// Fault degrades the fabric: per-link loss, corruption, reordering,
+	// duplication, slowdown and flap windows, at most one entry per
+	// unidirectional link; a slow or crashed node is a Both-direction
+	// entry (see internal/fault). The zero value is the perfect network
+	// the paper evaluates on; any active fault also switches the
+	// transport to its loss-recovery mode (client exponential backoff,
+	// server duplicate suppression). Part of the config, so it
+	// participates in the runner's content-keyed cache identity.
 	Fault fault.Spec
 	// Topology selects the cluster shape (see internal/topology): a
 	// declarative graph of node groups, rack (ToR) switches and an
@@ -184,6 +186,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: bad warmup/measure/drain windows")
 	case c.FCONS < 0:
 		return fmt.Errorf("cluster: FCONS must be non-negative (0 takes the policy's)")
+	case c.Queues < 0:
+		return fmt.Errorf("cluster: Queues must be non-negative")
 	case c.Queues > 1 && c.Policy.UsesNCAPHardware() && !c.PerCoreDVFS:
 		// Sec. 7 pairs multi-queue NCAP with per-core power management:
 		// with a shared chip-wide frequency, an idle queue's IT_LOW

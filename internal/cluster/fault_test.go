@@ -14,14 +14,15 @@ func lossyConfig(p Policy, prof app.Profile, load float64) Config {
 	cfg := shortConfig(p, prof, load)
 	cfg.Fault = fault.Spec{
 		Links: []fault.LinkFault{{
-			Node:       uint32(ServerAddr),
-			Dir:        fault.Both,
-			Loss:       fault.LossBernoulli,
-			P:          0.01,
-			CorruptP:   0.002,
-			DupP:       0.002,
-			ReorderP:   0.01,
-			ReorderMax: 100 * sim.Microsecond,
+			Node: uint32(ServerAddr),
+			Dir:  fault.Both,
+			Model: fault.Model{
+				P:          0.01,
+				CorruptP:   0.002,
+				DupP:       0.002,
+				ReorderP:   0.01,
+				ReorderMax: 100 * sim.Microsecond,
+			},
 		}},
 	}
 	return cfg
@@ -33,10 +34,10 @@ func lossyConfig(p Policy, prof app.Profile, load float64) Config {
 func TestInertFaultSpecIsByteIdentical(t *testing.T) {
 	base := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
 	inert := base
-	inert.Fault = fault.Spec{
-		Links: []fault.LinkFault{{Node: uint32(ServerAddr), Dir: fault.Both}},
-		Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(1))}},
-	}
+	inert.Fault = fault.Spec{Links: []fault.LinkFault{
+		{Node: uint32(ServerAddr), Dir: fault.Both},
+		{Node: uint32(ClientAddr(1)), Dir: fault.Both},
+	}}
 	if inert.Fault.Enabled() {
 		t.Fatal("inert spec reports enabled")
 	}
@@ -95,16 +96,18 @@ func TestLossRecoveryUnderFaults(t *testing.T) {
 	}
 }
 
-// TestNodeCrashWindowRecovers: a transient node crash loses everything in
-// flight to and from it, then the client-side RTO path resynchronizes.
+// TestNodeCrashWindowRecovers: a transient node crash — a flap window on
+// both of its links — loses everything in flight to and from it, then the
+// client-side RTO path resynchronizes.
 func TestNodeCrashWindowRecovers(t *testing.T) {
 	cfg := shortConfig(Perf, app.MemcachedProfile(), 35_000)
-	cfg.Fault = fault.Spec{
-		Nodes: []fault.NodeFault{{
-			Node:    uint32(ClientAddr(1)),
-			Crashes: []fault.Window{{Start: 80 * sim.Millisecond, End: 100 * sim.Millisecond}},
-		}},
-	}
+	cfg.Fault = fault.Spec{Links: []fault.LinkFault{{
+		Node: uint32(ClientAddr(1)),
+		Dir:  fault.Both,
+		Model: fault.Model{
+			Flaps: []fault.Window{{Start: 80 * sim.Millisecond, End: 100 * sim.Millisecond}},
+		},
+	}}}
 	res := New(cfg).Run()
 	if res.FaultDrops == 0 {
 		t.Fatal("crash window dropped nothing")
@@ -122,7 +125,7 @@ func TestNodeCrashWindowRecovers(t *testing.T) {
 
 func TestConfigValidateRejectsBadFaultSpec(t *testing.T) {
 	cfg := DefaultConfig(Perf, app.ApacheProfile(), 24_000)
-	cfg.Fault.Links = []fault.LinkFault{{Node: uint32(ServerAddr), Loss: fault.LossBernoulli, P: 1.5}}
+	cfg.Fault.Links = []fault.LinkFault{{Node: uint32(ServerAddr), Model: fault.Model{P: 1.5}}}
 	if cfg.Validate() == nil {
 		t.Fatal("out-of-range loss probability accepted")
 	}

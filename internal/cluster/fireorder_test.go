@@ -32,17 +32,13 @@ func fireOrderConfigs() (names []string, cfgs []Config) {
 	for at := 10 * sim.Millisecond; at < horizon; at += 40 * sim.Millisecond {
 		flaps = append(flaps, fault.Window{Start: at, End: at + 5*sim.Millisecond})
 	}
-	faulted.Fault = fault.Spec{
-		Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(2)), ExtraDelay: 200 * sim.Microsecond}},
-		Links: []fault.LinkFault{
-			{Node: uint32(ClientAddr(1)), Dir: fault.ToNode, Flaps: flaps},
-			{
-				Node: uint32(ServerAddr), Dir: fault.Both,
-				Loss: fault.LossBernoulli, P: 0.01,
-				CorruptP: 0.002, DupP: 0.002, ReorderP: 0.01, ReorderMax: 100 * sim.Microsecond,
-			},
-		},
-	}
+	faulted.Fault = fault.Spec{Links: []fault.LinkFault{
+		{Node: uint32(ClientAddr(2)), Dir: fault.Both, Model: fault.Model{ExtraDelay: 200 * sim.Microsecond}},
+		{Node: uint32(ClientAddr(1)), Dir: fault.ToNode, Model: fault.Model{Flaps: flaps}},
+		{Node: uint32(ServerAddr), Dir: fault.Both, Model: fault.Model{
+			P: 0.01, CorruptP: 0.002, DupP: 0.002, ReorderP: 0.01, ReorderMax: 100 * sim.Microsecond,
+		}},
+	}}
 
 	rack := shortConfig(NcapCons, app.ApacheProfile(), 1500*16)
 	rack.Topology = topology.Rack(16, 8)

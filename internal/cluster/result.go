@@ -36,8 +36,8 @@ type Result struct {
 	IRQs    int64
 
 	// Fault-injection accounting (all zero on a perfect fabric):
-	// FaultDrops are frames lost on the medium (loss process, flap or
-	// crash windows); CorruptDrops frames discarded by a receiver's FCS
+	// FaultDrops are frames lost on the medium (loss process or flap
+	// windows); CorruptDrops frames discarded by a receiver's FCS
 	// check; FaultDups injected duplicate deliveries; FaultDelays frames
 	// held back (reordering or slow-node delay); DupSuppressed and
 	// DupResent the server transport's duplicate-request handling.

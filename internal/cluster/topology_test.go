@@ -28,13 +28,13 @@ func TestStarSpecMatchesLegacy(t *testing.T) {
 	}{
 		{"plain", func(*Config) {}},
 		{"faulted", func(c *Config) {
-			c.Fault = fault.Spec{
-				Nodes: []fault.NodeFault{{Node: uint32(ClientAddr(0)), ExtraDelay: 200 * sim.Microsecond}},
-				Links: []fault.LinkFault{
-					{Node: uint32(ClientAddr(0)), Dir: fault.ToNode, Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}},
-					{Node: uint32(ServerAddr), Dir: fault.Both, Loss: fault.LossBernoulli, P: 0.01},
-				},
-			}
+			slow := 200 * sim.Microsecond
+			c.Fault = fault.Spec{Links: []fault.LinkFault{
+				{Node: uint32(ClientAddr(0)), Dir: fault.FromNode, Model: fault.Model{ExtraDelay: slow}},
+				{Node: uint32(ClientAddr(0)), Dir: fault.ToNode, Model: fault.Model{ExtraDelay: slow,
+					Flaps: []fault.Window{{Start: 10 * sim.Millisecond, End: 15 * sim.Millisecond}}}},
+				{Node: uint32(ServerAddr), Dir: fault.Both, Model: fault.Model{P: 0.01}},
+			}}
 		}},
 		{"overload", func(c *Config) { c.Overload = resilientSpec(prof) }},
 		{"diurnal", func(c *Config) {

@@ -36,27 +36,17 @@ const (
 // schedule (warmup + measure + drain); the windows are part of the spec,
 // so runs with different windows never share a cache entry.
 func DegradedSpec(lossP float64, horizon sim.Duration) fault.Spec {
-	spec := fault.Spec{
-		Nodes: []fault.NodeFault{{
-			Node:       uint32(cluster.ClientAddr(2)),
-			ExtraDelay: e11SlowDelay,
-		}},
-	}
 	var flaps []fault.Window
 	for t := e11FlapFirst; t < horizon; t += e11FlapPeriod {
 		flaps = append(flaps, fault.Window{Start: t, End: t + e11FlapDown})
 	}
-	spec.Links = append(spec.Links, fault.LinkFault{
-		Node:  uint32(cluster.ClientAddr(1)),
-		Dir:   fault.ToNode,
-		Flaps: flaps,
-	})
+	spec := fault.Spec{Links: []fault.LinkFault{
+		{Node: uint32(cluster.ClientAddr(2)), Dir: fault.Both, Model: fault.Model{ExtraDelay: e11SlowDelay}},
+		{Node: uint32(cluster.ClientAddr(1)), Dir: fault.ToNode, Model: fault.Model{Flaps: flaps}},
+	}}
 	if lossP > 0 {
 		spec.Links = append(spec.Links, fault.LinkFault{
-			Node: uint32(cluster.ServerAddr),
-			Dir:  fault.Both,
-			Loss: fault.LossBernoulli,
-			P:    lossP,
+			Node: uint32(cluster.ServerAddr), Dir: fault.Both, Model: fault.Model{P: lossP},
 		})
 	}
 	return spec

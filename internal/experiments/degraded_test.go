@@ -32,7 +32,7 @@ func TestDegradedSpecShape(t *testing.T) {
 	if !spec.Enabled() {
 		t.Fatal("E11 spec inert")
 	}
-	var flapped, lossy bool
+	var flapped, lossy, slow bool
 	for _, l := range spec.Links {
 		switch {
 		case len(l.Flaps) > 0:
@@ -49,24 +49,26 @@ func TestDegradedSpecShape(t *testing.T) {
 					t.Fatalf("flap window %+v past the horizon", w)
 				}
 			}
-		case l.Loss == fault.LossBernoulli:
+		case l.P > 0:
 			lossy = true
-			if l.Node != uint32(cluster.ServerAddr) || l.P != 0.01 {
+			if l.Node != uint32(cluster.ServerAddr) || l.Dir != fault.Both || l.P != 0.01 {
 				t.Fatalf("loss on wrong link: %+v", l)
+			}
+		case l.ExtraDelay > 0:
+			// The slow node is slow in both directions.
+			slow = true
+			if l.Node != uint32(cluster.ClientAddr(2)) || l.Dir != fault.Both {
+				t.Fatalf("slow-node fault wrong: %+v", l)
 			}
 		}
 	}
-	if !flapped || !lossy {
-		t.Fatalf("spec missing a degradation: flap=%v loss=%v", flapped, lossy)
-	}
-	if len(spec.Nodes) != 1 || spec.Nodes[0].Node != uint32(cluster.ClientAddr(2)) ||
-		spec.Nodes[0].ExtraDelay == 0 {
-		t.Fatalf("slow-node fault wrong: %+v", spec.Nodes)
+	if !flapped || !lossy || !slow {
+		t.Fatalf("spec missing a degradation: flap=%v loss=%v slow=%v", flapped, lossy, slow)
 	}
 	// The zero-loss column still carries the fixed degradations.
 	clean := DegradedSpec(0, horizon)
 	for _, l := range clean.Links {
-		if l.Loss == fault.LossBernoulli && l.P > 0 {
+		if l.P > 0 {
 			t.Fatalf("zero-loss spec has a lossy link: %+v", l)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ncap/internal/app"
 	"ncap/internal/cluster"
+	"ncap/internal/fault"
 	"ncap/internal/runner"
 	"ncap/internal/sim"
 	"ncap/internal/topology"
@@ -17,9 +18,10 @@ import (
 // ncapd worker makes (it decodes the lease's config), with the same cache
 // key and a deep-equal Result. The device fields a cluster derives from
 // its own options (the NIC's queue count, the driver's TOE factor) are not
-// serialized, so this guards that every server still derives them: where
-// a case names its option, the decoded config must run differently with
-// that option cleared.
+// serialized, so this guards that every server still derives them; the
+// E11 case guards the fault spec's inline per-link JSON. Where a case
+// names its option, the decoded config must run differently with that
+// option cleared.
 func TestConfigJSONRoundTrip(t *testing.T) {
 	o := Options{Warmup: 5 * sim.Millisecond, Measure: 20 * sim.Millisecond, Drain: 5 * sim.Millisecond, Seed: 1}
 	apache, memcached := app.ApacheProfile(), app.MemcachedProfile()
@@ -45,6 +47,9 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		{"rack2x2", configFor(o, cluster.NcapCons, apache, 48_000, func(c *cluster.Config) {
 			c.Topology = topology.Rack(2, 2)
 		}), nil},
+		{"e11-faults", configFor(o, cluster.NcapCons, apache, 24_000, func(c *cluster.Config) {
+			c.Fault = DegradedSpec(0.01, c.Warmup+c.Measure+c.Drain)
+		}), func(c *cluster.Config) { c.Fault = fault.Spec{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob, err := json.Marshal(tc.cfg)

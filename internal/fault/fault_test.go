@@ -10,28 +10,24 @@ func TestSpecValidate(t *testing.T) {
 	if err := (Spec{}).Validate(); err != nil {
 		t.Fatalf("zero spec invalid: %v", err)
 	}
-	ok := Spec{
-		Links: []LinkFault{{Node: 1, Dir: Both, Loss: LossBernoulli, P: 0.01,
-			CorruptP: 0.001, DupP: 0.001, ReorderP: 0.01, ReorderMax: 100 * sim.Microsecond,
+	ok := Spec{Links: []LinkFault{
+		{Node: 1, Dir: Both, Model: Model{P: 0.01, CorruptP: 0.001, DupP: 0.001,
+			ReorderP: 0.01, ReorderMax: 100 * sim.Microsecond,
 			Flaps: []Window{{Start: 0, End: sim.Millisecond}}}},
-		Nodes: []NodeFault{{Node: 2, ExtraDelay: sim.Microsecond,
-			Crashes: []Window{{Start: sim.Millisecond, End: 2 * sim.Millisecond}}}},
-	}
+		{Node: 2, Dir: Both, Model: Model{ExtraDelay: sim.Microsecond,
+			Flaps: []Window{{Start: sim.Millisecond, End: 2 * sim.Millisecond}, {Start: 2 * sim.Millisecond, End: 3 * sim.Millisecond}}}},
+	}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("full spec invalid: %v", err)
 	}
 	bad := []Spec{
-		{Links: []LinkFault{{Node: 1, Loss: LossBernoulli, P: 1.5}}},
-		{Links: []LinkFault{{Node: 1, CorruptP: -0.1}}},
-		{Links: []LinkFault{{Node: 1, Loss: LossModel(42)}}},
+		{Links: []LinkFault{{Node: 1, Model: Model{P: 1.5}}}},
+		{Links: []LinkFault{{Node: 1, Model: Model{CorruptP: -0.1}}}},
 		{Links: []LinkFault{{Node: 1, Dir: Direction(42)}}},
-		{Links: []LinkFault{{Node: 1, ReorderP: 0.5}}}, // no ReorderMax
-		{Links: []LinkFault{{Node: 1, Flaps: []Window{{Start: 2, End: 1}}}}},
-		{Links: []LinkFault{{Node: 1, Flaps: []Window{{Start: 5, End: 5}}}}},
-		{Links: []LinkFault{{Node: 1}, {Node: 1}}}, // duplicate (node, dir)
-		{Nodes: []NodeFault{{Node: 1, ExtraDelay: -1}}},
-		{Nodes: []NodeFault{{Node: 1, Crashes: []Window{{Start: 9, End: 3}}}}},
-		{Nodes: []NodeFault{{Node: 1}, {Node: 1}}}, // duplicate node
+		{Links: []LinkFault{{Node: 1, Model: Model{ReorderP: 0.5}}}}, // no ReorderMax
+		{Links: []LinkFault{{Node: 1, Model: Model{ExtraDelay: -1}}}},
+		{Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{{Start: 2, End: 1}}}}}},
+		{Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{{Start: 5, End: 5}}}}}},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {
@@ -51,58 +47,68 @@ func TestSpecEnabled(t *testing.T) {
 	}
 	// Inert entries — present but perturbing nothing — must count as
 	// disabled so legacy runs keep their fault-free code paths.
-	inert := Spec{
-		Links: []LinkFault{{Node: 1, Dir: Both}, {Node: 2, Loss: LossBernoulli, P: 0}},
-		Nodes: []NodeFault{{Node: 3}},
-	}
+	inert := Spec{Links: []LinkFault{{Node: 1, Dir: Both}, {Node: 2, Model: Model{P: 0}}}}
 	if inert.Enabled() {
 		t.Fatal("inert spec reported enabled")
 	}
-	on := []Spec{
-		{Links: []LinkFault{{Node: 1, Loss: LossBernoulli, P: 0.1}}},
-		{Links: []LinkFault{{Node: 1, Loss: LossGilbertElliott, LossBad: 0.5}}},
-		{Links: []LinkFault{{Node: 1, CorruptP: 0.1}}},
-		{Links: []LinkFault{{Node: 1, DupP: 0.1}}},
-		{Links: []LinkFault{{Node: 1, ReorderP: 0.1, ReorderMax: sim.Microsecond}}},
-		{Links: []LinkFault{{Node: 1, Flaps: []Window{{Start: 0, End: 1}}}}},
-		{Nodes: []NodeFault{{Node: 1, ExtraDelay: sim.Microsecond}}},
-		{Nodes: []NodeFault{{Node: 1, Crashes: []Window{{Start: 0, End: 1}}}}},
+	on := []Model{
+		{P: 0.1},
+		{CorruptP: 0.1},
+		{DupP: 0.1},
+		{ReorderP: 0.1, ReorderMax: sim.Microsecond},
+		{ExtraDelay: sim.Microsecond},
+		{Flaps: []Window{{Start: 0, End: 1}}},
 	}
-	for i, s := range on {
-		if !s.Enabled() {
+	for i, m := range on {
+		if s := (Spec{Links: []LinkFault{{Node: 1, Model: m}}}); !s.Enabled() {
 			t.Errorf("active spec %d reported disabled: %+v", i, s)
 		}
 	}
 }
 
-func TestResolveMergesLinkAndNode(t *testing.T) {
-	spec := Spec{
-		Links: []LinkFault{
-			{Node: 7, Dir: ToNode, Loss: LossBernoulli, P: 0.25},
-			{Node: 7, Dir: FromNode, CorruptP: 0.5},
-		},
-		Nodes: []NodeFault{{Node: 7, ExtraDelay: 3 * sim.Microsecond,
-			Crashes: []Window{{Start: sim.Millisecond, End: 2 * sim.Millisecond}}}},
+// TestValidateRejectsOverlap: a unidirectional link has at most one
+// entry and its flap windows are sorted and disjoint, so Resolve returns
+// the one match and Judge walks the windows with a forward cursor.
+func TestValidateRejectsOverlap(t *testing.T) {
+	w := func(s, e sim.Time) Window { return Window{Start: s, End: e} }
+	for name, s := range map[string]Spec{
+		"same direction twice": {Links: []LinkFault{{Node: 1, Dir: ToNode}, {Node: 1, Dir: ToNode}}},
+		"both twice":           {Links: []LinkFault{{Node: 1}, {Node: 1}}},
+		"both then to":         {Links: []LinkFault{{Node: 1, Dir: Both}, {Node: 1, Dir: ToNode}}},
+		"from then both":       {Links: []LinkFault{{Node: 1, Dir: FromNode}, {Node: 1, Dir: Both}}},
+		"unsorted windows":     {Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{w(10, 20), w(0, 5)}}}}},
+		"overlapping windows":  {Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{w(0, 10), w(5, 20)}}}}},
+	} {
+		if s.Validate() == nil {
+			t.Errorf("%s accepted: %+v", name, s)
+		}
 	}
-	to := spec.Resolve(7, ToNode)
-	if to.Loss != LossBernoulli || to.P != 0.25 || to.CorruptP != 0 {
+}
+
+func TestResolveReturnsTheOneMatch(t *testing.T) {
+	spec := Spec{Links: []LinkFault{
+		{Node: 7, Dir: ToNode, Model: Model{P: 0.25}},
+		{Node: 7, Dir: FromNode, Model: Model{CorruptP: 0.5}},
+		{Node: 9, Dir: Both, Model: Model{ExtraDelay: 3 * sim.Microsecond,
+			Flaps: []Window{{Start: sim.Millisecond, End: 2 * sim.Millisecond}}}},
+	}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if to := spec.Resolve(7, ToNode); to.P != 0.25 || to.CorruptP != 0 {
 		t.Fatalf("ToNode model wrong: %+v", to)
 	}
-	// Node-level faults apply in both directions.
-	if to.ExtraDelay != 3*sim.Microsecond || len(to.Down) != 1 {
-		t.Fatalf("node fault not merged into ToNode: %+v", to)
-	}
-	from := spec.Resolve(7, FromNode)
-	if from.CorruptP != 0.5 || from.P != 0 || from.ExtraDelay != 3*sim.Microsecond {
+	if from := spec.Resolve(7, FromNode); from.CorruptP != 0.5 || from.P != 0 {
 		t.Fatalf("FromNode model wrong: %+v", from)
+	}
+	// A Both entry resolves into either direction.
+	for _, dir := range []Direction{ToNode, FromNode} {
+		if m := spec.Resolve(9, dir); m.ExtraDelay != 3*sim.Microsecond || len(m.Flaps) != 1 {
+			t.Fatalf("Both entry missed %v: %+v", dir, m)
+		}
 	}
 	if other := spec.Resolve(8, ToNode); other.Active() {
 		t.Fatalf("unrelated node got a model: %+v", other)
-	}
-	// A Both entry resolves into either direction.
-	both := Spec{Links: []LinkFault{{Node: 9, Dir: Both, DupP: 0.1}}}
-	if m := both.Resolve(9, FromNode); m.DupP != 0.1 {
-		t.Fatalf("Both entry missed FromNode: %+v", m)
 	}
 }
 
@@ -110,7 +116,7 @@ func TestNewInjectorNilForInactive(t *testing.T) {
 	if in := NewInjector(Model{}, 1, "x"); in != nil {
 		t.Fatal("inactive model produced an injector")
 	}
-	if in := NewInjector(Model{Loss: LossBernoulli, P: 0.1}, 1, "x"); in == nil {
+	if in := NewInjector(Model{P: 0.1}, 1, "x"); in == nil {
 		t.Fatal("active model produced no injector")
 	}
 }
@@ -126,8 +132,7 @@ func judgeSeq(m Model, seed uint64, name string, n int) []Action {
 }
 
 func TestInjectorDeterministicPerStream(t *testing.T) {
-	m := Model{Loss: LossBernoulli, P: 0.5, DupP: 0.2,
-		ReorderP: 0.3, ReorderMax: 50 * sim.Microsecond}
+	m := Model{P: 0.5, DupP: 0.2, ReorderP: 0.3, ReorderMax: 50 * sim.Microsecond}
 	a := judgeSeq(m, 42, "to/3", 1000)
 	b := judgeSeq(m, 42, "to/3", 1000)
 	for i := range a {
@@ -155,7 +160,7 @@ func TestInjectorDeterministicPerStream(t *testing.T) {
 func TestBernoulliLossRate(t *testing.T) {
 	const n, p = 20000, 0.3
 	drops := 0
-	for _, a := range judgeSeq(Model{Loss: LossBernoulli, P: p}, 1, "rate", n) {
+	for _, a := range judgeSeq(Model{P: p}, 1, "rate", n) {
 		if a.Drop {
 			drops++
 		}
@@ -166,41 +171,15 @@ func TestBernoulliLossRate(t *testing.T) {
 	}
 }
 
-func TestGilbertElliottBursts(t *testing.T) {
-	// Stationary bad-state probability 0.01/(0.01+0.1) ≈ 9%; the bad
-	// state drops everything, so losses arrive in runs.
-	m := Model{Loss: LossGilbertElliott, GoodToBad: 0.01, BadToGood: 0.1, LossBad: 1}
-	const n = 20000
-	drops, run, maxRun := 0, 0, 0
-	for _, a := range judgeSeq(m, 1, "ge", n) {
-		if a.Drop {
-			drops++
-			run++
-			if run > maxRun {
-				maxRun = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	if f := float64(drops) / n; f < 0.04 || f > 0.18 {
-		t.Fatalf("GE loss fraction %.3f outside the stationary band", f)
-	}
-	if maxRun < 3 {
-		t.Fatalf("longest loss burst %d frames — GE should produce bursts", maxRun)
-	}
-}
-
 func TestDownWindowsDropWithoutRandomness(t *testing.T) {
-	m := Model{Loss: LossBernoulli, P: 0.5,
-		Down: []Window{{Start: 10 * sim.Microsecond, End: 20 * sim.Microsecond}}}
+	m := Model{P: 0.5, Flaps: []Window{{Start: 10 * sim.Microsecond, End: 20 * sim.Microsecond}}}
 	// Two injectors on the same stream: one judges a frame inside the
-	// down window first, the other does not. The window verdict must not
+	// flap window first, the other does not. The window verdict must not
 	// consume a draw, so both streams stay aligned afterwards.
 	a := NewInjector(m, 7, "w")
 	b := NewInjector(m, 7, "w")
 	if act := a.Judge(15 * sim.Microsecond); !act.Drop {
-		t.Fatal("frame inside the down window survived")
+		t.Fatal("frame inside the flap window survived")
 	}
 	for i := 0; i < 100; i++ {
 		now := sim.Time(30+i) * sim.Microsecond
@@ -209,7 +188,7 @@ func TestDownWindowsDropWithoutRandomness(t *testing.T) {
 		}
 	}
 	// Boundary semantics: [Start, End) is half-open.
-	c := NewInjector(Model{Down: []Window{{Start: 10, End: 20}}}, 7, "b")
+	c := NewInjector(Model{Flaps: []Window{{Start: 10, End: 20}}}, 7, "b")
 	if !c.Judge(10).Drop {
 		t.Fatal("window start not inclusive")
 	}
@@ -225,7 +204,7 @@ func TestReorderDelayBounded(t *testing.T) {
 			t.Fatalf("frame %d delay %v outside (0, ReorderMax]", i, a.ExtraDelay)
 		}
 	}
-	// Node slowdown stacks on top of the reorder draw.
+	// The constant slowdown stacks on top of the reorder draw.
 	m.ExtraDelay = 100 * sim.Microsecond
 	for i, a := range judgeSeq(m, 1, "s", 100) {
 		if a.ExtraDelay <= 100*sim.Microsecond || a.ExtraDelay > 140*sim.Microsecond {
@@ -235,10 +214,6 @@ func TestReorderDelayBounded(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	if LossBernoulli.String() != "bernoulli" || LossGilbertElliott.String() != "gilbert-elliott" ||
-		LossNone.String() != "none" {
-		t.Fatal("loss model strings")
-	}
 	if Both.String() != "both" || ToNode.String() != "to" || FromNode.String() != "from" {
 		t.Fatal("direction strings")
 	}

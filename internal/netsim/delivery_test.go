@@ -105,8 +105,7 @@ func runFaultyHops(t *testing.T, seed uint64) (overtakes int) {
 	}
 	ser := sim.Duration(1500 * 8 * int64(sim.Second) / cfg.BandwidthBps)
 	model := fault.Model{
-		Loss: fault.LossBernoulli, P: 0.05,
-		CorruptP: 0.05, DupP: 0.1,
+		P: 0.05, CorruptP: 0.05, DupP: 0.1,
 		ReorderP: 0.2, ReorderMax: 3 * ser,
 	}
 	if seed%3 == 0 {

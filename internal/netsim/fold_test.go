@@ -86,8 +86,7 @@ func newFabric(seed uint64, reference bool) *fabric {
 	cfg := DefaultLinkConfig()
 	ser := sim.Duration(1500 * 8 * int64(sim.Second) / cfg.BandwidthBps)
 	model := fault.Model{
-		Loss: fault.LossBernoulli, P: 0.05,
-		CorruptP: 0.05, DupP: 0.1,
+		P: 0.05, CorruptP: 0.05, DupP: 0.1,
 		ReorderP: 0.3, ReorderMax: 3 * ser,
 	}
 	for i := 0; i < 2; i++ {

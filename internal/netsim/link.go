@@ -76,7 +76,7 @@ type Link struct {
 	Drops stats.Counter
 
 	// Fault-injection accounting: frames lost on the medium (loss
-	// process, flap or crash windows), delivered with flipped bits,
+	// process or flap windows), delivered with flipped bits,
 	// delivered twice, or delayed past a later frame.
 	FaultDrops    stats.Counter
 	FaultCorrupts stats.Counter

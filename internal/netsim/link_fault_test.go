@@ -17,7 +17,7 @@ func faultyLink(eng *sim.Engine, m fault.Model) (*Link, *sink) {
 
 func TestLinkFaultDropConsumesWire(t *testing.T) {
 	eng := sim.NewEngine()
-	l, s := faultyLink(eng, fault.Model{Loss: fault.LossBernoulli, P: 1})
+	l, s := faultyLink(eng, fault.Model{P: 1})
 	p := NewRequest(2, 1, 1, []byte("GET /"))
 	ws := p.WireSize() // Send takes ownership; read the size first
 	if !l.Send(p) {
@@ -117,7 +117,7 @@ func TestLinkFaultDeterministicDelivery(t *testing.T) {
 	run := func() ([]uint64, []sim.Time) {
 		eng := sim.NewEngine()
 		lk, s := faultyLink(eng, fault.Model{
-			Loss: fault.LossBernoulli, P: 0.2, DupP: 0.1,
+			P: 0.2, DupP: 0.1,
 			ReorderP: 0.3, ReorderMax: 30 * sim.Microsecond,
 		})
 		for i := 0; i < 300; i++ {

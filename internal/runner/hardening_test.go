@@ -19,8 +19,7 @@ func TestFaultSpecInJobKey(t *testing.T) {
 	clean := Job{Config: tinyCfg(cluster.Perf, app.ApacheProfile(), 24_000)}
 	faulty := clean
 	faulty.Config.Fault.Links = []fault.LinkFault{{
-		Node: uint32(cluster.ServerAddr), Dir: fault.Both,
-		Loss: fault.LossBernoulli, P: 0.01,
+		Node: uint32(cluster.ServerAddr), Dir: fault.Both, Model: fault.Model{P: 0.01},
 	}}
 	if clean.Key() == faulty.Key() {
 		t.Fatal("fault spec did not change the cache key")
@@ -28,8 +27,7 @@ func TestFaultSpecInJobKey(t *testing.T) {
 	// Tweaking a nested fault parameter changes it again.
 	worse := faulty
 	worse.Config.Fault.Links = []fault.LinkFault{{
-		Node: uint32(cluster.ServerAddr), Dir: fault.Both,
-		Loss: fault.LossBernoulli, P: 0.02,
+		Node: uint32(cluster.ServerAddr), Dir: fault.Both, Model: fault.Model{P: 0.02},
 	}}
 	if faulty.Key() == worse.Key() {
 		t.Fatal("loss-rate change did not change the cache key")

@@ -37,7 +37,12 @@ import (
 // Queues, the driver's TOEFactor, the NCAP block's FCONS, OverrideFCONS,
 // the scenario and overload tuning knobs), and Config.FCONS replaced the
 // FCONS pair. A v3 key hashes a different document for the same run.
-const schemaVersion = "ncap-runner-v4"
+//
+// v5: the fault spec lost its loss-model selector, and a link fault's
+// bare "p" now means Bernoulli loss; under v4 it meant no loss unless
+// "loss" selected Bernoulli, so a v4 entry can hold a different run
+// for the same document.
+const schemaVersion = "ncap-runner-v5"
 
 // Job is one simulation to run: a fully resolved experiment configuration
 // plus a human-readable tag for progress and error reporting. The tag is

