@@ -85,7 +85,6 @@ type Runner struct {
 	Jobs    int
 	Cache   string
 	Timeout time.Duration
-	Retries int
 	Quiet   bool
 	Audit   bool
 }
@@ -95,7 +94,6 @@ func (r *Runner) Register(defaultJobs int) {
 	flag.IntVar(&r.Jobs, "jobs", defaultJobs, "concurrent simulations (must be positive)")
 	flag.StringVar(&r.Cache, "cache", "", "result cache directory (empty disables caching)")
 	flag.DurationVar(&r.Timeout, "timeout", 10*time.Minute, "per-simulation wall-clock timeout (must be positive)")
-	flag.IntVar(&r.Retries, "retries", 1, "re-runs per timed-out/panicked job before it is reported failed")
 	flag.BoolVar(&r.Quiet, "q", false, "suppress progress output on stderr")
 	flag.BoolVar(&r.Audit, "audit", false, "run every simulation with the runtime invariant auditor; violations are reported and fail the run")
 }
@@ -109,8 +107,6 @@ func (r *Runner) Validate(tool string) {
 		Fatalf(tool, "-jobs %d: must be positive", r.Jobs)
 	case r.Timeout <= 0:
 		Fatalf(tool, "-timeout %v: must be positive", r.Timeout)
-	case r.Retries < 0:
-		Fatalf(tool, "-retries %d: must be non-negative", r.Retries)
 	}
 }
 
@@ -127,7 +123,6 @@ func (r *Runner) Options(record bool) runner.Options {
 		Jobs:     r.Jobs,
 		CacheDir: r.Cache,
 		Timeout:  r.Timeout,
-		Retries:  r.Retries,
 		Progress: progress,
 		Record:   record,
 		Audit:    r.Audit,
@@ -213,20 +208,20 @@ func (f *Faults) Any() bool {
 }
 
 // Apply attaches the requested faults to the config's server access link.
+// -reorder-max is copied only with -reorder: without reordering it changes
+// nothing, and carrying it would give one run a second cache key.
 func (f *Faults) Apply(cfg *cluster.Config) {
 	if !f.Any() {
 		return
 	}
+	m := fault.Model{P: f.Loss, CorruptP: f.Corrupt, DupP: f.Dup, ReorderP: f.Reorder}
+	if f.Reorder > 0 {
+		m.ReorderMax = sim.Duration(f.ReorderMax.Nanoseconds())
+	}
 	cfg.Fault.Links = append(cfg.Fault.Links, fault.LinkFault{
-		Node: uint32(cluster.ServerAddr),
-		Dir:  fault.Both,
-		Model: fault.Model{
-			P:          f.Loss,
-			CorruptP:   f.Corrupt,
-			DupP:       f.Dup,
-			ReorderP:   f.Reorder,
-			ReorderMax: sim.Duration(f.ReorderMax.Nanoseconds()),
-		},
+		Node:  uint32(cluster.ServerAddr),
+		Dir:   fault.Both,
+		Model: m,
 	})
 }
 

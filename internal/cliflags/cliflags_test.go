@@ -1,13 +1,16 @@
 package cliflags
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"testing"
 	"time"
 
+	"ncap/internal/app"
 	"ncap/internal/cluster"
 	"ncap/internal/fault"
+	"ncap/internal/runner"
 )
 
 func TestLookupsResolve(t *testing.T) {
@@ -41,6 +44,23 @@ func TestFaultsApply(t *testing.T) {
 	if l.Node != uint32(cluster.ServerAddr) || l.Dir != fault.Both || l.P != 0.1 {
 		t.Fatalf("link %+v", l)
 	}
+
+	// -reorder-max without -reorder changes nothing, so it must not
+	// change the cache key either.
+	key := func(f Faults) string {
+		cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), 24_000)
+		f.Apply(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v: %v", f, err)
+		}
+		return runner.Job{Config: cfg}.Key()
+	}
+	if key(Faults{Loss: 0.01, ReorderMax: 500 * time.Microsecond}) != key(Faults{Loss: 0.01, ReorderMax: time.Millisecond}) {
+		t.Fatal("-reorder-max without -reorder changed the cache key")
+	}
+	if key(Faults{Loss: 0.01, Reorder: 0.1, ReorderMax: 500 * time.Microsecond}) == key(Faults{Loss: 0.01, Reorder: 0.1, ReorderMax: time.Millisecond}) {
+		t.Fatal("-reorder-max with -reorder did not change the cache key")
+	}
 }
 
 func TestResilienceApply(t *testing.T) {
@@ -66,9 +86,9 @@ func TestResilienceApply(t *testing.T) {
 }
 
 func TestRunnerOptions(t *testing.T) {
-	r := Runner{Jobs: 3, Cache: "/c", Timeout: time.Minute, Retries: 2, Quiet: true}
+	r := Runner{Jobs: 3, Cache: "/c", Timeout: time.Minute, Quiet: true}
 	o := r.Options(true)
-	if o.Jobs != 3 || o.CacheDir != "/c" || o.Timeout != time.Minute || o.Retries != 2 || !o.Record {
+	if o.Jobs != 3 || o.CacheDir != "/c" || o.Timeout != time.Minute || !o.Record {
 		t.Fatalf("options %+v", o)
 	}
 	if o.Progress != nil {
@@ -117,7 +137,10 @@ func TestValidationHelper(t *testing.T) {
 	case "timeout":
 		(&Runner{Jobs: 1, Timeout: 0}).Validate("t")
 	case "retries":
-		(&Runner{Jobs: 1, Timeout: time.Minute, Retries: -1}).Validate("t")
+		// A job runs once; a rerun over -cache retries its failures, so
+		// no runner flag takes a retry count.
+		new(Runner).Register(1)
+		flag.CommandLine.Parse([]string{"-retries", "1"})
 	case "loss":
 		(&Faults{Loss: 1.5, ReorderMax: time.Millisecond}).Validate("t")
 	case "reorder-max":

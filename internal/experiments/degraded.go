@@ -53,15 +53,14 @@ func DegradedSpec(lossP float64, horizon sim.Duration) fault.Spec {
 }
 
 // DegradedRow is one policy × loss-rate cell. Err is non-empty when the
-// job failed (panic or timeout) after the runner's retries: the row
-// still appears — a degraded-network sweep must itself tolerate faults —
-// and the caller decides how loudly to report it.
+// job failed (panic or timeout): the row still appears — a
+// degraded-network sweep must itself tolerate faults — and the caller
+// decides how loudly to report it.
 type DegradedRow struct {
-	Policy   cluster.Policy
-	LossPct  float64 // server-link loss, percent
-	Result   cluster.Result
-	Err      string
-	Attempts int
+	Policy  cluster.Policy
+	LossPct float64 // server-link loss, percent
+	Result  cluster.Result
+	Err     string
 }
 
 // DegradedNetwork runs E11 for one workload at the given load level:
@@ -82,7 +81,6 @@ func DegradedNetwork(o Options, prof app.Profile, lvl cluster.LoadLevel) []Degra
 	}
 	for i, oc := range runBatchOutcomes(o, "e11", cfgs) {
 		rows[i].Result = oc.Result
-		rows[i].Attempts = oc.Attempts
 		if oc.Err != nil {
 			rows[i].Err = oc.Err.Error()
 		}

@@ -60,7 +60,6 @@ type OverloadRow struct {
 	Policy   cluster.Policy
 	Result   cluster.Result
 	Err      string
-	Attempts int
 }
 
 // OverloadSweep runs E13 for one workload: every surge scenario × every
@@ -101,7 +100,6 @@ func OverloadSweep(o Options, prof app.Profile) []OverloadRow {
 	}
 	for i, oc := range runBatchOutcomes(o, "e13", cfgs) {
 		rows[i].Result = oc.Result
-		rows[i].Attempts = oc.Attempts
 		if oc.Err != nil {
 			rows[i].Err = oc.Err.Error()
 		}
@@ -119,8 +117,8 @@ func RenderOverload(w io.Writer, o Options, prof app.Profile) {
 		"goodput/s", "retryamp", "shed", "rejected", "dl-fail", "p99(ms)", "recover(ms)")
 	for _, r := range OverloadSweep(o, prof) {
 		if r.Err != "" {
-			fmt.Fprintf(w, "%-11s %-9s %5.2g %-10s FAILED (%d attempts): %s\n",
-				r.Scenario, r.Mode, r.Frac, r.Policy, r.Attempts, firstLine(r.Err))
+			fmt.Fprintf(w, "%-11s %-9s %5.2g %-10s FAILED: %s\n",
+				r.Scenario, r.Mode, r.Frac, r.Policy, firstLine(r.Err))
 			continue
 		}
 		res := r.Result

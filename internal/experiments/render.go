@@ -32,8 +32,8 @@ func RenderDegraded(w io.Writer, o Options, prof app.Profile) {
 		if r.Err != "" {
 			// A failed cell is a row, not an abort: the sweep completes
 			// and the process exit code reports the failure count.
-			fmt.Fprintf(w, "%-10s %6.1f FAILED (%d attempts): %s\n",
-				r.Policy, r.LossPct, r.Attempts, firstLine(r.Err))
+			fmt.Fprintf(w, "%-10s %6.1f FAILED: %s\n",
+				r.Policy, r.LossPct, firstLine(r.Err))
 			continue
 		}
 		res := r.Result

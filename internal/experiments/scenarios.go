@@ -31,13 +31,12 @@ func E12Scenarios() []workload.Scenario {
 }
 
 // ScenarioRow is one scenario × policy cell. Err is non-empty when the
-// job failed after the runner's retries; the row still appears.
+// job failed (panic or timeout); the row still appears.
 type ScenarioRow struct {
 	Scenario string
 	Policy   cluster.Policy
 	Result   cluster.Result
 	Err      string
-	Attempts int
 }
 
 // ScenarioSweep runs E12 for one workload at the given load level: every
@@ -59,7 +58,6 @@ func ScenarioSweep(o Options, prof app.Profile, lvl cluster.LoadLevel) []Scenari
 	}
 	for i, oc := range runBatchOutcomes(o, "e12", cfgs) {
 		rows[i].Result = oc.Result
-		rows[i].Attempts = oc.Attempts
 		if oc.Err != nil {
 			rows[i].Err = oc.Err.Error()
 		}
@@ -75,8 +73,8 @@ func RenderScenarios(w io.Writer, o Options, prof app.Profile) {
 		"scenario", "policy", "p95(ms)", "p99(ms)", "energy(J)", "served/s", "lagged", "lagmax(µs)")
 	for _, r := range ScenarioSweep(o, prof, cluster.MediumLoad) {
 		if r.Err != "" {
-			fmt.Fprintf(w, "%-11s %-10s FAILED (%d attempts): %s\n",
-				r.Scenario, r.Policy, r.Attempts, firstLine(r.Err))
+			fmt.Fprintf(w, "%-11s %-10s FAILED: %s\n",
+				r.Scenario, r.Policy, firstLine(r.Err))
 			continue
 		}
 		res := r.Result

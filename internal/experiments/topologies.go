@@ -36,12 +36,11 @@ func E14Shapes() []E14Shape {
 
 // TopologyRow is one shape × policy cell.
 type TopologyRow struct {
-	Shape    string
-	Servers  int
-	Policy   cluster.Policy
-	Result   cluster.Result
-	Err      string
-	Attempts int
+	Shape   string
+	Servers int
+	Policy  cluster.Policy
+	Result  cluster.Result
+	Err     string
 }
 
 // TopologySweep runs E14 for one workload: every shape × every policy,
@@ -63,7 +62,6 @@ func TopologySweep(o Options, prof app.Profile) []TopologyRow {
 	}
 	for i, oc := range runBatchOutcomes(o, "e14", cfgs) {
 		rows[i].Result = oc.Result
-		rows[i].Attempts = oc.Attempts
 		if oc.Err != nil {
 			rows[i].Err = oc.Err.Error()
 		}
@@ -80,8 +78,8 @@ func RenderTopology(w io.Writer, o Options, prof app.Profile) {
 		"shape", "srv", "policy", "served/s", "E(J)", "W/srv", "p99(ms)", "hops", "peakq(B)", "unrt")
 	for _, r := range TopologySweep(o, prof) {
 		if r.Err != "" {
-			fmt.Fprintf(w, "%-10s %4d %-10s FAILED (%d attempts): %s\n",
-				r.Shape, r.Servers, r.Policy, r.Attempts, firstLine(r.Err))
+			fmt.Fprintf(w, "%-10s %4d %-10s FAILED: %s\n",
+				r.Shape, r.Servers, r.Policy, firstLine(r.Err))
 			continue
 		}
 		res := r.Result

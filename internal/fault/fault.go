@@ -119,8 +119,9 @@ func (s Spec) Enabled() bool {
 }
 
 // Validate reports configuration errors: out-of-range probabilities,
-// negative delays, empty, inverted, unsorted or overlapping windows, and
-// two entries that cover the same unidirectional link.
+// negative delays, a ReorderMax without ReorderP (or the reverse),
+// empty, inverted, unsorted or overlapping windows, and two entries that
+// cover the same unidirectional link.
 func (s Spec) Validate() error {
 	for i, l := range s.Links {
 		for _, p := range []float64{l.P, l.CorruptP, l.DupP, l.ReorderP} {
@@ -135,6 +136,11 @@ func (s Spec) Validate() error {
 		}
 		if l.ReorderP > 0 && l.ReorderMax <= 0 {
 			return fmt.Errorf("fault: links[%d]: ReorderP needs a positive ReorderMax", i)
+		}
+		// A ReorderMax with no reordering changes nothing but the cache
+		// key; rejecting it keeps one key per run.
+		if l.ReorderP == 0 && l.ReorderMax != 0 {
+			return fmt.Errorf("fault: links[%d]: ReorderMax %v without ReorderP", i, l.ReorderMax)
 		}
 		if l.ExtraDelay < 0 {
 			return fmt.Errorf("fault: links[%d]: negative ExtraDelay", i)

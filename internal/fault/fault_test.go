@@ -24,7 +24,8 @@ func TestSpecValidate(t *testing.T) {
 		{Links: []LinkFault{{Node: 1, Model: Model{P: 1.5}}}},
 		{Links: []LinkFault{{Node: 1, Model: Model{CorruptP: -0.1}}}},
 		{Links: []LinkFault{{Node: 1, Dir: Direction(42)}}},
-		{Links: []LinkFault{{Node: 1, Model: Model{ReorderP: 0.5}}}}, // no ReorderMax
+		{Links: []LinkFault{{Node: 1, Model: Model{ReorderP: 0.5}}}},                       // no ReorderMax
+		{Links: []LinkFault{{Node: 1, Model: Model{P: 0.1, ReorderMax: sim.Millisecond}}}}, // ReorderMax without ReorderP
 		{Links: []LinkFault{{Node: 1, Model: Model{ExtraDelay: -1}}}},
 		{Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{{Start: 2, End: 1}}}}}},
 		{Links: []LinkFault{{Node: 1, Model: Model{Flaps: []Window{{Start: 5, End: 5}}}}}},

@@ -5,8 +5,8 @@
 //
 // Determinism contract: a Report built from the same experiment
 // configuration is byte-identical regardless of worker count, cache
-// state or host — everything wall-clock (job elapsed times, cache hits,
-// retry counts) is deliberately excluded. Tables printed by the CLIs
+// state or host — everything wall-clock (job elapsed times, cache hits)
+// is deliberately excluded. Tables printed by the CLIs
 // remain the cluster.Result.WriteRow text format, and every field a row
 // prints is also a Run field, so a report is a superset of the text
 // output.
@@ -61,7 +61,7 @@ func New(tool, experiment string) *Report {
 	return &Report{Schema: Schema, Tool: tool, Experiment: experiment}
 }
 
-// SweepStats are the deterministic batch counters: wall-clock, retry and
+// SweepStats are the deterministic batch counters: wall-clock and
 // cache-hit counts are excluded so reports stay byte-identical across
 // worker counts and cache states.
 type SweepStats struct {

@@ -86,44 +86,55 @@ func (c *cache) store(key, tag string, job Job, res cluster.Result) error {
 	if err != nil {
 		return fmt.Errorf("runner: marshal cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: cache write: %w", err)
-	}
-	if err := syncDir(c.dir); err != nil {
+	if err := WriteFileDurable(c.path(key), blob); err != nil {
 		return fmt.Errorf("runner: cache write: %w", err)
 	}
 	cacheSyncs.Add(1)
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a machine
-// crash, not only a process one.
-func syncDir(dir string) error {
+// WriteFileDurable replaces path with blob atomically and durably: the
+// bytes go to a hidden temp file beside it (".<base>.tmp*", which no
+// reader mistakes for an entry), which is fsynced, renamed over path,
+// and followed by an fsync of the directory. Readers see the old file or
+// the new one, never a partial write, and the new one survives a machine
+// crash once this returns nil.
+func WriteFileDurable(path string, blob []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(blob); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs a directory so a just-created or just-renamed entry
+// survives a machine crash, not only a process one.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	// Some filesystems reject fsync on directories; treat that as best
-	// effort rather than failing a store that already renamed.
+	// effort rather than failing a write that already renamed.
 	_ = d.Sync()
 	return d.Close()
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -38,13 +39,13 @@ func TestExecutorHookReplacesSimulation(t *testing.T) {
 	}
 }
 
-// TestExecutorErrorSurfacesAfterRetries: an executor failure flows through
-// the pool's retry loop like a simulation failure, and the final error
-// lands on the outcome.
-func TestExecutorErrorSurfacesAfterRetries(t *testing.T) {
+// TestExecutorErrorSurfacesOnce: an executor failure lands on the
+// outcome after exactly one call — the pool never re-runs a job; ncapd's
+// lease layer and a rerun over the cache are the retry paths.
+func TestExecutorErrorSurfacesOnce(t *testing.T) {
 	boom := errors.New("worker lost")
 	var calls int
-	pool := New(Options{Jobs: 1, Retries: 2, Executor: func(Job) (cluster.Result, error) {
+	pool := New(Options{Jobs: 1, Executor: func(Job) (cluster.Result, error) {
 		calls++
 		return cluster.Result{}, boom
 	}})
@@ -52,11 +53,41 @@ func TestExecutorErrorSurfacesAfterRetries(t *testing.T) {
 	if !errors.Is(o.Err, boom) {
 		t.Fatalf("err = %v, want %v", o.Err, boom)
 	}
-	if calls != 3 {
-		t.Fatalf("executor called %d times with Retries=2, want 3", calls)
+	if calls != 1 {
+		t.Fatalf("executor called %d times, want 1", calls)
 	}
-	if o.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", o.Attempts)
+	if st := pool.Stats(); st.Ran != 0 || st.Failures != 1 {
+		t.Fatalf("stats = %+v, want 0 ran / 1 failure", st)
+	}
+}
+
+// TestFailedJobRerunsOverCache: a failed job leaves no cache entry, so a
+// rerun over the same directory executes exactly it, stores it, and a
+// third run is served from the cache. This is how a sweep recovers from
+// a timed-out or panicked cell.
+func TestFailedJobRerunsOverCache(t *testing.T) {
+	dir := t.TempDir()
+	job := Job{Tag: "t", Config: tinyCfg(cluster.Perf, app.MemcachedProfile(), 35_000)}
+	failing := New(Options{Jobs: 1, CacheDir: dir, Executor: func(Job) (cluster.Result, error) {
+		return cluster.Result{}, errors.New("timed out")
+	}})
+	if o := failing.RunOne(job); o.Err == nil || o.CacheHit {
+		t.Fatalf("failing run: err=%v hit=%v, want an uncached failure", o.Err, o.CacheHit)
+	}
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(entries) != 0 {
+		t.Fatalf("a failed job left cache entries %v", entries)
+	}
+
+	rerun := New(Options{Jobs: 1, CacheDir: dir})
+	o := rerun.RunOne(job)
+	if o.Err != nil || o.CacheHit || o.Result.Completed == 0 {
+		t.Fatalf("rerun: err=%v hit=%v completed=%d, want a fresh execution", o.Err, o.CacheHit, o.Result.Completed)
+	}
+	if st := rerun.Stats(); st.Ran != 1 || st.CacheHits != 0 {
+		t.Fatalf("rerun stats = %+v, want 1 ran / 0 hits", st)
+	}
+	if o := New(Options{Jobs: 1, CacheDir: dir}).RunOne(job); !o.CacheHit || o.Err != nil {
+		t.Fatalf("third run: hit=%v err=%v, want a cache hit", o.CacheHit, o.Err)
 	}
 }
 

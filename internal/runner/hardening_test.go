@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"ncap/internal/app"
 	"ncap/internal/cluster"
@@ -51,19 +50,20 @@ func corruptEntry(t *testing.T, mangle func([]byte) []byte) {
 	if err := os.WriteFile(path, mangle(blob), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := New(Options{CacheDir: dir}).RunOne(job)
+	pool := New(Options{CacheDir: dir})
+	o := pool.RunOne(job)
 	if o.Err != nil {
 		t.Fatalf("bad cache entry escalated to an error: %v", o.Err)
 	}
 	if o.CacheHit {
 		t.Fatal("bad cache entry served as a hit")
 	}
-	if o.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (a real re-run)", o.Attempts)
+	if st := pool.Stats(); st.Ran != 1 {
+		t.Fatalf("ran = %d, want 1 (a real re-run)", st.Ran)
 	}
 	// The re-run repaired the entry: the next round hits again.
-	if o := New(Options{CacheDir: dir}).RunOne(job); !o.CacheHit || o.Attempts != 0 {
-		t.Fatalf("repaired entry missed: hit=%v attempts=%d", o.CacheHit, o.Attempts)
+	if o := New(Options{CacheDir: dir}).RunOne(job); !o.CacheHit {
+		t.Fatal("repaired entry missed")
 	}
 }
 
@@ -82,52 +82,24 @@ func TestCacheRejectsWrongSchemaVersion(t *testing.T) {
 	})
 }
 
-func TestRetriesExhaustedReportAttempts(t *testing.T) {
-	bad := Job{Tag: "bad", Config: tinyCfg(cluster.Perf, app.MemcachedProfile(), 35_000)}
-	bad.Config.LoadRPS = -1 // cluster.New panics on an invalid config
-	pool := New(Options{Jobs: 1, Retries: 2, RetryBackoff: time.Microsecond})
-	o := pool.RunOne(bad)
-	if o.Err == nil {
-		t.Fatal("deterministically-broken job eventually succeeded")
-	}
-	if o.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", o.Attempts)
-	}
-	st := pool.Stats()
-	if st.Retries != 2 || st.Failures != 1 {
-		t.Fatalf("stats = %+v, want 2 retries / 1 failure", st)
-	}
-}
-
-func TestZeroRetriesSingleAttempt(t *testing.T) {
-	good := Job{Tag: "good", Config: tinyCfg(cluster.Perf, app.MemcachedProfile(), 35_000)}
-	pool := New(Options{Jobs: 1})
-	if o := pool.RunOne(good); o.Err != nil || o.Attempts != 1 {
-		t.Fatalf("outcome = err %v attempts %d, want clean single attempt", o.Err, o.Attempts)
-	}
-	if st := pool.Stats(); st.Retries != 0 {
-		t.Fatalf("retries = %d on a healthy job", st.Retries)
-	}
-}
-
 // TestWorkerPathPanicBecomesFailureRow: a panic on the worker's own path
 // — here job.Key() on a NaN/Inf config, reachable only with caching
 // enabled — used to escape runOne and crash the whole process, because
 // only the simulation goroutine inside execute had a recover. It must be
-// a failure row like any other, with Attempts set so the row cannot be
-// mistaken for a cache hit, and the rest of the batch must complete.
+// a failure row like any other, never mistaken for a cache hit, and the
+// rest of the batch must complete.
 func TestWorkerPathPanicBecomesFailureRow(t *testing.T) {
 	good := Job{Tag: "good", Config: tinyCfg(cluster.Perf, app.MemcachedProfile(), 35_000)}
 	bad := good
 	bad.Tag = "inf"
 	bad.Config.LoadRPS = math.Inf(1) // json.Marshal rejects Inf → Key() panics
-	pool := New(Options{Jobs: 1, CacheDir: t.TempDir(), Retries: 2, RetryBackoff: time.Microsecond})
+	pool := New(Options{Jobs: 1, CacheDir: t.TempDir()})
 	out := pool.Run([]Job{bad, good})
 	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "panicked") {
 		t.Fatalf("err = %v, want a panic failure row", out[0].Err)
 	}
-	if out[0].Attempts < 1 {
-		t.Fatalf("attempts = %d, want >= 1 (not a cache hit)", out[0].Attempts)
+	if out[0].CacheHit {
+		t.Fatal("panic failure row marked as a cache hit")
 	}
 	if out[1].Err != nil || out[1].Result.Completed == 0 {
 		t.Fatalf("healthy job after the panic: err=%v completed=%d", out[1].Err, out[1].Result.Completed)
@@ -144,13 +116,12 @@ func TestFailureRowsDoNotAbortBatch(t *testing.T) {
 	bad := good
 	bad.Tag = "bad"
 	bad.Config.LoadRPS = -1
-	out := New(Options{Jobs: 2, Retries: 1, RetryBackoff: time.Microsecond}).
-		Run([]Job{good, bad, good})
+	out := New(Options{Jobs: 2}).Run([]Job{good, bad, good})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("healthy jobs failed: %v / %v", out[0].Err, out[2].Err)
 	}
-	if out[1].Err == nil || out[1].Attempts != 2 {
-		t.Fatalf("broken job: err=%v attempts=%d, want failure after retry", out[1].Err, out[1].Attempts)
+	if out[1].Err == nil || out[1].CacheHit {
+		t.Fatalf("broken job: err=%v hit=%v, want an executed failure", out[1].Err, out[1].CacheHit)
 	}
 	if out[0].Result.Completed == 0 || out[2].Result.Completed == 0 {
 		t.Fatal("healthy jobs produced no traffic")

@@ -32,16 +32,6 @@ type Options struct {
 	// (completed/total, cache hits, ETA). Point it at stderr so sweep
 	// tables on stdout stay byte-identical at any worker count.
 	Progress io.Writer
-	// Retries re-runs a job that timed out or panicked up to this many
-	// additional times, with exponential host-clock backoff between
-	// attempts, before its Outcome carries the error. The simulation is
-	// deterministic, so a panic generally repeats — but a timeout under
-	// transient host load often clears, and retrying is cheap relative
-	// to losing a sweep row.
-	Retries int
-	// RetryBackoff is the delay before the first retry (doubling per
-	// attempt); zero selects 100 ms.
-	RetryBackoff time.Duration
 	// Record keeps every Outcome of every Run for later export (see
 	// Outcomes). Off by default: a long-lived pool recording forever
 	// would grow without bound.
@@ -56,11 +46,10 @@ type Options struct {
 	// constructing and running the cluster locally, the pool hands each
 	// job to this function and treats its return as the job's execution.
 	// The orchestration service uses it to dispatch jobs to lease-based
-	// workers while keeping the pool's ordering, caching, retry and
+	// workers while keeping the pool's ordering, caching and
 	// outcome-recording semantics. The executor owns isolation (panics
 	// on its own goroutine are still recovered into failure rows, but
-	// timeouts and retries of the remote work are its business — pair it
-	// with Retries: 0 unless double-retry is intended).
+	// timeouts and retries of the remote work are its business).
 	Executor func(Job) (cluster.Result, error)
 }
 
@@ -69,21 +58,16 @@ type Options struct {
 // not failed, and a resumed sweep fills them in.
 var ErrInterrupted = errors.New("runner: interrupted before dispatch")
 
-// defaultRetryBackoff is the first-retry delay when none is configured.
-const defaultRetryBackoff = 100 * time.Millisecond
-
 // Outcome is one job's fate: a result, or an error from a panic or
 // timeout. Err is nil on success. A failed Outcome is a reportable row,
-// not an abort: the rest of the batch still runs to completion.
+// not an abort: the rest of the batch still runs to completion. A job
+// runs at most once per Run or RunOne; a failure is never cached, so a
+// rerun over the same cache directory executes exactly the failures.
 type Outcome struct {
 	Job      Job
 	Result   cluster.Result
 	Err      error
 	CacheHit bool
-	// Attempts is how many times the job executed (1 + retries used).
-	// Zero for cache hits; at least 1 on any failure, even one that
-	// never reached the simulator (a panic computing the cache key).
-	Attempts int
 	// Violations are the invariant violations an audited run collected
 	// (Options.Audit); nil when auditing is off or the run was clean.
 	Violations []audit.Violation
@@ -94,8 +78,7 @@ type Stats struct {
 	Jobs      int64 // jobs submitted
 	Ran       int64 // simulations actually executed
 	CacheHits int64
-	Retries   int64 // re-executions after a timeout or panic
-	Failures  int64 // jobs that still failed after every retry
+	Failures  int64 // jobs that timed out or panicked
 }
 
 // Pool runs batches of simulation jobs across a bounded set of workers.
@@ -113,7 +96,7 @@ type Pool struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	jobs, ran, hits, retries, fails atomic.Int64
+	jobs, ran, hits, fails atomic.Int64
 
 	// recorded accumulates outcomes in submission order when Options.Record
 	// is set. Appended only after each batch's wg.Wait() (and under mu for
@@ -171,7 +154,6 @@ func (p *Pool) Stats() Stats {
 		Jobs:      p.jobs.Load(),
 		Ran:       p.ran.Load(),
 		CacheHits: p.hits.Load(),
-		Retries:   p.retries.Load(),
 		Failures:  p.fails.Load(),
 	}
 }
@@ -281,14 +263,10 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 	// Last-resort recovery: execute already fences the simulation
 	// goroutine, but a panic on the worker's own path — job.Key() on a
 	// non-serializable config, a cache fault — would otherwise take down
-	// the whole sweep. It becomes a failure row like any other error,
-	// with Attempts set so it cannot be mistaken for a cache hit.
+	// the whole sweep. It becomes a failure row like any other error.
 	defer func() {
 		if r := recover(); r != nil {
 			o.Err = fmt.Errorf("runner: job %q panicked: %v\n%s", job.Tag, r, debug.Stack())
-			if o.Attempts == 0 {
-				o.Attempts = 1
-			}
 			p.fails.Add(1)
 		}
 	}()
@@ -306,27 +284,7 @@ func (p *Pool) runOne(job Job) (o Outcome) {
 		}
 	}
 
-	backoff := p.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	for attempt := 0; ; attempt++ {
-		o.Attempts = attempt + 1
-		o.Result, o.Violations, o.Err = p.execute(job)
-		if o.Err == nil || attempt >= p.opts.Retries {
-			break
-		}
-		// Bounded retry with exponential backoff: transient host
-		// conditions (a timeout under load) get a second chance without
-		// hammering a deterministically failing job forever.
-		p.retries.Add(1)
-		if p.opts.Progress != nil {
-			fmt.Fprintf(p.opts.Progress, "runner: job %q attempt %d/%d failed, retrying in %v: %v\n",
-				job.Tag, attempt+1, p.opts.Retries+1, backoff, o.Err)
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
+	o.Result, o.Violations, o.Err = p.execute(job)
 	if o.Err != nil {
 		p.fails.Add(1)
 		return o

@@ -277,7 +277,7 @@ func TestResumeOverDamagedCacheDir(t *testing.T) {
 	if err := os.WriteFile(torn, blob[:len(blob)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, "."+jobs[done].Key()+".tmp123456")
+	stale := filepath.Join(dir, "."+jobs[done].Key()+".json.tmp123456")
 	if err := os.WriteFile(stale, blob[:len(blob)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}

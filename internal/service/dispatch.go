@@ -25,7 +25,6 @@ type ticket struct {
 	key         string
 	attempt     int // lease attempts consumed
 	maxAttempts int
-	localOnly   bool // config does not survive JSON (trace replay, telemetry)
 
 	ch        chan struct{} // closed exactly once, on completion or drain
 	res       cluster.Result
@@ -105,18 +104,16 @@ func (d *dispatcher) settleLocked(t *ticket, res cluster.Result, err error) {
 }
 
 // next blocks until a ticket is available (or the dispatcher is closed,
-// returning nil). Local callers set local true and may take any ticket;
-// remote leases skip localOnly tickets. block false polls instead — the
-// remote lease endpoint uses that.
-func (d *dispatcher) next(worker string, local, block bool) (*ticket, string) {
+// returning nil) and leases the first live one to worker. block false
+// polls instead — the remote lease endpoint uses that.
+func (d *dispatcher) next(worker string, block bool) (*ticket, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if d.closed {
 			return nil, ""
 		}
-		// Drop tickets settled while queued, then grant the first one this
-		// caller is eligible for.
+		// Drop tickets settled while queued, then grant the first.
 		live := d.queue[:0]
 		for _, t := range d.queue {
 			if !t.completed {
@@ -124,11 +121,9 @@ func (d *dispatcher) next(worker string, local, block bool) (*ticket, string) {
 			}
 		}
 		d.queue = live
-		for i, t := range d.queue {
-			if t.localOnly && !local {
-				continue
-			}
-			d.queue = append(d.queue[:i], d.queue[i+1:]...)
+		if len(d.queue) > 0 {
+			t := d.queue[0]
+			d.queue = append(d.queue[:0], d.queue[1:]...)
 			t.attempt++
 			id := newLeaseID()
 			d.leases[id] = &lease{t: t, worker: worker, deadline: time.Now().Add(d.ttl)}

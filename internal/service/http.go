@@ -188,8 +188,9 @@ func (s *Service) handleTable(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease grants a queued job to a remote worker, or 204 when none is
-// available. Remote leases never carry localOnly jobs (configs that do
-// not survive JSON).
+// available. Every job an ncapd submission enumerates is cacheable and
+// survives the JSON round trip (pinned by TestServiceJobsSurviveJSON in
+// internal/experiments), so any job may go to any worker.
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Worker string `json:"worker"`
@@ -201,15 +202,16 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	if body.Worker == "" {
 		body.Worker = "remote"
 	}
-	t, leaseID := s.disp.next(body.Worker, false, false)
+	t, leaseID := s.disp.next(body.Worker, false)
 	if t == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	cfg, err := json.Marshal(t.job.Config)
 	if err != nil {
-		// Should be unreachable (remoteSafe gated); surrender the lease so
-		// the job re-dispatches rather than waiting out the TTL.
+		// Should be unreachable (submissions enumerate only JSON-safe
+		// configs); surrender the lease so the job re-dispatches rather
+		// than waiting out the TTL.
 		_ = s.disp.fail(leaseID, fmt.Sprintf("config serialization: %v", err))
 		writeError(w, http.StatusInternalServerError, err)
 		return

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"ncap/internal/cluster"
+	"ncap/internal/runner"
 )
 
 // JournalSchema identifies the journal format. Each segment file opens
@@ -310,7 +311,7 @@ func (j *Journal) openSegmentLocked(n int, seq uint64) error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("service: journal: %w", err)
 	}
-	if err := syncDir(j.dir); err != nil {
+	if err := runner.SyncDir(j.dir); err != nil {
 		return fmt.Errorf("service: journal: %w", err)
 	}
 	return nil
@@ -343,15 +344,4 @@ func (j *Journal) Abort() {
 		j.f.Close()
 		j.f = nil
 	}
-}
-
-// syncDir fsyncs a directory so just-created entries survive a machine
-// crash. Filesystems that reject directory fsync degrade to best effort.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	_ = d.Sync()
-	return d.Close()
 }

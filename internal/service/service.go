@@ -333,9 +333,8 @@ func (s *Service) runDriver(sw *sweep) {
 		return
 	}
 	pool := runner.New(runner.Options{
-		Jobs:    max(2*s.opts.Workers, 4), // jobs in flight per sweep driver
-		Record:  true,
-		Retries: 0, // the lease layer owns retries; double-retrying would skew attempts
+		Jobs:   max(2*s.opts.Workers, 4), // jobs in flight per sweep driver
+		Record: true,
 		Executor: func(job runner.Job) (cluster.Result, error) {
 			return s.executeJob(sw, job)
 		},
@@ -364,11 +363,11 @@ func (s *Service) runDriver(sw *sweep) {
 		s.commitSweepFail(sw, err.Error())
 		return
 	}
-	if err := atomicWriteFile(s.reportPath(sw.id), buf.Bytes()); err != nil {
+	if err := runner.WriteFileDurable(s.reportPath(sw.id), buf.Bytes()); err != nil {
 		s.commitSweepFail(sw, err.Error())
 		return
 	}
-	if err := atomicWriteFile(s.tablePath(sw.id), table.Bytes()); err != nil {
+	if err := runner.WriteFileDurable(s.tablePath(sw.id), table.Bytes()); err != nil {
 		s.commitSweepFail(sw, err.Error())
 		return
 	}
@@ -416,25 +415,11 @@ func (s *Service) executeJob(sw *sweep, job runner.Job) (cluster.Result, error) 
 		job:         job,
 		key:         key,
 		maxAttempts: s.opts.Retries + 1,
-		localOnly:   !remoteSafe(job),
 		ch:          make(chan struct{}),
 	}
 	s.disp.enqueue(t)
 	<-t.ch
 	return t.res, t.err
-}
-
-// remoteSafe reports whether a job's config survives the JSON round trip
-// a remote dispatch implies. Trace-replay schedules and recording runs
-// carry state that does not serialize; they must run in-process.
-func remoteSafe(job runner.Job) bool {
-	if !job.Cacheable() {
-		return false
-	}
-	if tr := job.Config.Traffic; tr != nil && tr.Trace != nil {
-		return false
-	}
-	return true
 }
 
 // commitComplete journals a job completion (fsync — this is the commit
@@ -528,7 +513,7 @@ func (s *Service) commitSweepFail(sw *sweep, msg string) {
 func (s *Service) localWorker(name string) {
 	defer s.workers.Done()
 	for {
-		t, leaseID := s.disp.next(name, true, true)
+		t, leaseID := s.disp.next(name, true)
 		if t == nil {
 			return
 		}
@@ -713,33 +698,4 @@ func (s *Service) reportPath(id string) string {
 
 func (s *Service) tablePath(id string) string {
 	return filepath.Join(s.opts.Dir, "reports", id+".txt")
-}
-
-// atomicWriteFile writes bytes durably: temp file, fsync, rename, parent
-// directory fsync — the same discipline as the runner's result cache.
-func atomicWriteFile(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return syncDir(dir)
 }

@@ -293,7 +293,7 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep stuck: %+v", st)
 		}
-		tk, leaseID := s.disp.next("w1", false, false)
+		tk, leaseID := s.disp.next("w1", false)
 		if tk == nil {
 			time.Sleep(time.Millisecond)
 			continue
@@ -364,7 +364,7 @@ func TestStaleCompletionAfterExpiry(t *testing.T) {
 
 	tk := &ticket{sweepID: "s1", key: "k", maxAttempts: 3, ch: make(chan struct{})}
 	d.enqueue(tk)
-	tk1, lease1 := d.next("slow", false, false)
+	tk1, lease1 := d.next("slow", false)
 	if tk1 != tk {
 		t.Fatal("wrong ticket")
 	}
@@ -372,7 +372,7 @@ func TestStaleCompletionAfterExpiry(t *testing.T) {
 	// Re-dispatch happens after backoff; wait for the queue to refill.
 	var lease2 string
 	for i := 0; i < 1000; i++ {
-		if tk2, l2 := d.next("fresh", false, false); tk2 != nil {
+		if tk2, l2 := d.next("fresh", false); tk2 != nil {
 			lease2 = l2
 			break
 		}
@@ -418,7 +418,7 @@ func TestStaleFailureDoesNotBurnAttempt(t *testing.T) {
 
 	tk := &ticket{sweepID: "s1", key: "k", maxAttempts: 2, ch: make(chan struct{})}
 	d.enqueue(tk)
-	_, lease1 := d.next("w", false, false)
+	_, lease1 := d.next("w", false)
 	d.expire(tk) // attempt 1 burned -> requeue
 	if err := d.fail(lease1, "late failure from dead worker"); err != nil {
 		t.Fatalf("stale fail: %v", err)
@@ -432,7 +432,7 @@ func TestStaleFailureDoesNotBurnAttempt(t *testing.T) {
 	// The second (last) attempt failing for real is terminal.
 	var l2 string
 	for i := 0; i < 1000; i++ {
-		if tk2, l := d.next("w", false, false); tk2 != nil {
+		if tk2, l := d.next("w", false); tk2 != nil {
 			l2 = l
 			break
 		}
@@ -478,7 +478,7 @@ func TestFailedJobReplaysAcrossRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep stuck: %+v", st)
 		}
-		tk, leaseID := s1.disp.next("w1", false, false)
+		tk, leaseID := s1.disp.next("w1", false)
 		if tk == nil {
 			time.Sleep(time.Millisecond)
 			continue

@@ -8,8 +8,13 @@
 #   3. Rerun the same command over the same -cache. Jobs that completed
 #      before the interrupt replay from the cache, the rest run, and the
 #      -json report must be byte-identical to the golden one.
-#   4. The removed -checkpoint/-resume flags must be rejected as unknown
-#      (exit 2) by all three tools.
+#   4. Failure recovery: an E11 sweep whose every job times out exits 1
+#      with one FAILED row per job and caches nothing; the same command
+#      at the default timeout then runs every job and prints a table
+#      byte-identical to an uncached run's. A job runs once per sweep, so
+#      a rerun over the cache is how failed rows are retried.
+#   5. The removed -checkpoint/-resume flags must be rejected as unknown
+#      (exit 2) by all three tools, and the removed -retries by ncapsweep.
 #
 # Usage: scripts/sweep-resume-smoke.sh [workdir]   (workdir is recreated)
 set -euo pipefail
@@ -66,6 +71,29 @@ fi
 cmp "$WORK/golden.json" "$WORK/resumed.json"
 cmp "$WORK/golden.txt" "$WORK/resumed.txt"
 
+echo "== failed jobs rerun over the same -cache =="
+E11=(-exp e11 -workload apache -jobs 2 -q)
+E11CACHE="$WORK/e11-cache"
+status=0
+"$BIN" "${E11[@]}" -timeout 1ms -cache "$E11CACHE" > "$WORK/e11-failed.txt" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "FAIL: timed-out E11 sweep exited $status, want 1" >&2
+  exit 1
+fi
+failed=$(grep -c 'FAILED: ' "$WORK/e11-failed.txt" || true)
+if [ "$failed" -ne 21 ]; then
+  echo "FAIL: timed-out E11 sweep printed $failed FAILED rows, want 21" >&2
+  exit 1
+fi
+cached=$(find "$E11CACHE" -maxdepth 1 -name '*.json' 2>/dev/null | wc -l) || cached=0
+if [ "$cached" -ne 0 ]; then
+  echo "FAIL: failed jobs left $cached cache entries" >&2
+  exit 1
+fi
+"$BIN" "${E11[@]}" -cache "$E11CACHE" > "$WORK/e11-rerun.txt"
+"$BIN" "${E11[@]}" > "$WORK/e11-uncached.txt"
+cmp "$WORK/e11-uncached.txt" "$WORK/e11-rerun.txt"
+
 echo "== removed flags =="
 for tool in ncapsweep ncapsim ncaptrace; do
   for flag in -checkpoint -resume; do
@@ -77,5 +105,11 @@ for tool in ncapsweep ncapsim ncaptrace; do
     fi
   done
 done
+status=0
+"$BIN" -retries 1 > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "FAIL: ncapsweep -retries exited $status, want 2" >&2
+  exit 1
+fi
 
 echo "OK: resumed report is byte-identical to the uninterrupted run ($(wc -c < "$WORK/golden.json") bytes)"
