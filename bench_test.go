@@ -750,6 +750,25 @@ func BenchmarkE14Cell(b *testing.B) {
 	benchFleet(b, cluster.LoadRPS("apache", cluster.LowLoad), 10*sim.Millisecond, 20*sim.Millisecond, 5*sim.Millisecond)
 }
 
+// BenchmarkE11Cell is one E11 cell: Apache at medium load under
+// ncap.cons on the degraded network (1% loss on the server link, a
+// flapping client downlink, a slow client), on the 20/60/20 ms windows
+// perfbench's ncapd-e11 sweep runs. Its server runs with duplicate
+// suppression on, so its B/op row covers the served-response memory.
+func BenchmarkE11Cell(b *testing.B) {
+	b.ReportAllocs()
+	cfg := cluster.DefaultConfig(cluster.NcapCons, app.ApacheProfile(), cluster.LoadRPS("apache", cluster.MediumLoad))
+	cfg.Warmup, cfg.Measure, cfg.Drain = 20*sim.Millisecond, 60*sim.Millisecond, 20*sim.Millisecond
+	cfg.Fault = experiments.DegradedSpec(0.01, cfg.Warmup+cfg.Measure+cfg.Drain)
+	var res cluster.Result
+	for i := 0; i < b.N; i++ {
+		res = cluster.New(cfg).Run()
+	}
+	if res.Completed == 0 || res.DupResent+res.DupSuppressed == 0 {
+		b.Fatalf("the cell exercised no duplicate suppression: %+v", res)
+	}
+}
+
 // benchFleet runs the E14 fleet shape (topology.Fleet(4, 2, 16, 8)) with
 // Apache under NcapCons at perServer RPS per server, on the given windows.
 func benchFleet(b *testing.B, perServer float64, warmup, measure, drain sim.Duration) {

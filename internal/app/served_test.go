@@ -48,18 +48,34 @@ func (r *refServed) serve(id uint64, body int) {
 
 func (r *refServed) drop(id uint64) { delete(r.inflight, id) }
 
-// checkRings verifies that every live record sits in the slot its id
-// indexes and carries its source's address in the id's high bits.
-func checkRings(t *testing.T, m *servedMemory) {
+// checkPages verifies each source's pages: a page counts its in-flight
+// records and bounds their serve indexes, and the id a live record's slot
+// stands for carries its source's address in the high bits.
+func checkPages(t *testing.T, m *servedMemory) {
 	t.Helper()
-	for src, r := range m.rings {
-		for i := range r.slots {
-			e := &r.slots[i]
-			if !m.live(e) {
+	for src, r := range m.sources {
+		for i, p := range r.pages {
+			if p == nil {
 				continue
 			}
-			if r.at(e.id) != e || netsim.Addr(e.id>>40) != src {
-				t.Fatalf("record %#x of source %d in slot %d of %d", e.id, src, i, len(r.slots))
+			inflight := 0
+			for j := range p.recs {
+				e := &p.recs[j]
+				if e.held && e.idx == 0 {
+					inflight++
+				}
+				if e.held && e.idx > p.newest {
+					t.Fatalf("source %d page %d: record serve index %d past the page's newest %d",
+						src, r.base+int64(i), e.idx, p.newest)
+				}
+				key := (r.base+int64(i))<<pageBits | int64(j)
+				if id := r.first + uint64(key*r.step); m.live(e) && netsim.Addr(id>>40) != src {
+					t.Fatalf("record %#x (key %d) of source %d", id, key, src)
+				}
+			}
+			if inflight != p.inflight {
+				t.Fatalf("source %d page %d: %d records in flight, page counts %d",
+					src, r.base+int64(i), inflight, p.inflight)
 			}
 		}
 	}
@@ -145,7 +161,7 @@ func TestServedMemoryMatchesReference(t *testing.T) {
 						evictedReadmits++
 					}
 				}
-				checkRings(t, m)
+				checkPages(t, m)
 			}
 		}
 	}
@@ -156,9 +172,9 @@ func TestServedMemoryMatchesReference(t *testing.T) {
 }
 
 // TestServedRingStridedSource: a client fanning across 64 servers shows
-// each one every 64th sequence number. The ring indexes past the id bits
-// those requests share, so it holds them in as many slots as a dense
-// source needs, not 64 times as many.
+// each one every 64th sequence number. The memory keys a source's
+// requests by their step along its progression, so it holds them in as
+// many slots as a dense source needs, not 64 times as many.
 func TestServedRingStridedSource(t *testing.T) {
 	for _, k := range []uint64{1, 3, 48, 64} {
 		m := newServedMemory(dedupWindow)
@@ -170,13 +186,68 @@ func TestServedRingStridedSource(t *testing.T) {
 			}
 			m.serve(100, id, 1000)
 		}
-		if got := len(m.rings[100].slots); got > 2048 {
+		if got := m.slots(); got > 2048 {
 			t.Errorf("stride %d: %d live records take %d slots, want <= 2048", k, n, got)
 		}
 		for j := uint64(0); j < n; j++ {
 			id := uint64(100)<<40 | (5%k + j*k)
 			if d, body := m.claim(100, id); d != dupResend || body != 1000 {
 				t.Fatalf("stride %d: duplicate of request %d = (%d, %d), want a resend", k, j, d, body)
+			}
+		}
+	}
+}
+
+// TestServedMemoryRekeys: a source whose ids leave their progression (its
+// stride changes from 64 to 48 to 3 to 1 mid-stream) re-keys its live
+// records under the smaller step. Every decision still matches the
+// reference model, and the pages stay consistent after each re-key.
+func TestServedMemoryRekeys(t *testing.T) {
+	for _, window := range []int{3, 8, 300} {
+		name := fmt.Sprintf("window%d", window)
+		rng := sim.NewRand(7, name)
+		m, ref := newServedMemory(window), newRefServed(window)
+		const src = 100
+		next := uint64(5)
+		var known []uint64
+		recent := func() uint64 { return known[len(known)-1-rng.Intn(min(len(known), 2*window+2))] }
+		steps := map[int64]bool{}
+		for _, stride := range []uint64{64, 48, 3, 1} {
+			for op := 0; op < 2000; op++ {
+				var id uint64
+				switch k := rng.Intn(10); {
+				case k < 4 || len(known) == 0: // new request
+					id = src<<40 | next
+					next += stride
+					known = append(known, id)
+				case k < 6: // duplicate
+					id = recent()
+				case k < 9: // finish
+					id = recent()
+					body := 64 + rng.Intn(1<<16)
+					m.serve(src, id, body)
+					ref.serve(id, body)
+					continue
+				default: // drop
+					id = recent()
+					m.drop(src, id)
+					ref.drop(id)
+					continue
+				}
+				gotD, gotBody := m.claim(src, id)
+				wantD, wantBody := ref.claim(id)
+				if gotD != wantD || gotBody != wantBody {
+					t.Fatalf("%s stride %d op %d: claim(%#x) = (%d, %d), reference (%d, %d)",
+						name, stride, op, id, gotD, gotBody, wantD, wantBody)
+				}
+				steps[m.sources[src].step] = true
+			}
+			checkPages(t, m)
+		}
+		// 64, then gcd(64, 48·j) = 16, then gcd(16, 3·j) = 1.
+		for _, step := range []int64{64, 16, 1} {
+			if !steps[step] {
+				t.Fatalf("%s: the source never keyed by step %d (saw %v)", name, step, steps)
 			}
 		}
 	}

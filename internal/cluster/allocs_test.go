@@ -23,7 +23,7 @@ const maxAllocsPerRequest = 3
 // the cluster. It also bounds the bytes Run allocates per completed
 // request, which is where a run's result state shows: latency samples are
 // sized once and merged once at exact size, and the served-response
-// memory is one ring per source (DESIGN.md §1b, "Per-run result memory").
+// memory reuses dead pages (DESIGN.md §1b, "Per-run result memory").
 // Each bound is about 1.25x the bytes measured when it was set.
 func TestRequestPathAllocs(t *testing.T) {
 	if audit.Strict {
@@ -46,9 +46,9 @@ func TestRequestPathAllocs(t *testing.T) {
 		cfg      Config
 		maxBytes float64 // per completed request
 	}{
-		{"star", shortConfig(NcapCons, app.ApacheProfile(), 24_000), 112},
-		{"faulted", faulted, 240},
-		{"rack16", rack, 360},
+		{"star", shortConfig(NcapCons, app.ApacheProfile(), 24_000), 111},
+		{"faulted", faulted, 168},
+		{"rack16", rack, 325},
 	} {
 		c := New(tc.cfg)
 		var before, after runtime.MemStats
@@ -73,5 +73,35 @@ func TestRequestPathAllocs(t *testing.T) {
 		if bytes > tc.maxBytes {
 			t.Errorf("%s: %.0f bytes allocated per request, want <= %.0f", tc.name, bytes, tc.maxBytes)
 		}
+	}
+}
+
+// TestAuditedRequestPathAllocs: an audited run allocates like an unaudited
+// one. The packet tracker keeps its owner maps, but its packets come from
+// and return to the run's list, so the maps stop growing once the list
+// holds the run's peak of live frames.
+func TestAuditedRequestPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const maxAudited = 2
+	cfg := shortConfig(NcapCons, app.ApacheProfile(), 24_000)
+	cfg.Audit = true
+	c := New(cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := c.Run()
+	runtime.ReadMemStats(&after)
+	if vs := c.AuditViolations(); len(vs) != 0 {
+		t.Fatalf("audited run reported %d violations, first: %s", len(vs), vs[0])
+	}
+	if res.Completed == 0 {
+		t.Fatal("no request completed")
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(res.Completed)
+	t.Logf("%d mallocs over %d completed requests (%.2f per request)",
+		after.Mallocs-before.Mallocs, res.Completed, per)
+	if per > maxAudited {
+		t.Errorf("%.2f allocations per request in an audited run, want <= %d", per, maxAudited)
 	}
 }

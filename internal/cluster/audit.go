@@ -45,7 +45,7 @@ func (c *Cluster) enableAudit() {
 		maxW += n.Chip.MaxPowerWatts()
 	}
 	ad := &auditState{a: audit.New(), maxW: maxW}
-	ad.pkt = netsim.NewPacketAudit(c.eng, ad.a)
+	ad.pkt = netsim.NewPacketAudit(c.eng, ad.a, c.pkts)
 	for i, l := range c.faultLinks {
 		l.EnableAudit(ad.pkt, c.faultLinkNames[i])
 	}

@@ -240,6 +240,20 @@ func (c Config) Validate() error {
 	return c.ncapConfig().Validate()
 }
 
+// Canonical returns c with each alias spelled one way, so two configs
+// that differ only in spelling run one simulation under one cache key:
+// Queues 1 builds the single queue Queues 0 builds, and an FCONS equal
+// to the policy's own is the FCONS that 0 takes.
+func (c Config) Canonical() Config {
+	if c.Queues == 1 {
+		c.Queues = 0
+	}
+	if c.FCONS == c.Policy.FCONS() {
+		c.FCONS = 0
+	}
+	return c
+}
+
 // Recording reports whether the run captures its arrival schedule (see
 // workload.Spec.Record). Recording jobs are never cached: the cache
 // stores Results, whose captured trace (Result.Recorded) it does not

@@ -250,6 +250,7 @@ func (c *Cluster) run(advance func(until sim.Time) uint64) Result {
 	if c.aud != nil && !c.eng.Halted() {
 		c.finalizeAudit()
 	}
+	c.pkts.Flush()
 	return res
 }
 

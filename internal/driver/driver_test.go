@@ -157,7 +157,7 @@ func TestTxPathTransmitsAndCharges(t *testing.T) {
 	r := newRig(PowerHooks{})
 	sink := &txSink{}
 	r.dev.SetLink(netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 5000)
+	pkts := netsim.NewPacketList().SegmentResponse(nil, 1, 2, 9, 5000)
 	r.drv.Send(2, pkts)
 	r.eng.Run(sim.Millisecond)
 	if len(sink.got) != len(pkts) {

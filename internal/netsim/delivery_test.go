@@ -42,7 +42,7 @@ func (r *refWire) sendFrame(p *Packet) {
 	arrival += act.ExtraDelay
 	r.eng.AtArg2(arrival, refArrive, r, p)
 	if act.Duplicate {
-		dup := AllocPacket()
+		dup := p.list.Alloc()
 		*dup = *p
 		r.eng.AtArg2(arrival+sim.Duration(int64(ws)*8*int64(sim.Second)/r.cfg.BandwidthBps), refArrive, r, dup)
 	}

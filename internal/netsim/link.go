@@ -95,7 +95,8 @@ type Link struct {
 	// so conservation holds exactly at quiescence:
 	//   audDelivered == audSent - audFaultDrops + audDups.
 	aud           *PacketAudit
-	audName       string
+	audOwner      string // "link." + name: the owner label of carried frames
+	audDupOwner   string // audOwner + "/dup": of the duplicates it makes
 	audSent       int64
 	audDelivered  int64
 	audFaultDrops int64
@@ -193,7 +194,8 @@ func linkDeliver(a0, a1 any) {
 // name labels the link in violations (e.g. "link.from/node1").
 func (l *Link) EnableAudit(t *PacketAudit, name string) {
 	l.aud = t
-	l.audName = name
+	l.audOwner = "link." + name
+	l.audDupOwner = l.audOwner + "/dup"
 }
 
 // AuditConservation verifies sent = delivered + fault-dropped - duplicated
@@ -203,18 +205,18 @@ func (l *Link) AuditConservation(a *audit.Auditor) {
 	if l.aud == nil {
 		return
 	}
-	a.CheckInt("link."+l.audName, "packet-conservation", int64(l.eng.Now()),
+	a.CheckInt(l.audOwner, "packet-conservation", int64(l.eng.Now()),
 		l.audSent-l.audFaultDrops+l.audDups, l.audDelivered)
 }
 
 // Send enqueues a frame for transmission, taking ownership of it: dropped
-// frames (egress overflow or fault loss) are released to the pool here,
-// delivered frames become the receiver's to release. It returns false if
+// frames (egress overflow or fault loss) are released here, delivered
+// frames become the receiver's to release. It returns false if
 // the egress buffer is full and the frame was dropped.
 func (l *Link) Send(p *Packet) bool {
 	now := l.eng.Now()
 	if l.aud != nil {
-		l.aud.adopt(p, "link."+l.audName)
+		l.aud.adopt(p, l.audOwner)
 	}
 	if l.busyTil < now {
 		l.busyTil = now
@@ -282,18 +284,14 @@ func (l *Link) sendFaulty(p *Packet, delivery sim.Time) bool {
 		l.FaultDups.Inc()
 		l.emitFault("dup", float64(p.WireSize()))
 		// The duplicate is its own frame instance trailing the original
-		// by one serialization slot (a retransmitting middlebox).
-		var dup *Packet
+		// by one serialization slot (a retransmitting middlebox). It comes
+		// from the original's list, which the copy keeps.
+		dup := p.list.Alloc()
+		*dup = *p
 		if l.aud != nil {
 			l.audDups++
-			// Allocate through the tracker so the duplicate is registered
-			// as live; copying *p would carry the aud pointer anyway, but
-			// only an allocPacket'd frame is in the live set.
-			dup = l.aud.allocPacket("link." + l.audName + "/dup")
-		} else {
-			dup = AllocPacket()
+			l.aud.adopt(dup, l.audDupOwner)
 		}
-		*dup = *p
 		l.pushArrival(l.eng.Reserve(delivery+l.serialization(p.WireSize())), dup)
 	}
 	return true

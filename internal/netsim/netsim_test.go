@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,8 +41,36 @@ func TestHeaderConstantsMatchPaper(t *testing.T) {
 	}
 }
 
+// TestPacketListReusesAndFlushes: a released packet goes back to its
+// run's list zeroed and is the next one handed out, the steady state
+// allocates nothing, and Flush hands every free packet back to the
+// process pool, detached from the list.
+func TestPacketListReusesAndFlushes(t *testing.T) {
+	l := NewPacketList()
+	p := l.NewRequest(2, 1, 7, []byte("GET /"))
+	if p.list != l {
+		t.Fatal("a list's packet does not carry the list")
+	}
+	p.Release()
+	q := l.Alloc()
+	if q != p || !reflect.DeepEqual(*q, Packet{list: l}) {
+		t.Fatalf("Alloc after Release = %p %+v, want the released packet zeroed", q, *q)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Alloc().Release() }); n != 0 {
+		t.Fatalf("list alloc+release allocates %.1f per op", n)
+	}
+	q.Release()
+	l.Flush()
+	if len(l.free) != 0 || p.list != nil {
+		t.Fatalf("after Flush: %d free, packet list %p", len(l.free), p.list)
+	}
+	if r := (*PacketList)(nil).Alloc(); r.list != nil {
+		t.Fatal("a pool packet carries a list")
+	}
+}
+
 func TestSegmentResponse(t *testing.T) {
-	pkts := SegmentResponse(nil, 1, 2, 7, 3000)
+	pkts := NewPacketList().SegmentResponse(nil, 1, 2, 7, 3000)
 	if len(pkts) != 3 { // 1448+1448+104
 		t.Fatalf("segments = %d, want 3", len(pkts))
 	}
@@ -61,10 +90,10 @@ func TestSegmentResponse(t *testing.T) {
 }
 
 func TestSegmentResponseSmallAndZero(t *testing.T) {
-	if got := SegmentResponse(nil, 1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
+	if got := NewPacketList().SegmentResponse(nil, 1, 2, 1, 100); len(got) != 1 || got[0].PayloadLen != 100 {
 		t.Fatalf("small response: %+v", got)
 	}
-	if got := SegmentResponse(nil, 1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
+	if got := NewPacketList().SegmentResponse(nil, 1, 2, 1, 0); len(got) != 1 || got[0].PayloadLen != 1 {
 		t.Fatalf("zero-byte response must still emit one frame: %+v", got)
 	}
 }
@@ -73,12 +102,12 @@ func TestSegmentResponseSmallAndZero(t *testing.T) {
 // backing array once it is large enough.
 func TestSegmentResponseAppendsToBuffer(t *testing.T) {
 	first := NewRequest(1, 2, 1, []byte("GET"))
-	buf := SegmentResponse([]*Packet{first}, 1, 2, 3, 2000)
+	buf := NewPacketList().SegmentResponse([]*Packet{first}, 1, 2, 3, 2000)
 	if len(buf) != 3 || buf[0] != first || buf[1].Seg != 0 || buf[2].Seg != 1 || buf[2].SegCount != 2 {
 		t.Fatalf("appended segments wrong: %+v", buf)
 	}
 	backing := &buf[:cap(buf)][0]
-	if again := SegmentResponse(buf[:0], 1, 2, 4, 100); &again[0] != backing {
+	if again := NewPacketList().SegmentResponse(buf[:0], 1, 2, 4, 100); &again[0] != backing {
 		t.Fatal("a large enough buffer was not reused")
 	}
 }
@@ -87,7 +116,7 @@ func TestSegmentResponseAppendsToBuffer(t *testing.T) {
 func TestSegmentationProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		body := int(raw%10_000_000) + 1
-		pkts := SegmentResponse(nil, 1, 2, 1, body)
+		pkts := NewPacketList().SegmentResponse(nil, 1, 2, 1, body)
 		total := 0
 		for _, p := range pkts {
 			if p.PayloadLen <= 0 || p.PayloadLen > MSS {

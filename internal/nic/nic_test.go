@@ -277,7 +277,7 @@ func TestTransmitCountsAndNCAPTxCnt(t *testing.T) {
 	n.Queue(0).EnableNCAP(core.DefaultConfig(), &chipStub{})
 	sink := &recvSink{}
 	n.SetLink(netsim.NewLink(eng, netsim.DefaultLinkConfig(), sink))
-	pkts := netsim.SegmentResponse(nil, 1, 2, 9, 4000)
+	pkts := netsim.NewPacketList().SegmentResponse(nil, 1, 2, 9, 4000)
 	for _, p := range pkts {
 		if !n.Transmit(p) {
 			t.Fatal("transmit failed")

@@ -58,12 +58,13 @@ type Job struct {
 }
 
 // Key returns the job's deterministic content key: a hex SHA-256 over the
-// canonical JSON serialization of the config plus the cache schema
-// version. encoding/json writes struct fields in declaration order and
-// the config is plain data (no maps, no pointers), so the serialization —
-// and therefore the key — is stable across processes and worker counts.
+// JSON serialization of the config's canonical form (Config.Canonical)
+// plus the cache schema version. encoding/json writes struct fields in
+// declaration order and the config is plain data (no maps, no pointers),
+// so the serialization — and therefore the key — is stable across
+// processes and worker counts, and aliases of one run share it.
 func (j Job) Key() string {
-	blob, err := json.Marshal(j.Config)
+	blob, err := json.Marshal(j.Config.Canonical())
 	if err != nil {
 		// The config is a closed set of plain-data fields; marshal can
 		// only fail on NaN/Inf floats, which no valid config contains.

@@ -25,6 +25,38 @@ func tinyCfg(policy cluster.Policy, prof app.Profile, load float64) cluster.Conf
 	return cfg
 }
 
+// TestJobKeyAliases: two spellings of one simulation share a key, and
+// the simulations they name are indeed one (equal Results). Queues 1
+// builds the single queue Queues 0 builds; an FCONS equal to the
+// policy's own is what FCONS 0 takes. Spellings of different runs keep
+// different keys.
+func TestJobKeyAliases(t *testing.T) {
+	base := tinyCfg(cluster.NcapCons, app.ApacheProfile(), 24_000)
+	for name, mutate := range map[string]func(*cluster.Config){
+		"Queues=1":           func(c *cluster.Config) { c.Queues = 1 },
+		"FCONS=policy's own": func(c *cluster.Config) { c.FCONS = cluster.NcapCons.FCONS() },
+	} {
+		alias := base
+		mutate(&alias)
+		if (Job{Config: base}).Key() != (Job{Config: alias}).Key() {
+			t.Errorf("%s: an alias of the default config has its own key", name)
+		}
+		if a, b := cluster.New(base).Run(), cluster.New(alias).Run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the alias runs a different simulation", name)
+		}
+	}
+	for name, mutate := range map[string]func(*cluster.Config){
+		"FCONS=3": func(c *cluster.Config) { c.FCONS = 3 },
+		"FCONS=1": func(c *cluster.Config) { c.FCONS = 1 },
+	} {
+		other := base
+		mutate(&other)
+		if (Job{Config: base}).Key() == (Job{Config: other}).Key() {
+			t.Errorf("%s shares the default config's key", name)
+		}
+	}
+}
+
 // tinyJobs builds a mixed batch: several policies over both workloads.
 func tinyJobs() []Job {
 	var jobs []Job
