@@ -611,7 +611,7 @@ func BenchmarkLayerAppServerRequest(b *testing.B) {
 	b.ReportAllocs()
 	var srv *app.Server
 	eng, k, _, drv := benchNode(func(p *netsim.Packet, core int) { srv.HandleDelivered(p, core) })
-	srv = app.NewServer(k, drv, app.ApacheProfile(), sim.NewRand(1, "bench"), 1)
+	srv = app.NewServer(k, drv, app.ApacheProfile(), sim.NewRand(1, "bench"), 1, nil)
 	payload := []byte("GET /index.html HTTP/1.1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -766,6 +766,34 @@ func BenchmarkE11Cell(b *testing.B) {
 	}
 	if res.Completed == 0 || res.DupResent+res.DupSuppressed == 0 {
 		b.Fatalf("the cell exercised no duplicate suppression: %+v", res)
+	}
+}
+
+// BenchmarkE11Sweep is the whole Apache E11 sweep perfbench's ncapd-e11
+// runs: seven policies × three loss rates on the 20/60/20 ms windows,
+// through a fresh one-worker runner pool per op. Unlike BenchmarkE11Cell,
+// whose op builds one cluster on fresh memory, each job after the first
+// runs on the storage its predecessor left, so its B/op row shows what a
+// sweep allocates per job in steady state.
+func BenchmarkE11Sweep(b *testing.B) {
+	b.ReportAllocs()
+	prof := app.ApacheProfile()
+	warmup, measure, drain := 20*sim.Millisecond, 60*sim.Millisecond, 20*sim.Millisecond
+	var jobs []runner.Job
+	for _, loss := range experiments.E11LossRates() {
+		for _, pol := range cluster.AllPolicies() {
+			cfg := cluster.DefaultConfig(pol, prof, cluster.LoadRPS(prof.Name, cluster.MediumLoad))
+			cfg.Warmup, cfg.Measure, cfg.Drain = warmup, measure, drain
+			cfg.Fault = experiments.DegradedSpec(loss, warmup+measure+drain)
+			jobs = append(jobs, runner.Job{Tag: fmt.Sprintf("%s/%g", pol, loss), Config: cfg})
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		for _, out := range runner.New(runner.Options{Jobs: 1}).Run(jobs) {
+			if out.Err != nil || out.Result.Completed == 0 {
+				b.Fatalf("%s: %v (completed %d)", out.Job.Tag, out.Err, out.Result.Completed)
+			}
+		}
 	}
 }
 

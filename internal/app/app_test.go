@@ -166,7 +166,7 @@ func newServerRig(profile Profile) *serverRig {
 	r.drv = driver.New(k, dev, driver.DefaultConfig(), driver.PowerHooks{}, func(p *netsim.Packet, pollCore int) {
 		srv.HandleDelivered(p, pollCore)
 	})
-	srv = NewServer(k, r.drv, profile, sim.NewRand(7, "server"), 1)
+	srv = NewServer(k, r.drv, profile, sim.NewRand(7, "server"), 1, nil)
 	r.srv = srv
 	return r
 }
@@ -259,7 +259,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	cfg.BurstSize = 20
 	cfg.Period = 5 * sim.Millisecond
 	cl := NewClient(r.eng, 2, 1, netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sw),
-		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"))
+		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 
 	cl.Start()
@@ -289,7 +289,7 @@ func TestClientMeasurementBoundary(t *testing.T) {
 	cfg.BurstSize = 10
 	cfg.Period = 10 * sim.Millisecond
 	cl := NewClient(r.eng, 2, 1, netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sw),
-		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(4, "client"))
+		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(4, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 	cl.Start()
 	r.eng.Run(50 * sim.Millisecond)
@@ -317,7 +317,7 @@ func TestClientRetransmitOnSilentServer(t *testing.T) {
 	cfg.RTO = 10 * sim.Millisecond
 	cfg.MaxRetries = 2
 	cl := NewClient(eng, 2, 1, netsim.NewLink(eng, netsim.DefaultLinkConfig(), sw),
-		[]byte("GET /"), cfg, sim.NewRand(5, "client"))
+		[]byte("GET /"), cfg, sim.NewRand(5, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 	cl.Start()
 	eng.Run(200 * sim.Millisecond)
@@ -404,7 +404,7 @@ func TestClientIgnoresDuplicateSegments(t *testing.T) {
 	cfg.Period = sim.Second
 	cfg.RTO = 0
 	cl := NewClient(eng, 2, 1, netsim.NewLink(eng, netsim.DefaultLinkConfig(), sw),
-		[]byte("GET /"), cfg, sim.NewRand(1, "c"))
+		[]byte("GET /"), cfg, sim.NewRand(1, "c"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 	cl.Start()
 	eng.Run(sim.Millisecond)

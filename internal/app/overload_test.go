@@ -13,7 +13,7 @@ import (
 func silentClient(eng *sim.Engine, cfg ClientConfig) *Client {
 	sw := netsim.NewSwitch(eng, 0)
 	cl := NewClient(eng, 2, 1, netsim.NewLink(eng, netsim.DefaultLinkConfig(), sw),
-		[]byte("GET /"), cfg, sim.NewRand(5, "client"))
+		[]byte("GET /"), cfg, sim.NewRand(5, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 	return cl
 }

@@ -60,7 +60,7 @@ func TestBurstSpacingPaces(t *testing.T) {
 	cfg.Period = 5 * sim.Millisecond
 	cfg.Spacing = 2 * sim.Microsecond
 	cl := NewClient(r.eng, 2, 1, netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sw),
-		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"))
+		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 
 	var sends []sim.Time
@@ -92,7 +92,7 @@ func TestBurstSizeOne(t *testing.T) {
 	cfg.BurstSize = 1
 	cfg.Period = 1 * sim.Millisecond
 	cl := NewClient(r.eng, 2, 1, netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sw),
-		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"))
+		MemcachedProfile().RequestPayload(), cfg, sim.NewRand(3, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 
 	cl.Start()

@@ -84,7 +84,7 @@ func TestClientOutstandingTracksLiveRequests(t *testing.T) {
 	cfg.BurstSize = 40
 	cfg.Period = 2 * sim.Millisecond
 	cl := NewClient(r.eng, 2, 1, netsim.NewLink(r.eng, netsim.DefaultLinkConfig(), sw),
-		ApacheProfile().RequestPayload(), cfg, sim.NewRand(3, "client"))
+		ApacheProfile().RequestPayload(), cfg, sim.NewRand(3, "client"), nil)
 	sw.Attach(2, netsim.DefaultLinkConfig(), cl)
 	cl.Start()
 	for r.eng.Now() < 20*sim.Millisecond && r.eng.Step() {

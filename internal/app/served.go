@@ -20,8 +20,9 @@ import (
 // A page whose records are all dead goes back to a free list shared by
 // every source and is reused for whatever key range needs a page next,
 // so the memory follows the live set and no record is ever copied to
-// make room for another.
+// make room for another. New pages come from the run's storage.
 type servedMemory struct {
+	st      *Storage
 	window  uint64
 	serves  uint64 // first serves so far; a record's idx is its position
 	sources map[netsim.Addr]*servedSource
@@ -85,8 +86,8 @@ const (
 	dupResend                      // recently served: resend the stored response
 )
 
-func newServedMemory(window int) *servedMemory {
-	return &servedMemory{window: uint64(window), sources: map[netsim.Addr]*servedSource{}}
+func newServedMemory(window int, st *Storage) *servedMemory {
+	return &servedMemory{st: st, window: uint64(window), sources: map[netsim.Addr]*servedSource{}}
 }
 
 // claim decides an arriving request. An admitted request is recorded as
@@ -251,7 +252,7 @@ func (m *servedMemory) newPage() *servedPage {
 	}
 	n := len(m.free)
 	if n == 0 {
-		return new(servedPage)
+		return m.st.page()
 	}
 	p := m.free[n-1]
 	m.free = m.free[:n-1]

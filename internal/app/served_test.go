@@ -93,7 +93,7 @@ func TestServedMemoryMatchesReference(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				name := fmt.Sprintf("window%d/srcs%d/seed%d", window, srcs, seed)
 				rng := sim.NewRand(seed, name)
-				m, ref := newServedMemory(window), newRefServed(window)
+				m, ref := newServedMemory(window, NewStorage(nil)), newRefServed(window)
 				// Each source has its own stride and offset: a client
 				// fanning across k servers shows each of them every kth
 				// sequence number.
@@ -177,7 +177,7 @@ func TestServedMemoryMatchesReference(t *testing.T) {
 // many slots as a dense source needs, not 64 times as many.
 func TestServedRingStridedSource(t *testing.T) {
 	for _, k := range []uint64{1, 3, 48, 64} {
-		m := newServedMemory(dedupWindow)
+		m := newServedMemory(dedupWindow, NewStorage(nil))
 		const n = 2000
 		for j := uint64(0); j < n; j++ {
 			id := uint64(100)<<40 | (5%k + j*k)
@@ -206,7 +206,7 @@ func TestServedMemoryRekeys(t *testing.T) {
 	for _, window := range []int{3, 8, 300} {
 		name := fmt.Sprintf("window%d", window)
 		rng := sim.NewRand(7, name)
-		m, ref := newServedMemory(window), newRefServed(window)
+		m, ref := newServedMemory(window, NewStorage(nil)), newRefServed(window)
 		const src = 100
 		next := uint64(5)
 		var known []uint64

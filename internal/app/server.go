@@ -28,8 +28,8 @@ type Server struct {
 	disk    *Disk // nil for memory-resident profiles
 	addr    netsim.Addr
 
-	jobFree []*reqJob        // idle request jobs
-	segs    []*netsim.Packet // response segmentation scratch
+	st   *Storage         // the run's storage: request jobs, served pages
+	segs []*netsim.Packet // response segmentation scratch
 
 	// Affine pins each request's application task to the core that polled
 	// it — the flow-affinity of a multi-queue NIC deployment (Sec. 7).
@@ -91,11 +91,15 @@ type Server struct {
 const dedupWindow = 8192
 
 // NewServer assembles the application. rng must be a dedicated stream.
-func NewServer(k *oskernel.Kernel, drv *driver.Driver, profile Profile, rng *sim.Rand, addr netsim.Addr) *Server {
+// st is the run's storage; nil gives the server a storage of its own.
+func NewServer(k *oskernel.Kernel, drv *driver.Driver, profile Profile, rng *sim.Rand, addr netsim.Addr, st *Storage) *Server {
 	if err := profile.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Server{k: k, drv: drv, profile: profile, rng: rng, addr: addr}
+	if st == nil {
+		st = NewStorage(k.Engine())
+	}
+	s := &Server{k: k, drv: drv, profile: profile, rng: rng, addr: addr, st: st}
 	if profile.DiskProb > 0 {
 		s.disk = NewDisk(k.Engine(), rng, profile.DiskMean, DefaultDiskConcurrency)
 	}
@@ -107,7 +111,7 @@ func NewServer(k *oskernel.Kernel, drv *driver.Driver, profile Profile, rng *sim
 // submitted), the optional disk read, and the hand-off of the response to
 // the driver. A duplicate's stored-response resend is a job with no
 // packet. Jobs are built lazily with their callbacks bound once, and go
-// back to the server's free list as soon as their response is handed off.
+// back to the storage's free list as soon as their response is handed off.
 type reqJob struct {
 	work cpu.Work // OnDone is j.taskDone
 	s    *Server
@@ -129,14 +133,7 @@ type jobState struct {
 
 // newJob returns a reset job whose task costs cycles.
 func (s *Server) newJob(cycles int64) *reqJob {
-	var j *reqJob
-	if n := len(s.jobFree); n > 0 {
-		j, s.jobFree = s.jobFree[n-1], s.jobFree[:n-1]
-		j.jobState = jobState{}
-	} else {
-		j = &reqJob{s: s}
-		j.work = cpu.Work{Name: s.profile.Name, OnDone: j.taskDone}
-	}
+	j := s.st.job(s)
 	j.work.Cycles = cycles
 	return j
 }
@@ -160,7 +157,7 @@ func (j *reqJob) taskDone() {
 	if j.p == nil {
 		s.segs = s.PacketList.SegmentResponse(s.segs[:0], s.addr, j.src, j.reqID, j.body)
 		coreID := j.coreID
-		s.jobFree = append(s.jobFree, j)
+		s.st.jobs.put(j)
 		s.drv.Send(coreID, s.segs)
 		return
 	}
@@ -179,7 +176,7 @@ func (j *reqJob) ReadDone() { j.respond() }
 func (j *reqJob) respond() {
 	s := j.s
 	p, coreID, admitted, start := j.p, j.coreID, j.admitted, j.start
-	s.jobFree = append(s.jobFree, j)
+	s.st.jobs.put(j)
 	if admitted {
 		s.finishAdmitted(p, coreID, start)
 		return
@@ -261,7 +258,7 @@ func (s *Server) dedup() *servedMemory {
 		if window <= 0 {
 			window = dedupWindow
 		}
-		s.dup = newServedMemory(window)
+		s.dup = newServedMemory(window, s.st)
 	}
 	return s.dup
 }

@@ -64,6 +64,7 @@ type compiledGroup struct {
 // store-and-forward switch, or a compiled rack/spine topology).
 type Cluster struct {
 	cfg  Config
+	st   *Storage // the run's storage; eng is its engine
 	eng  *sim.Engine
 	pkts *netsim.PacketList // the run's packet free list (see Packets)
 
@@ -131,15 +132,22 @@ func serverLabel(i int) string {
 // clientLabel names client node i's RNG stream ("client0", "client1", ...).
 func clientLabel(i int) string { return "client" + strconv.Itoa(i) }
 
-// New assembles a cluster from the config. It panics on an invalid config
-// (construction bug); use Config.Validate to check user input first. The
-// topology — Config.Topology, or the paper's star when that is nil — is
-// compiled into wired simulation components (see compile.go).
-func New(cfg Config) *Cluster {
+// New assembles a cluster from the config, on a fresh storage. It panics
+// on an invalid config (construction bug); use Config.Validate to check
+// user input first. The topology — Config.Topology, or the paper's star
+// when that is nil — is compiled into wired simulation components (see
+// compile.go).
+func New(cfg Config) *Cluster { return NewWith(cfg, NewStorage()) }
+
+// NewWith is New on the given storage: it takes the storage, freeing
+// every object of the run that used it before, and the new run recycles
+// them (see Storage). The Result is the one New would give.
+func NewWith(cfg Config, st *Storage) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cluster{cfg: cfg, eng: sim.NewEngine(), pkts: netsim.NewPacketList()}
+	st.take()
+	c := &Cluster{cfg: cfg, st: st, eng: st.eng, pkts: netsim.NewPacketList()}
 	c.compile()
 
 	// Optional telemetry: registered once every component (NCAP blocks
@@ -256,7 +264,7 @@ func (c *Cluster) addServerNode(label string, rack int, addr netsim.Addr,
 		server.HandleDelivered(p, pollCore)
 	})
 	server = app.NewServer(n.Kernel, n.Driver, cfg.Workload,
-		sim.NewRand(cfg.Seed, label), addr)
+		sim.NewRand(cfg.Seed, label), addr, c.st.app)
 	server.Affine = cfg.Queues > 1
 	server.PacketList = c.pkts
 	// A lossy fabric needs TCP's retransmission semantics on the server

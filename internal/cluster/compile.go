@@ -191,7 +191,7 @@ func (c *Cluster) compile() {
 			cl := app.NewClient(c.eng, pl.addr, srv.addr,
 				c.faulted(netsim.NewLink(c.eng, link, tor), pl.addr, fault.FromNode),
 				payload, ccfg,
-				sim.NewRand(cfg.Seed, clientLabel(ci)))
+				sim.NewRand(cfg.Seed, clientLabel(ci)), c.st.app)
 			if len(targets) > 1 {
 				cl.Targets = fanout(targets, ci)
 			}

@@ -242,13 +242,15 @@ func (c Config) Validate() error {
 
 // Canonical returns c with each alias spelled one way, so two configs
 // that differ only in spelling run one simulation under one cache key:
-// Queues 1 builds the single queue Queues 0 builds, and an FCONS equal
-// to the policy's own is the FCONS that 0 takes.
+// Queues 1 builds the single queue Queues 0 builds, an FCONS equal to the
+// policy's own is the FCONS that 0 takes, and a policy without NCAP never
+// reads FCONS (a negative one stays, for Validate to reject).
 func (c Config) Canonical() Config {
 	if c.Queues == 1 {
 		c.Queues = 0
 	}
-	if c.FCONS == c.Policy.FCONS() {
+	ncap := c.Policy.UsesNCAPHardware() || c.Policy.UsesNCAPSoftware()
+	if c.FCONS == c.Policy.FCONS() || c.FCONS > 0 && !ncap {
 		c.FCONS = 0
 	}
 	return c

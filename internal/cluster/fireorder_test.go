@@ -106,3 +106,49 @@ func TestFireOrderDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestFireOrderDigestOnReusedStorage: every config of the fire-order
+// panel, run on a storage whose previous run (the next config of the
+// panel) was halted mid-measurement with events queued, requests
+// outstanding and request jobs in service, fires exactly the pinned keys
+// and gives New's Result.
+func TestFireOrderDigestOnReusedStorage(t *testing.T) {
+	want := readDigests(t, fireOrderDigests)
+	names, cfgs := fireOrderConfigs()
+	for i, name := range names {
+		st := NewStorage()
+		prev := NewWith(cfgs[(i+1)%len(cfgs)], st)
+		eng := prev.Engine()
+		halfway := prev.cfg.Warmup + prev.cfg.Measure/2
+		var inService, outstanding int
+		prev.run(func(until sim.Time) uint64 {
+			for !eng.Halted() {
+				k, ok := eng.StepUntil(until)
+				if !ok {
+					break
+				}
+				inService, outstanding = 0, 0
+				for _, n := range prev.nodes {
+					inService += n.Server.Inflight
+				}
+				for _, cl := range prev.Clients {
+					outstanding += cl.Outstanding()
+				}
+				if k.When() >= halfway && inService > 0 && outstanding > 0 {
+					eng.Halt()
+				}
+			}
+			return 0
+		})
+		if !eng.Halted() || eng.Pending() == 0 {
+			t.Fatalf("%s: the previous run was not halted with events queued", name)
+		}
+		stepped, got, _ := stepRun(NewWith(cfgs[i], st))
+		if run := New(cfgs[i]).Run(); !reflect.DeepEqual(stepped, run) {
+			t.Errorf("%s: Result on the reused storage differs from New's", name)
+		}
+		if !audit.Strict && want[name] != got {
+			t.Errorf("%s: fire-order digest on the reused storage %s, pinned %q", name, got, want[name])
+		}
+	}
+}

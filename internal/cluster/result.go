@@ -268,7 +268,7 @@ func (c *Cluster) mergeClientStats(res *Result) {
 		res.Retransmits += cl.Retransmits.Value()
 		res.Abandoned += cl.Abandoned.Value()
 	}
-	res.Latency = stats.Merge(recs...).Summarize()
+	res.Latency = c.st.mergedLatency(recs)
 }
 
 // collectOverload fills the resilience accounting after the drain. Only
@@ -334,7 +334,7 @@ func (c *Cluster) collectFleet(res *Result, nodeEnergy []float64) {
 				gr.Sent += cl.Sent.Value()
 				gr.Completed += cl.Completed.Value()
 			}
-			gr.Latency = stats.Merge(recs...).Summarize()
+			gr.Latency = c.st.mergedLatency(recs)
 		}
 		res.Groups = append(res.Groups, gr)
 	}

@@ -87,7 +87,8 @@ func runClosedLoop(o Options, prof app.Profile, loadRPS float64) OpenVsClosedRow
 		recs[i] = c.Latency()
 		completed += c.Completed.Value()
 	}
-	merged := stats.Merge(recs...)
+	var merged stats.LatencyRecorder
+	merged.MergeFrom(recs...)
 	return OpenVsClosedRow{
 		Method:    "closed-loop",
 		P95:       merged.Percentile(95),

@@ -28,21 +28,27 @@ func tinyCfg(policy cluster.Policy, prof app.Profile, load float64) cluster.Conf
 // TestJobKeyAliases: two spellings of one simulation share a key, and
 // the simulations they name are indeed one (equal Results). Queues 1
 // builds the single queue Queues 0 builds; an FCONS equal to the
-// policy's own is what FCONS 0 takes. Spellings of different runs keep
-// different keys.
+// policy's own is what FCONS 0 takes; a policy without NCAP never reads
+// FCONS. Spellings of different runs keep different keys.
 func TestJobKeyAliases(t *testing.T) {
 	base := tinyCfg(cluster.NcapCons, app.ApacheProfile(), 24_000)
-	for name, mutate := range map[string]func(*cluster.Config){
-		"Queues=1":           func(c *cluster.Config) { c.Queues = 1 },
-		"FCONS=policy's own": func(c *cluster.Config) { c.FCONS = cluster.NcapCons.FCONS() },
+	perf := tinyCfg(cluster.Perf, app.ApacheProfile(), 24_000)
+	for _, tc := range []struct {
+		name   string
+		base   cluster.Config
+		mutate func(*cluster.Config)
+	}{
+		{"Queues=1", base, func(c *cluster.Config) { c.Queues = 1 }},
+		{"FCONS=policy's own", base, func(c *cluster.Config) { c.FCONS = cluster.NcapCons.FCONS() }},
+		{"FCONS=3 on perf", perf, func(c *cluster.Config) { c.FCONS = 3 }},
 	} {
-		alias := base
-		mutate(&alias)
-		if (Job{Config: base}).Key() != (Job{Config: alias}).Key() {
-			t.Errorf("%s: an alias of the default config has its own key", name)
+		alias := tc.base
+		tc.mutate(&alias)
+		if (Job{Config: tc.base}).Key() != (Job{Config: alias}).Key() {
+			t.Errorf("%s: an alias of the default config has its own key", tc.name)
 		}
-		if a, b := cluster.New(base).Run(), cluster.New(alias).Run(); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: the alias runs a different simulation", name)
+		if a, b := cluster.New(tc.base).Run(), cluster.New(alias).Run(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the alias runs a different simulation", tc.name)
 		}
 	}
 	for name, mutate := range map[string]func(*cluster.Config){
@@ -74,6 +80,7 @@ func tinyJobs() []Job {
 func TestJobKeyStableAndContentSensitive(t *testing.T) {
 	a := Job{Config: tinyCfg(cluster.Perf, app.ApacheProfile(), 24_000)}
 	b := Job{Config: tinyCfg(cluster.Perf, app.ApacheProfile(), 24_000)}
+	ncap := Job{Config: tinyCfg(cluster.NcapCons, app.ApacheProfile(), 24_000)}
 	if a.Key() != b.Key() {
 		t.Fatal("equal configs produced different keys")
 	}
@@ -96,16 +103,21 @@ func TestJobKeyStableAndContentSensitive(t *testing.T) {
 	if a.Key() == d.Key() {
 		t.Fatal("nested NCAP config change did not change the key")
 	}
-	// Each Sec. 4.3/Sec. 7 option is a decision the key must see.
-	for name, mutate := range map[string]func(*cluster.Config){
-		"FCONS":  func(c *cluster.Config) { c.FCONS = 3 },
-		"Queues": func(c *cluster.Config) { c.Queues = 4 },
-		"TOE":    func(c *cluster.Config) { c.TOE = true },
+	// Each Sec. 4.3/Sec. 7 option is a decision the key must see, on a
+	// policy that reads it: only the NCAP policies read FCONS.
+	for _, tc := range []struct {
+		name   string
+		base   Job
+		mutate func(*cluster.Config)
+	}{
+		{"FCONS", ncap, func(c *cluster.Config) { c.FCONS = 3 }},
+		{"Queues", a, func(c *cluster.Config) { c.Queues = 4 }},
+		{"TOE", a, func(c *cluster.Config) { c.TOE = true }},
 	} {
-		e := a
-		mutate(&e.Config)
-		if a.Key() == e.Key() {
-			t.Errorf("%s change did not change the key", name)
+		e := tc.base
+		tc.mutate(&e.Config)
+		if tc.base.Key() == e.Key() {
+			t.Errorf("%s change did not change the key", tc.name)
 		}
 	}
 }
@@ -469,5 +481,49 @@ func TestStopMidRunDrainsGracefully(t *testing.T) {
 	}
 	if !pool.Stopped() {
 		t.Fatal("pool not marked stopped")
+	}
+}
+
+// TestFailedRunsForfeitStorage: a run that returns normally gives its
+// storage back to the pool's idle set, while a job that times out or
+// panics never does: the abandoned simulation may still be running on
+// its storage, and a panicked one may have left it inconsistent. The jobs
+// after both on that pool give a fresh pool's Results.
+func TestFailedRunsForfeitStorage(t *testing.T) {
+	idle := func(p *Pool) int {
+		p.idleMu.Lock()
+		defer p.idleMu.Unlock()
+		return len(p.idle)
+	}
+	jobs := tinyJobs()
+	long := tinyCfg(cluster.OndIdle, app.ApacheProfile(), 24_000)
+	long.Measure = 60 * sim.Second
+	bad := jobs[0]
+	bad.Config.LoadRPS = -1 // cluster.New panics on an invalid config
+
+	pool := New(Options{Jobs: 1})
+	if o := pool.RunOne(jobs[0]); o.Err != nil || idle(pool) != 1 {
+		t.Fatalf("a normal run: err %v, %d idle storages, want 1", o.Err, idle(pool))
+	}
+	kept := pool.idle[0]
+	pool.opts.Timeout = time.Nanosecond
+	if o := pool.RunOne(Job{Tag: "long", Config: long}); o.Err == nil || idle(pool) != 0 {
+		t.Fatalf("a timed-out run: err %v, %d idle storages, want 0", o.Err, idle(pool))
+	}
+	pool.opts.Timeout = 0
+	if o := pool.RunOne(bad); o.Err == nil || idle(pool) != 0 {
+		t.Fatalf("a panicked run: err %v, %d idle storages, want 0", o.Err, idle(pool))
+	}
+
+	fresh := New(Options{Jobs: 1}).Run(jobs)
+	for i, o := range pool.Run(jobs) {
+		if o.Err != nil || !reflect.DeepEqual(o.Result, fresh[i].Result) {
+			t.Errorf("%s after the failed runs: err %v, Result differs from a fresh pool's: %v",
+				o.Job.Tag, o.Err, !reflect.DeepEqual(o.Result, fresh[i].Result))
+		}
+	}
+	if idle(pool) != 1 || pool.idle[0] == kept {
+		t.Fatalf("after a serial batch: %d idle storages (want 1), the timed-out run's among them: %v",
+			idle(pool), idle(pool) > 0 && pool.idle[0] == kept)
 	}
 }

@@ -37,23 +37,27 @@ func (l *LatencyRecorder) Record(d sim.Duration) {
 	l.sum += float64(d)
 }
 
-// Merge returns a new recorder holding every observation of recs, copied
-// in argument order into one allocation of the total sample count. The
-// sum is re-accumulated sample by sample in that same order, so Mean is
-// bit-identical to recording the samples one at a time.
-func Merge(recs ...*LatencyRecorder) *LatencyRecorder {
+// MergeFrom replaces l's observations with every observation of recs,
+// copied in argument order. l's buffer is reused when it holds the total
+// sample count, and is otherwise replaced by one allocation of exactly
+// that count. The sum is re-accumulated sample by sample in that same
+// order, so Mean is bit-identical to recording the samples one at a time.
+// l must not be one of recs.
+func (l *LatencyRecorder) MergeFrom(recs ...*LatencyRecorder) {
 	n := 0
 	for _, r := range recs {
 		n += len(r.samples)
 	}
-	m := &LatencyRecorder{samples: make([]sim.Duration, 0, n)}
+	if cap(l.samples) < n {
+		l.samples = make([]sim.Duration, 0, n)
+	}
+	l.Reset()
 	for _, r := range recs {
-		m.samples = append(m.samples, r.samples...)
+		l.samples = append(l.samples, r.samples...)
 	}
-	for _, d := range m.samples {
-		m.sum += float64(d)
+	for _, d := range l.samples {
+		l.sum += float64(d)
 	}
-	return m
 }
 
 // Grow makes room for n more observations, so the next n Records do not

@@ -277,13 +277,16 @@ func TestLatencyAgainstSortReference(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesReplay: Merge over k recorders equals recording every
-// sample one at a time in argument order — the same Summary and the same
-// bits of the running sum behind Mean — for random samples, heavy ties,
-// values near 2^40 (where the float sum rounds, so order matters) and
-// empty recorders. Merging leaves its inputs untouched.
+// TestMergeMatchesReplay: MergeFrom over k recorders equals recording
+// every sample one at a time in argument order — the same Summary and the
+// same bits of the running sum behind Mean — for random samples, heavy
+// ties, values near 2^40 (where the float sum rounds, so order matters)
+// and empty recorders, both into a fresh recorder and into one that
+// earlier merges left sorted and holding other samples. Merging leaves
+// its inputs untouched.
 func TestMergeMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	reused := NewLatencyRecorder()
 	gens := map[string]func() sim.Duration{
 		"random": func() sim.Duration { return sim.Duration(rng.Int63n(50 * int64(sim.Millisecond))) },
 		"ties":   func() sim.Duration { return sim.Duration(rng.Intn(4)) * sim.Microsecond },
@@ -307,12 +310,16 @@ func TestMergeMatchesReplay(t *testing.T) {
 					want.Record(d)
 				}
 			}
-			got := Merge(recs...)
-			if math.Float64bits(got.sum) != math.Float64bits(want.sum) {
-				t.Errorf("%s %v: merged sum %v, replayed sum %v", name, sizes, got.sum, want.sum)
-			}
-			if g, w := got.Summarize(), want.Summarize(); g != w {
-				t.Errorf("%s %v: merged %+v, replayed %+v", name, sizes, g, w)
+			got := NewLatencyRecorder()
+			got.MergeFrom(recs...)
+			reused.MergeFrom(recs...)
+			for _, m := range []*LatencyRecorder{got, reused} {
+				if math.Float64bits(m.sum) != math.Float64bits(want.sum) {
+					t.Errorf("%s %v: merged sum %v, replayed sum %v", name, sizes, m.sum, want.sum)
+				}
+				if g, w := m.Summarize(), want.Summarize(); g != w {
+					t.Errorf("%s %v: merged %+v, replayed %+v", name, sizes, g, w)
+				}
 			}
 			if cap(got.Samples()) != got.Count() {
 				t.Errorf("%s %v: merged capacity %d for %d samples", name, sizes, cap(got.Samples()), got.Count())
